@@ -133,7 +133,7 @@ func (p *Plan) analyzeProg(sb *strings.Builder, prog *nvm.Program, pad string, p
 		st = prof.Progs[prog.ID]
 	}
 	fmt.Fprintf(sb, "%sprog[%s]  (runs=%d steps=%d time=%s)\n",
-		pad, prog.Source, st.Runs, st.Steps, fmtDur(st.Time))
+		pad, prog.SourceText(), st.Runs, st.Steps, fmtDur(st.Time))
 }
 
 // analyzeNested renders the nested aggregation plans reachable from a

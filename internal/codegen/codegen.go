@@ -186,12 +186,12 @@ func (p *Plan) run(stdctx context.Context, limits guard.Limits, ctx dom.Node, va
 	if p.Workers > 1 && p.BatchSize > 0 {
 		ex.Workers = p.Workers
 		// One worker Exec per exchange worker goroutine: its own machine,
-		// register file, memo tables and pools, sharing only the read-only
-		// plan state (indexes, variables, subplan builders) and the fanned
-		// governor. Built on the coordinator goroutine at exchange Open.
-		// Workers stays zero on the worker Exec, so cloned subtrees never
-		// nest exchanges; Prof stays nil, so worker machines never touch
-		// the run's Profile concurrently.
+		// register file, memo tables and free lists, sharing only the
+		// read-only plan state (indexes, variables, subplan builders) and
+		// the fanned governor. Built on the coordinator goroutine at
+		// exchange Open. Workers stays zero on the worker Exec, so cloned
+		// subtrees never nest exchanges; Prof stays nil, so worker machines
+		// never touch the run's Profile concurrently.
 		ex.NewWorkerExec = func(wgov *guard.Governor) *physical.Exec {
 			wm := &nvm.Machine{
 				Regs:        make([]nvm.Val, p.numRegs),
@@ -297,7 +297,7 @@ const (
 	regBytes       = 24  // one register name/index pair
 	instrBytes     = 32  // one NVM instruction
 	constBytes     = 64  // one program constant (may carry a string)
-	progBaseBytes  = 96  // Program struct + source string
+	progBaseBytes  = 96  // Program struct and its slice headers
 	opBytes        = 192 // one compiled operator: builder closure + opSlot entry
 	subplanBytes   = 64  // one subplan builder slot
 	memoSlotBytes  = 48  // one memo-cache slot

@@ -19,7 +19,7 @@ type progBuilder struct {
 // (section 5.2.2: non-sequence-valued subscripts become assembler-like
 // programs).
 func (g *generator) compileScalar(s algebra.Scalar) (*nvm.Program, error) {
-	pb := &progBuilder{g: g, prog: &nvm.Program{Source: s.String(), ID: g.plan.numProgs}, names: map[string]int{}}
+	pb := &progBuilder{g: g, prog: &nvm.Program{Source: s, ID: g.plan.numProgs}, names: map[string]int{}}
 	g.plan.numProgs++
 	if err := pb.emit(s); err != nil {
 		return nil, err

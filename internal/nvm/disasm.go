@@ -27,12 +27,21 @@ var opNames = [...]string{
 	OpEnd:          "end",
 }
 
+// SourceText renders the expression the program was compiled from, or ""
+// when it has none.
+func (p *Program) SourceText() string {
+	if p.Source == nil {
+		return ""
+	}
+	return p.Source.String()
+}
+
 // Disasm renders the program in the assembler-like form the paper
 // describes for NVM programs (section 5.2.2), one instruction per line.
 func (p *Program) Disasm() string {
 	var sb strings.Builder
-	if p.Source != "" {
-		fmt.Fprintf(&sb, "; %s\n", p.Source)
+	if src := p.SourceText(); src != "" {
+		fmt.Fprintf(&sb, "; %s\n", src)
 	}
 	for i, in := range p.Code {
 		fmt.Fprintf(&sb, "%3d  %-9s", i, opNames[in.Op])

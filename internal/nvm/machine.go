@@ -115,8 +115,10 @@ type Program struct {
 	Code   []Instr
 	Consts []Val
 	Names  []string // variable names for OpLoadVar
-	// Source is the rendered scalar expression, for explain output.
-	Source string
+	// Source is the scalar expression the program was compiled from. Explain
+	// output renders it on each call; compilation never does, because
+	// nothing on the run path reads the text. Nil for hand-built programs.
+	Source fmt.Stringer
 	// ID is the program's index in its plan (assigned by the code
 	// generator); instrumented runs account per-program statistics under
 	// it. Hand-built programs may leave it zero — they run on machines

@@ -355,9 +355,18 @@ func TestValKey(t *testing.T) {
 	}
 }
 
+// countingSource is a program source that counts its renderings.
+type countingSource struct {
+	text string
+	n    int
+}
+
+func (s *countingSource) String() string { s.n++; return s.text }
+
 func TestDisasm(t *testing.T) {
+	src := &countingSource{text: "(a and $v) = 2"}
 	p := &Program{
-		Source: "(a and $v) = 2",
+		Source: src,
 		Consts: []Val{NumVal(2), StrVal("x")},
 		Names:  []string{"v"},
 		Code: []Instr{
@@ -386,5 +395,14 @@ func TestDisasm(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Disasm missing %q:\n%s", want, out)
 		}
+	}
+	// The source is rendered on each call, never cached on the program.
+	if again := p.Disasm(); again != out || src.n != 2 {
+		t.Errorf("second Disasm rendered the source %d times in all, equal=%v", src.n, again == out)
+	}
+	// A hand-built program without a source has no header line.
+	p.Source = nil
+	if out := p.Disasm(); strings.HasPrefix(out, ";") {
+		t.Errorf("sourceless Disasm has a header:\n%s", out)
 	}
 }

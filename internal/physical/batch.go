@@ -118,11 +118,12 @@ func (ex *Exec) batchLen() int {
 	return DefaultBatchSize
 }
 
-// poolAudit counts every pool Get and Put while enabled. The leak harness
-// turns it on around a run and asserts the totals balance, catching error
-// and early-Close paths that strand a pooled buffer or return one twice.
-// Atomics, because exchange workers hit the pools from their own
-// goroutines; a disabled audit costs one atomic load per pool call, paid
+// poolAudit counts every free-list Get and Put while enabled. The leak
+// harness turns it on around a run and asserts the totals balance, catching
+// error and early-Close paths that strand a pooled buffer or return one
+// twice.
+// Atomics, because exchange workers hit the free lists from their own
+// goroutines; a disabled audit costs one atomic load per call, paid
 // only in builds that run the harness (the flag is never set in
 // production).
 var poolAudit struct {
@@ -147,65 +148,86 @@ func PoolAuditStop() (gets, puts int64) {
 	return poolAudit.gets.Load(), poolAudit.puts.Load()
 }
 
-// GetNodeBuf returns a batch-sized node buffer from the execution's pool.
+// take pops the most recently returned entry of one of the Exec's free
+// lists.
+func take[T any](ex *Exec, list *[]T) (v T, ok bool) {
+	ex.freeMu.Lock()
+	if n := len(*list); n > 0 {
+		v, ok = (*list)[n-1], true
+		*list = (*list)[:n-1]
+	}
+	ex.freeMu.Unlock()
+	return v, ok
+}
+
+// give pushes an entry onto one of the Exec's free lists.
+func give[T any](ex *Exec, list *[]T, v T) {
+	ex.freeMu.Lock()
+	*list = append(*list, v)
+	ex.freeMu.Unlock()
+}
+
+// GetNodeBuf returns a batch-sized node buffer from the execution's free
+// list.
 func (ex *Exec) GetNodeBuf() []dom.Node {
 	if poolAudit.enabled.Load() {
 		poolAudit.gets.Add(1)
 	}
-	if p, _ := ex.nodeBufs.Get().(*[]dom.Node); p != nil && len(*p) == ex.batchLen() {
-		return *p
+	if b, ok := take(ex, &ex.nodeBufs); ok {
+		return b
 	}
 	return make([]dom.Node, ex.batchLen())
 }
 
-// PutNodeBuf returns a buffer obtained from GetNodeBuf to the pool.
+// PutNodeBuf returns a buffer obtained from GetNodeBuf to the free list.
 func (ex *Exec) PutNodeBuf(b []dom.Node) {
 	if poolAudit.enabled.Load() {
 		poolAudit.puts.Add(1)
 	}
 	if len(b) == ex.batchLen() {
-		ex.nodeBufs.Put(&b)
+		give(ex, &ex.nodeBufs, b)
 	}
 }
 
-// GetIDBuf returns a batch-sized NodeID scratch buffer from the pool.
+// GetIDBuf returns a batch-sized NodeID scratch buffer from the free list.
 func (ex *Exec) GetIDBuf() []dom.NodeID {
 	if poolAudit.enabled.Load() {
 		poolAudit.gets.Add(1)
 	}
-	if p, _ := ex.idBufs.Get().(*[]dom.NodeID); p != nil && len(*p) == ex.batchLen() {
-		return *p
+	if b, ok := take(ex, &ex.idBufs); ok {
+		return b
 	}
 	return make([]dom.NodeID, ex.batchLen())
 }
 
-// PutIDBuf returns a buffer obtained from GetIDBuf to the pool.
+// PutIDBuf returns a buffer obtained from GetIDBuf to the free list.
 func (ex *Exec) PutIDBuf(b []dom.NodeID) {
 	if poolAudit.enabled.Load() {
 		poolAudit.puts.Add(1)
 	}
 	if len(b) == ex.batchLen() {
-		ex.idBufs.Put(&b)
+		give(ex, &ex.idBufs, b)
 	}
 }
 
-// GetStepper returns an axis stepper from the execution's per-axis pool.
+// GetStepper returns an axis stepper from the execution's per-axis free
+// list.
 func (ex *Exec) GetStepper(a dom.Axis) *dom.Stepper {
 	if poolAudit.enabled.Load() {
 		poolAudit.gets.Add(1)
 	}
-	if s, _ := ex.steppers[a].Get().(*dom.Stepper); s != nil {
+	if s, ok := take(ex, &ex.steppers[a]); ok {
 		return s
 	}
 	return dom.NewStepper(a)
 }
 
-// PutStepper returns a stepper obtained from GetStepper to its pool.
+// PutStepper returns a stepper obtained from GetStepper to its free list.
 func (ex *Exec) PutStepper(s *dom.Stepper) {
 	if poolAudit.enabled.Load() {
 		poolAudit.puts.Add(1)
 	}
-	ex.steppers[s.Axis()].Put(s)
+	give(ex, &ex.steppers[s.Axis()], s)
 }
 
 // Batched implements BatchIter. Every operator's Batched guards against a

@@ -10,9 +10,9 @@
 // batches from the serial feed below the segment, tags each with a
 // sequence number, and round-robins them into per-worker channels. Every
 // worker owns a full clone of the segment pipeline bound to its own Exec
-// (machine, registers, pools) and a governor fanned out from the parent's,
-// runs each task batch through the clone, and posts the outputs to a
-// shared results channel. The merge side holds results until their
+// (machine, registers, free lists) and a governor fanned out from the
+// parent's, runs each task batch through the clone, and posts the outputs
+// to a shared results channel. The merge side holds results until their
 // sequence number is next, so the emitted node order is exactly the serial
 // order: batches are emitted in feed order, and within a batch the worker
 // preserved its input order.
@@ -46,16 +46,16 @@ import (
 const taskDepth = 2
 
 // exTask is one dispatched unit of work: a feed batch and its sequence
-// number. The buffer comes from the parent Exec's pool; the worker returns
-// it there after processing.
+// number. The buffer comes from the parent Exec's free list; the worker
+// returns it there after processing.
 type exTask struct {
 	seq int64
 	buf []dom.Node
 	n   int
 }
 
-// outBatch is one output buffer a worker filled (parent-pool owned; the
-// merge returns it after copying out).
+// outBatch is one output buffer a worker filled (owned by the parent's
+// free list; the merge returns it after copying out).
 type outBatch struct {
 	buf []dom.Node
 	n   int
@@ -362,8 +362,8 @@ func (e *Exchange) NextBatch(out []dom.Node) (int, error) {
 
 // shutdown aborts the parallel execution: raises the stop flag (workers
 // abandon in-flight tasks at their next governor poll), drains every
-// outstanding result back to the pools, and joins the workers. Idempotent;
-// coordinator goroutine only.
+// outstanding result back to the free lists, and joins the workers.
+// Idempotent; coordinator goroutine only.
 func (e *Exchange) shutdown() {
 	if e.finished {
 		return

@@ -73,17 +73,23 @@ type Exec struct {
 	// NewWorkerExec, set by the code generator when Workers > 1, builds
 	// the execution state of one exchange worker: a fresh machine and
 	// register file (sharing the plan's variables and read-only indexes)
-	// with its own buffer/stepper pools, guarded by gov. Nil means the
-	// plan cannot parallelize (hand-built, or scalar).
+	// with its own buffer/stepper free lists, guarded by gov. Nil means
+	// the plan cannot parallelize (hand-built, or scalar).
 	NewWorkerExec func(gov *guard.Governor) *Exec
 
-	// Per-execution free lists for batch buffers and axis steppers. Keyed
-	// to the Exec — never shared across concurrent runs of one Prepared —
-	// they recycle the allocations of operators that re-open under d-joins,
-	// memoized subtrees and unions.
-	nodeBufs sync.Pool
-	idBufs   sync.Pool
-	steppers [dom.AxisCount]sync.Pool
+	// Free lists for batch buffers and axis steppers. They live exactly as
+	// long as the Exec, which is one run — never shared across concurrent
+	// runs of one Prepared — and recycle the allocations of operators that
+	// re-open under d-joins, memoized subtrees and unions. Plain slices
+	// rather than runtime pools: a pool registers in the runtime's global
+	// pool list on its first Put and is swept at every GC, which a list
+	// that dies with its run does not need. The mutex exists only because
+	// exchange workers return node buffers to the coordinator's Exec from
+	// their own goroutines (exchange.go, runTask).
+	freeMu   sync.Mutex
+	nodeBufs [][]dom.Node
+	idBufs   [][]dom.NodeID
+	steppers [dom.AxisCount][]*dom.Stepper
 }
 
 // Materialization cost estimates for the byte budget: a register snapshot
@@ -199,8 +205,8 @@ type UnnestMap struct {
 }
 
 // Open implements Iter. The stepper and batch buffers come from the Exec's
-// per-execution pools and return to them at Close, so re-opens under deep
-// d-join nests recycle instead of reallocating.
+// per-execution free lists and return to them at Close, so re-opens under
+// deep d-join nests recycle instead of reallocating.
 func (u *UnnestMap) Open() error {
 	if u.stepper == nil {
 		u.stepper = u.Ex.GetStepper(u.Axis)
@@ -288,7 +294,7 @@ func (u *UnnestMap) Next() (bool, error) {
 }
 
 // Close implements Iter, returning the stepper and batch buffers to the
-// execution's pools.
+// execution's free lists.
 func (u *UnnestMap) Close() error {
 	if u.stepper != nil {
 		u.Ex.PutStepper(u.stepper)

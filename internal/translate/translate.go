@@ -9,6 +9,7 @@ package translate
 
 import (
 	"fmt"
+	"strconv"
 
 	"natix/internal/algebra"
 	"natix/internal/dom"
@@ -92,7 +93,7 @@ type translator struct {
 
 func (tr *translator) attr(prefix string) string {
 	tr.next++
-	return fmt.Sprintf("%s%d", prefix, tr.next)
+	return prefix + strconv.Itoa(tr.next)
 }
 
 // scope is the static context of a (sub)translation: the attribute holding

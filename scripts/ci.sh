@@ -25,6 +25,11 @@ fi
 go build ./...
 go test -race ./...
 
+# The benchmark is its own module (replace natix => ../), so the steps above
+# never compile it: vet and test it here, or an engine API change breaks the
+# yardstick unnoticed. ~5 s, all five workloads on small inputs.
+(cd benchmark && go vet . && go test .)
+
 # Fault-tolerance gate: the re-exec crash harness (>= 20 SIGKILLs against the
 # commit pipeline and the atomic reload rename) plus the 64-client chaos soak.
 # Both already run inside the full -race suite above; this step re-runs them
