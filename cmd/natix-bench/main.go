@@ -10,7 +10,6 @@
 //	natix-bench -exp ablations
 //	natix-bench -exp buffer
 //	natix-bench -exp batch -json > BENCH_PR5.json
-//	natix-bench -exp parallel -json > BENCH_PR7.json
 //	natix-bench -exp index -json > BENCH_PR8.json
 //
 // Engine names: natix (algebraic engine over the page-backed store),
@@ -29,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -39,7 +37,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5, fig6..fig9, fig10, batch, parallel, index, ablations, buffer, or all")
+	exp := flag.String("exp", "all", "experiment: fig5, fig6..fig9, fig10, batch, index, ablations, buffer, or all")
 	jsonOut := flag.Bool("json", false, "emit measurements as a JSON array on stdout instead of tables")
 	metricsDump := flag.Bool("metrics", false, "print the process metrics registry (Prometheus text format) after the run")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
@@ -94,8 +92,6 @@ func main() {
 			fig10(*pubs, cfg)
 		case "batch":
 			batch(cfg)
-		case "parallel":
-			parallelExp(cfg)
 		case "index":
 			indexExp(cfg)
 		case "ablations":
@@ -107,7 +103,7 @@ func main() {
 		}
 	}
 	if *exp == "all" {
-		for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "batch", "parallel", "index", "ablations", "buffer"} {
+		for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "batch", "index", "ablations", "buffer"} {
 			run(id)
 		}
 	} else {
@@ -224,60 +220,6 @@ func batch(cfg bench.Config) {
 				speedup(rk, bench.EngineNatixScalar, bench.EngineNatix),
 				mss.Duration.Round(10*time.Microsecond), msb.Duration.Round(10*time.Microsecond),
 				speedup(rk, bench.EngineNatixMemScalar, bench.EngineNatixMem))
-		}
-		fmt.Println()
-	})
-}
-
-// parallelExp runs the intra-query scaling comparison over the Fig. 5
-// queries and prints a speedup table (serial time / N-worker time for the
-// in-memory backend). On machines with fewer cores than the worker degree
-// the "speedup" is honest overhead measurement, not parallel gain.
-func parallelExp(cfg bench.Config) {
-	ms, err := bench.RunParallelScaling(cfg)
-	if err != nil {
-		fail("parallel: %v", err)
-	}
-	emit(ms, func() {
-		fmt.Printf("== Parallel: exchange-worker scaling, Fig. 5 queries (GOMAXPROCS=%d) ==\n", runtime.GOMAXPROCS(0))
-		type key struct {
-			query  string
-			scale  int
-			engine string
-		}
-		byKey := map[key]bench.Measurement{}
-		type rowKey struct {
-			query string
-			scale int
-		}
-		var rows []rowKey
-		seen := map[rowKey]bool{}
-		for _, m := range ms {
-			byKey[key{m.Query, m.Scale, m.Engine}] = m
-			rk := rowKey{m.Query, m.Scale}
-			if !seen[rk] {
-				seen[rk] = true
-				rows = append(rows, rk)
-			}
-		}
-		speedup := func(rk rowKey, engine string) string {
-			s, p := byKey[key{rk.query, rk.scale, bench.EngineNatixMem}], byKey[key{rk.query, rk.scale, engine}]
-			if s.Skipped || p.Skipped || p.Duration == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2fx", float64(s.Duration)/float64(p.Duration))
-		}
-		fmt.Printf("  %-5s %-8s %14s %14s %8s %14s %8s\n",
-			"query", "elements", "serial", "w=2", "speedup", "w=4", "speedup")
-		for _, rk := range rows {
-			s := byKey[key{rk.query, rk.scale, bench.EngineNatixMem}]
-			w2 := byKey[key{rk.query, rk.scale, bench.EngineNatixMemW2}]
-			w4 := byKey[key{rk.query, rk.scale, bench.EngineNatixMemW4}]
-			fmt.Printf("  %-5s %-8d %14s %14s %8s %14s %8s\n",
-				rk.query, rk.scale,
-				s.Duration.Round(10*time.Microsecond),
-				w2.Duration.Round(10*time.Microsecond), speedup(rk, bench.EngineNatixMemW2),
-				w4.Duration.Round(10*time.Microsecond), speedup(rk, bench.EngineNatixMemW4))
 		}
 		fmt.Println()
 	})

@@ -97,7 +97,6 @@ func openAll(cat *catalog.Catalog, specs []docSpec, bufPages int) error {
 type options struct {
 	addr         string
 	workers      int
-	queryWorkers int
 	queue        int
 	timeout      time.Duration
 	maxTimeout   time.Duration
@@ -129,7 +128,6 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8321", "listen address")
 	flag.IntVar(&o.workers, "workers", 0, "concurrently executing queries (0 = GOMAXPROCS)")
-	flag.IntVar(&o.queryWorkers, "query-workers", 0, "intra-query parallelism degree per query (0 = serial; capped at GOMAXPROCS/workers)")
 	flag.IntVar(&o.queue, "queue", 0, "admission queue depth beyond the workers (0 = 4x workers)")
 	flag.DurationVar(&o.timeout, "timeout", 10*time.Second, "default per-query deadline")
 	flag.DurationVar(&o.maxTimeout, "max-timeout", 60*time.Second, "cap on request-supplied deadlines")
@@ -220,7 +218,6 @@ func runShard(o options, plan *chaos.Plan) error {
 		Catalog:        cat,
 		Cache:          plancache.New(o.cacheEntries, o.cacheBytes),
 		Workers:        o.workers,
-		QueryWorkers:   o.queryWorkers,
 		QueueDepth:     o.queue,
 		DefaultTimeout: o.timeout,
 		MaxTimeout:     o.maxTimeout,

@@ -1,11 +1,10 @@
-// Pool-balance hardening: the batched protocol and the exchange workers
-// borrow node/ID buffers and axis steppers from per-exec pools. Every get
-// must be matched by a put no matter how the run ends — otherwise a pool
-// slot's backing array is lost and long-lived serving processes churn
-// allocations exactly where batching was supposed to remove them. The
-// physical package's pool audit counts raw get/put traffic process-wide;
-// combined with the iterator leak tracker this pins both halves of the
-// cleanup contract.
+// Pool-balance hardening: the batched protocol borrows node/ID buffers and
+// axis steppers from per-exec free lists. Every get must be matched by a
+// put no matter how the run ends — otherwise a free-list entry's backing
+// array is lost and the run churns allocations exactly where batching was
+// supposed to remove them. The physical package's pool audit counts raw
+// get/put traffic process-wide; combined with the iterator leak tracker
+// this pins both halves of the cleanup contract.
 package natix
 
 import (
@@ -36,9 +35,9 @@ func auditRun(t *testing.T, label string, q *Query, ctx context.Context, node No
 	}
 }
 
-func poolPlans(t *testing.T, workers int) []*Query {
+func poolPlans(t *testing.T) []*Query {
 	t.Helper()
-	opt := Options{Batch: 16, Workers: workers}
+	opt := Options{Batch: 16}
 	var qs []*Query
 	for _, expr := range []string{
 		"//e/descendant::*",
@@ -54,16 +53,15 @@ func poolPlans(t *testing.T, workers int) []*Query {
 	return qs
 }
 
-func testPoolBalance(t *testing.T, workers int) {
+func TestPoolBalanceBatched(t *testing.T) {
 	d := gen.Generate(gen.Params{Elements: 1500, Fanout: 6})
 	ok := func(err error) bool { return err == nil }
-	for i, q := range poolPlans(t, workers) {
+	for _, q := range poolPlans(t) {
 		// Clean completion: everything handed out comes back on Close.
 		auditRun(t, "clean", q, context.Background(), RootNode(d), ok)
 		// Mid-stream tuple limit: operators are torn down while buffers and
-		// steppers are live in the pipeline (and, in parallel runs, while
-		// worker tasks are still in flight).
-		ql, err := CompileWith("//e/descendant::*", Options{Batch: 16, Workers: workers, Limits: Limits{MaxTuples: 40}})
+		// steppers are live in the pipeline.
+		ql, err := CompileWith("//e/descendant::*", Options{Batch: 16, Limits: Limits{MaxTuples: 40}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +76,5 @@ func testPoolBalance(t *testing.T, workers int) {
 		auditRun(t, "cancelled", q, ctx, RootNode(d), func(err error) bool {
 			return errors.Is(err, context.Canceled)
 		})
-		_ = i
 	}
 }
-
-func TestPoolBalanceBatched(t *testing.T)  { testPoolBalance(t, 0) }
-func TestPoolBalanceParallel(t *testing.T) { testPoolBalance(t, 4) }

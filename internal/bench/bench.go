@@ -95,12 +95,6 @@ const (
 	EngineNatixMemScalar = "natix-mem-scalar"
 	EngineInterp         = "interp"
 	EngineNaive          = "naive"
-	// The "-wN" twins run the in-memory batched plans with N exchange
-	// workers (Options.Workers); the store backend is excluded because its
-	// buffer manager is single-goroutine and would silently measure the
-	// serial fallback.
-	EngineNatixMemW2 = "natix-mem-w2"
-	EngineNatixMemW4 = "natix-mem-w4"
 )
 
 // AllEngines lists the engines a figure sweep compares.
@@ -109,10 +103,6 @@ var AllEngines = []string{EngineNatix, EngineNatixMem, EngineInterp, EngineNaive
 // BatchEngines lists the engines of the batched-vs-scalar comparison: each
 // natix backend in its default (batched) and scalar form.
 var BatchEngines = []string{EngineNatix, EngineNatixScalar, EngineNatixMem, EngineNatixMemScalar}
-
-// ParallelEngines lists the engines of the intra-query scaling comparison:
-// the serial in-memory baseline and its 2- and 4-worker exchange twins.
-var ParallelEngines = []string{EngineNatixMem, EngineNatixMemW2, EngineNatixMemW4}
 
 // docCache caches generated documents and their store images across
 // measurements.
@@ -198,7 +188,7 @@ func NewRunner(engine, query string, mem *dom.MemDoc, stored *store.Doc) (*Runne
 	}
 	switch engine {
 	case EngineNatix, EngineNatixMem, EngineNatixScalar, EngineNatixMemScalar,
-		EngineNatixMemW2, EngineNatixMemW4, EngineNatixPix, EngineNatixMemPix:
+		EngineNatixPix, EngineNatixMemPix:
 		var doc dom.Document = mem
 		if engine == EngineNatix || engine == EngineNatixScalar || engine == EngineNatixPix {
 			if stored == nil {
@@ -210,10 +200,6 @@ func NewRunner(engine, query string, mem *dom.MemDoc, stored *store.Doc) (*Runne
 		switch engine {
 		case EngineNatixScalar, EngineNatixMemScalar:
 			opt.Batch = natix.BatchOff
-		case EngineNatixMemW2:
-			opt.Workers = 2
-		case EngineNatixMemW4:
-			opt.Workers = 4
 		case EngineNatixPix, EngineNatixMemPix:
 			opt.EnablePathIndex = true
 		}
@@ -409,34 +395,6 @@ func (m *Measurement) fill(r *Runner, d time.Duration, n int, allocs int64) {
 	if r.Stats != nil {
 		m.Stats = r.Stats()
 	}
-}
-
-// RunParallelScaling sweeps every Fig. 5 query over the serial in-memory
-// engine and its exchange-worker twins — the intra-query scaling data
-// behind BENCH_PR7.json. The speedup at degree N is the serial natix-mem
-// duration over the natix-mem-wN duration for the same (query, scale).
-// Hardware note: the numbers are only meaningful when GOMAXPROCS covers
-// the worker degree; on fewer cores the twins measure dispatch overhead.
-func RunParallelScaling(cfg Config) ([]Measurement, error) {
-	if len(cfg.Engines) == 0 {
-		cfg.Engines = ParallelEngines
-	}
-	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = SmallSizes
-	}
-	cfg.fill()
-	var out []Measurement
-	for _, fig := range []string{"fig6", "fig7", "fig8", "fig9"} {
-		ms, err := RunFigure(fig, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ms {
-			ms[i].Exp = "parallel"
-		}
-		out = append(out, ms...)
-	}
-	return out, nil
 }
 
 // RunBatchComparison sweeps every Fig. 5 query over the batched engines and

@@ -688,8 +688,7 @@ func (c *Coordinator) scatter(ctx context.Context, st *clusterState, req *QueryR
 	if len(merged.failed) > 0 && !req.AllowPartial {
 		// Deterministic first-error propagation: the failure surfaced is
 		// the one earliest in global document order, regardless of which
-		// shard answered first — the exchange operator's error discipline,
-		// one layer up.
+		// shard answered first, so a retried query reports the same error.
 		f := merged.firstErr
 		return nil, f
 	}

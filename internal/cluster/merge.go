@@ -27,9 +27,8 @@ var errShardDown = errors.New("cluster: shard unhealthy")
 
 // docOutcome is one dispatched document of a scatter: the sequence number
 // is the document's index in global document order, and the merge emits
-// strictly in sequence order — the exchange operator's stable
-// sequence-tagging discipline applied to shards instead of worker
-// goroutines.
+// strictly in sequence order, so the merged answer is stable no matter
+// which shard replies first.
 type docOutcome struct {
 	seq     int
 	doc     string

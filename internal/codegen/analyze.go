@@ -91,12 +91,6 @@ func (p *Plan) analyzeOp(sb *strings.Builder, op algebra.Op, depth int, prof *ph
 		}
 		fmt.Fprintf(sb, "%s%s  (out=%d opens=%d time=%s self=%s bytes=%d)\n",
 			pad, op, st.Out, st.Opens, fmtDur(st.Time), fmtDur(self), st.Bytes)
-		// A parallel run attaches per-worker exchange accounts to the
-		// segment's top operator.
-		for i, ws := range prof.Workers[slot] {
-			fmt.Fprintf(sb, "%s  || worker %d: batches=%d tuples=%d busy=%s\n",
-				pad, i, ws.Batches, ws.Tuples, fmtDur(ws.Busy))
-		}
 		// An access-path decision of the path-index selection pass attaches
 		// to the candidate chain's top operator: the chosen line compares
 		// the summary's estimate against the actual output of the scan.

@@ -53,22 +53,6 @@ type Plan struct {
 	// Run instantiations read it without synchronization.
 	batchCol map[algebra.Op]int
 
-	// Workers is the intra-query parallelism degree of executions of this
-	// plan: operators topping a parallelizable segment (parSeg) run as an
-	// exchange across this many goroutines when the context document
-	// permits. 0 or 1 runs serial. Compile leaves it 0; callers may set
-	// it before the first Run, like BatchSize.
-	Workers int
-
-	// parSeg, cloneFns and inBuilders support the exchange: the segments
-	// found by the parallel analysis keyed by top operator, the per-
-	// operator clone factories, and the compiled input builder of every
-	// potential segment-bottom operator. All populated once by Compile
-	// and read-only afterwards.
-	parSeg     map[algebra.Op]*parSeg
-	cloneFns   map[algebra.Op]cloneFn
-	inBuilders map[algebra.Op]builder
-
 	// pathCand holds the access-path candidates of the path-index selection
 	// pass (pathsel.go), keyed by chain-top operator. Empty unless
 	// MarkPathIndex ran; read-only afterwards.
@@ -98,16 +82,13 @@ type Plan struct {
 func Compile(res *translate.Result) (*Plan, error) {
 	g := &generator{
 		plan: &Plan{
-			source:     res,
-			ids:        xfn.NewIDIndex(),
-			names:      xfn.GlobalNames,
-			progs:      map[algebra.Op][]*nvm.Program{},
-			opSlot:     map[algebra.Op]int{},
-			batchCol:   map[algebra.Op]int{},
-			parSeg:     map[algebra.Op]*parSeg{},
-			cloneFns:   map[algebra.Op]cloneFn{},
-			inBuilders: map[algebra.Op]builder{},
-			pathCand:   map[algebra.Op]*pathCand{},
+			source:   res,
+			ids:      xfn.NewIDIndex(),
+			names:    xfn.GlobalNames,
+			progs:    map[algebra.Op][]*nvm.Program{},
+			opSlot:   map[algebra.Op]int{},
+			batchCol: map[algebra.Op]int{},
+			pathCand: map[algebra.Op]*pathCand{},
 		},
 		regs: map[string]int{},
 	}
@@ -121,7 +102,6 @@ func Compile(res *translate.Result) (*Plan, error) {
 		g.plan.rootAttrReg = g.regFor(res.Attr)
 		g.plan.BatchSize = physical.DefaultBatchSize
 		g.markBatch(res.Plan, g.plan.rootAttrReg)
-		g.markParallel(res.Plan, false)
 	} else {
 		prog, err := g.compileScalar(res.Scalar)
 		if err != nil {
@@ -182,32 +162,6 @@ func (p *Plan) run(stdctx context.Context, limits guard.Limits, ctx dom.Node, va
 	if prof != nil {
 		m.Prof = prof.Progs
 		ex.Prof = prof
-	}
-	if p.Workers > 1 && p.BatchSize > 0 {
-		ex.Workers = p.Workers
-		// One worker Exec per exchange worker goroutine: its own machine,
-		// register file, memo tables and free lists, sharing only the
-		// read-only plan state (indexes, variables, subplan builders) and
-		// the fanned governor. Built on the coordinator goroutine at
-		// exchange Open. Workers stays zero on the worker Exec, so cloned
-		// subtrees never nest exchanges; Prof stays nil, so worker machines
-		// never touch the run's Profile concurrently.
-		ex.NewWorkerExec = func(wgov *guard.Governor) *physical.Exec {
-			wm := &nvm.Machine{
-				Regs:        make([]nvm.Val, p.numRegs),
-				Vars:        vars,
-				Memos:       make([]map[any]nvm.Val, p.numMemos),
-				NoEarlyExit: p.DisableSmartAgg,
-				Gov:         wgov,
-			}
-			wex := &physical.Exec{M: wm, IDs: p.ids, Names: p.names, CtxDoc: ctx.Doc, Gov: wgov, WrapIter: p.WrapIter, BatchSize: p.BatchSize}
-			wm.Regs[p.ctxReg] = nvm.NodeVal(ctx)
-			wm.Subplans = make([]nvm.Iterator, len(p.subplans))
-			for i, b := range p.subplans {
-				wm.Subplans[i] = b(wex)
-			}
-			return wex
-		}
 	}
 	m.Regs[p.ctxReg] = nvm.NodeVal(ctx)
 	m.Subplans = make([]nvm.Iterator, len(p.subplans))
@@ -415,17 +369,8 @@ func (g *generator) compile(op algebra.Op) (builder, error) {
 		if pc := plan.pathCand[opRef]; pc != nil {
 			it = plan.buildPathScan(ex, pc, slot)
 		}
-		// An operator topping a parallelizable segment instantiates as an
-		// exchange when this execution can drive one; the serial builder
-		// is the fallback, so store-backed or scalar runs are untouched.
-		// parSeg is populated after the builders are compiled, which is
-		// why the decision happens at instantiation, like batchCol.
 		if it == nil {
-			if si := plan.parSeg[opRef]; si != nil && parallelOK(ex) {
-				it = plan.buildExchange(ex, si, slot)
-			} else {
-				it = b(ex)
-			}
+			it = b(ex)
 		}
 		if ex.WrapIter != nil {
 			w := ex.WrapIter(it)
@@ -481,16 +426,6 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 		}
 		axis, test := o.Axis, o.Test
 		plan := g.plan
-		// Segment cloning: the exchange rebuilds the operator over a
-		// worker-local source (epoch variants are never batch-marked, so
-		// clones always run with EpochReg -1 and Batch on).
-		plan.inBuilders[op] = in
-		plan.cloneFns[op] = func(ex *physical.Exec, win physical.Iter) physical.Iter {
-			return wrapClone(ex, &physical.UnnestMap{
-				Ex: ex, In: win, InReg: inReg, OutReg: outReg,
-				EpochReg: -1, Axis: axis, Test: test, Batch: true,
-			})
-		}
 		return func(ex *physical.Exec) physical.Iter {
 			_, batch := plan.batchCol[op]
 			return &physical.UnnestMap{
@@ -510,14 +445,6 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 		}
 		g.plan.progs[op] = append(g.plan.progs[op], prog)
 		plan := g.plan
-		plan.inBuilders[op] = in
-		plan.cloneFns[op] = func(ex *physical.Exec, win physical.Iter) physical.Iter {
-			// Clones exist only for batch-marked selects, whose column is
-			// recorded; the predicate provably reads nothing else.
-			return wrapClone(ex, &physical.Select{
-				Ex: ex, In: win, Prog: prog, Batch: true, Col: plan.batchCol[op],
-			})
-		}
 		return func(ex *physical.Exec) physical.Iter {
 			col, batch := plan.batchCol[op]
 			return &physical.Select{Ex: ex, In: in(ex), Prog: prog, Batch: batch, Col: col}

@@ -1,6 +1,6 @@
 // Access-path selection for the structural path index (internal/pathindex).
 //
-// The pass runs in two stages, mirroring the batch/parallel analyses:
+// The pass runs in two stages, mirroring the batchability analysis:
 //
 //  1. MarkPathIndex (compile time, optional — natix.Options.EnablePathIndex)
 //     finds candidate chains in the logical plan: a run of UnnestMaps over
@@ -17,7 +17,7 @@
 //     versus the estimated walk enumeration decides between a
 //     PathIndexScan and the untouched navigation builder. Documents
 //     without an index, refused matches and lost cost comparisons all fall
-//     back — the serial/parallel/batch machinery is unaffected.
+//     back — the scalar and batched protocols are unaffected.
 package codegen
 
 import (
@@ -37,7 +37,7 @@ type pathCand struct {
 }
 
 // MarkPathIndex runs the access-path candidate analysis. Call it after
-// Compile and before the first Run, like the BatchSize and Workers knobs;
+// Compile and before the first Run, like the BatchSize knob;
 // it is a no-op on scalar plans.
 func (p *Plan) MarkPathIndex() {
 	if p.source == nil || !p.source.IsSequence() {

@@ -38,14 +38,15 @@ type Config struct {
 	Canon bool
 }
 
-// Configs returns the full configuration matrix: both translation modes,
-// each ablation flag in isolation, and each forward-looking extension —
-// each in its default (batched) form plus a scalar twin with the batched
-// execution protocol off, so batched and tuple-at-a-time execution diff
-// against the reference and, transitively, against each other. Two extra
-// configurations stress the batch machinery at adversarial sizes: 1 (a
-// refill per node, maximal protocol traffic) and 16 (misaligned with every
-// operator fan-out).
+// Configs returns the full configuration matrix of 64 configurations: both
+// translation modes, each ablation flag in isolation, and each
+// forward-looking extension — each in its default (batched) form plus a
+// scalar twin with the batched execution protocol off, so batched and
+// tuple-at-a-time execution diff against the reference and, transitively,
+// against each other. Two extra configurations stress the batch machinery at
+// adversarial sizes: 1 (a refill per node, maximal protocol traffic) and 16
+// (misaligned with every operator fan-out). Every base configuration gets a
+// canonicalization twin, and the whole set a path-index twin.
 func Configs() []Config {
 	base := []Config{
 		{Name: "improved", Opt: natix.Options{Mode: natix.Improved}},
@@ -59,32 +60,17 @@ func Configs() []Config {
 		{Name: "name-index", Opt: natix.Options{Mode: natix.Improved, EnableNameIndex: true}},
 		{Name: "seq-analysis", Opt: natix.Options{Mode: natix.Improved, EnableSequenceAnalysis: true}},
 	}
-	all := make([]Config, 0, 4*len(base)+4)
+	all := make([]Config, 0, 3*len(base)+2)
 	for _, c := range base {
 		all = append(all, c)
 		scalar := c
 		scalar.Name = c.Name + "-scalar"
 		scalar.Opt.Batch = natix.BatchOff
 		all = append(all, scalar)
-		// Parallel twins: the same batched configuration fanned across 2
-		// and 4 exchange workers. Against in-memory documents these
-		// exercise the full dispatch/merge path; against the store backend
-		// they exercise the capability gate's silent serial fallback — both
-		// must diff clean against the reference.
-		for _, w := range []int{2, 4} {
-			par := c
-			par.Name = fmt.Sprintf("%s-w%d", c.Name, w)
-			par.Opt.Workers = w
-			all = append(all, par)
-		}
 	}
 	all = append(all,
 		Config{Name: "improved-batch1", Opt: natix.Options{Mode: natix.Improved, Batch: 1}},
 		Config{Name: "improved-batch16", Opt: natix.Options{Mode: natix.Improved, Batch: 16}},
-		// Adversarial batch sizes crossed with parallelism: batch 1 makes
-		// every context node its own exchange task.
-		Config{Name: "improved-batch1-w2", Opt: natix.Options{Mode: natix.Improved, Batch: 1, Workers: 2}},
-		Config{Name: "improved-batch16-w4", Opt: natix.Options{Mode: natix.Improved, Batch: 16, Workers: 4}},
 	)
 	// Canonicalization twins: each base configuration again with the query
 	// rewritten by internal/canon before compilation. The serving layer

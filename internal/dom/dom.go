@@ -110,23 +110,6 @@ type Document interface {
 	StringValue(id NodeID) string
 }
 
-// concurrentNavigable is the capability interface of documents whose
-// navigation methods may be called from multiple goroutines at once.
-// MemDoc qualifies (immutable after parse); the paged store does not (its
-// buffer manager is unsynchronized), so implementations opt in explicitly.
-type concurrentNavigable interface {
-	ConcurrentNavigable() bool
-}
-
-// ConcurrentNavigable reports whether d's navigation is safe for concurrent
-// use. The parallel exchange operator consults it before splitting a plan
-// segment across worker goroutines; documents that do not declare the
-// capability fall back to serial execution.
-func ConcurrentNavigable(d Document) bool {
-	c, ok := d.(concurrentNavigable)
-	return ok && c.ConcurrentNavigable()
-}
-
 // Node is a handle to a node in some document. The zero Node is nil.
 type Node struct {
 	Doc Document

@@ -39,11 +39,6 @@ type MemDoc struct {
 
 var _ Document = (*MemDoc)(nil)
 
-// ConcurrentNavigable reports that a MemDoc may be navigated from many
-// goroutines at once: the arena, string table and links are immutable once
-// the builder finishes.
-func (d *MemDoc) ConcurrentNavigable() bool { return true }
-
 // NewMemDoc returns an empty document containing only the document node.
 // Use Builder to populate it.
 func NewMemDoc() *MemDoc {

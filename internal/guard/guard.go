@@ -15,9 +15,7 @@ package guard
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"natix/internal/metrics"
 )
@@ -100,24 +98,6 @@ func (e *LimitError) Error() string {
 // hot path is an AND and a branch.
 const pollInterval = 1024
 
-// ErrStopped is the sticky error a worker governor reports once its
-// exchange's stop flag is raised: the coordinator is tearing the parallel
-// segment down (early Close, or another worker already failed) and wants
-// in-flight tasks to abandon their work. It never surfaces from a run — the
-// exchange discards it during shutdown — so iterators treat it like any
-// other abort error.
-var ErrStopped = errors.New("guard: parallel execution stopped")
-
-// fanShared is the budget state a fanned-out governor family shares: one
-// atomic total per budget, so N workers plus the coordinator enforce
-// exactly the limits a serial execution would. The context, limits and
-// fault probe stay per-governor (they are read-only after New).
-type fanShared struct {
-	bytes  atomic.Int64
-	tuples atomic.Int64
-	steps  atomic.Int64
-}
-
 // Governor carries the cancellation context and budget state of one query
 // execution. The zero/nil Governor never trips.
 type Governor struct {
@@ -127,20 +107,10 @@ type Governor struct {
 	// (store.Doc.Err); nil when the document cannot fault.
 	fault func() error
 
-	// fan, when set, redirects byte/tuple/step accounting to totals shared
-	// with the other governors of a parallel execution. stop is the
-	// exchange's teardown flag, polled alongside the context; both nil in
-	// serial executions.
-	fan  *fanShared
-	stop *atomic.Bool
-
 	events uint32
 	bytes  int64
 	steps  int64
-	// lastTuples is the previous cumulative tuple count this governor saw,
-	// so fan-mode Tuples can charge the delta into the shared total.
-	lastTuples int64
-	err        error
+	err    error
 }
 
 // New builds a governor for one execution. ctx may be nil (background);
@@ -152,36 +122,6 @@ func New(ctx context.Context, limits Limits, fault func() error) *Governor {
 	return &Governor{limits: limits, ctx: ctx, fault: fault}
 }
 
-// Worker returns a child governor for one parallel worker goroutine. The
-// first call migrates this governor's budget accounting into shared atomic
-// totals; children (and, from then on, the parent) charge deltas into those
-// totals, so the family enforces the limits globally — a parallel run trips
-// at exactly the point a serial one would. Children additionally poll the
-// stop flag, turning the exchange's teardown into a prompt local abort
-// (ErrStopped). Errors are deliberately NOT shared: each governor trips
-// sticky and locally, so the coordinator alone decides which worker's error
-// wins. Must be called on the coordinator goroutine, before the child is
-// handed to its worker. Nil-safe: a nil parent yields a nil (unguarded)
-// child.
-func (g *Governor) Worker(stop *atomic.Bool) *Governor {
-	if g == nil {
-		return nil
-	}
-	if g.fan == nil {
-		f := &fanShared{}
-		f.bytes.Store(g.bytes)
-		f.steps.Store(g.steps)
-		// Tuple enforcement is driven by the engine's cumulative counter;
-		// in fan mode each governor charges only its delta since the last
-		// call, so the parent's history must seed the shared total exactly
-		// once. The parent has charged up to lastTuples so far (zero —
-		// serial mode never touched it), leaving its next call to add the
-		// full backlog.
-		g.fan = f
-	}
-	return &Governor{limits: g.limits, ctx: g.ctx, fault: g.fault, fan: g.fan, stop: stop}
-}
-
 // Err returns the sticky abort error, if any check has tripped.
 func (g *Governor) Err() error {
 	if g == nil {
@@ -190,13 +130,9 @@ func (g *Governor) Err() error {
 	return g.err
 }
 
-// poll is the slow path: sticky error, stop flag, context, then store fault.
+// poll is the slow path: sticky error, context, then store fault.
 func (g *Governor) poll() error {
 	if g.err != nil {
-		return g.err
-	}
-	if g.stop != nil && g.stop.Load() {
-		g.err = ErrStopped
 		return g.err
 	}
 	if err := g.ctx.Err(); err != nil {
@@ -257,35 +193,15 @@ func (g *Governor) Events(n int64) error {
 }
 
 // Tuples enforces MaxTuples against the engine's produced-tuple counter and
-// records one event. n is cumulative per caller; in fan mode the delta
-// since the caller's previous report is added to the family's shared total,
-// so the enforcement point is identical to a serial run's.
+// records one event.
 func (g *Governor) Tuples(n int64) error {
 	if g == nil {
 		return nil
 	}
-	total := n
-	if g.fan != nil {
-		total = g.fan.tuples.Add(n - g.lastTuples)
-		g.lastTuples = n
-	}
-	if g.limits.MaxTuples > 0 && total > g.limits.MaxTuples {
+	if g.limits.MaxTuples > 0 && n > g.limits.MaxTuples {
 		return g.trip(&LimitError{Budget: BudgetTuples, Limit: g.limits.MaxTuples})
 	}
 	return g.Event()
-}
-
-// AbsorbTuples notes n tuples that worker governors already charged into
-// the family's shared total but that are now folded into the caller's
-// cumulative engine counter (the exchange aggregates worker Stats into the
-// parent at teardown). Skipping them in subsequent delta reports keeps the
-// shared total exact — without this, a plan with parallel segments in two
-// union branches would charge the first segment's tuples twice.
-func (g *Governor) AbsorbTuples(n int64) {
-	if g == nil || g.fan == nil {
-		return
-	}
-	g.lastTuples += n
 }
 
 // Grow charges n materialized bytes against MaxBytes.
@@ -293,14 +209,8 @@ func (g *Governor) Grow(n int64) error {
 	if g == nil {
 		return nil
 	}
-	var b int64
-	if g.fan != nil {
-		b = g.fan.bytes.Add(n)
-	} else {
-		g.bytes += n
-		b = g.bytes
-	}
-	if g.limits.MaxBytes > 0 && b > g.limits.MaxBytes {
+	g.bytes += n
+	if g.limits.MaxBytes > 0 && g.bytes > g.limits.MaxBytes {
 		return g.trip(&LimitError{Budget: BudgetBytes, Limit: g.limits.MaxBytes})
 	}
 	return nil
@@ -313,10 +223,6 @@ func (g *Governor) Release(n int64) {
 	if g == nil {
 		return
 	}
-	if g.fan != nil {
-		g.fan.bytes.Add(-n)
-		return
-	}
 	g.bytes -= n
 }
 
@@ -327,39 +233,25 @@ func (g *Governor) Steps(n int64) error {
 	if g == nil {
 		return nil
 	}
-	var s int64
-	if g.fan != nil {
-		s = g.fan.steps.Add(n)
-	} else {
-		g.steps += n
-		s = g.steps
-	}
-	if g.limits.MaxSteps > 0 && s > g.limits.MaxSteps {
+	g.steps += n
+	if g.limits.MaxSteps > 0 && g.steps > g.limits.MaxSteps {
 		return g.trip(&LimitError{Budget: BudgetSteps, Limit: g.limits.MaxSteps})
 	}
 	return g.Event()
 }
 
-// Bytes returns the materialized-byte estimate charged so far (family-wide
-// once the governor has fanned out).
+// Bytes returns the materialized-byte estimate charged so far.
 func (g *Governor) Bytes() int64 {
 	if g == nil {
 		return 0
 	}
-	if g.fan != nil {
-		return g.fan.bytes.Load()
-	}
 	return g.bytes
 }
 
-// NVMSteps returns the NVM instructions charged so far (family-wide once
-// the governor has fanned out).
+// NVMSteps returns the NVM instructions charged so far.
 func (g *Governor) NVMSteps() int64 {
 	if g == nil {
 		return 0
-	}
-	if g.fan != nil {
-		return g.fan.steps.Load()
 	}
 	return g.steps
 }

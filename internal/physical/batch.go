@@ -122,10 +122,9 @@ func (ex *Exec) batchLen() int {
 // harness turns it on around a run and asserts the totals balance, catching
 // error and early-Close paths that strand a pooled buffer or return one
 // twice.
-// Atomics, because exchange workers hit the free lists from their own
-// goroutines; a disabled audit costs one atomic load per call, paid
-// only in builds that run the harness (the flag is never set in
-// production).
+// Atomics, because concurrent runs on other goroutines share the counters;
+// a disabled audit costs one atomic load per call, paid only in builds
+// that run the harness (the flag is never set in production).
 var poolAudit struct {
 	enabled atomic.Bool
 	gets    atomic.Int64
@@ -150,21 +149,12 @@ func PoolAuditStop() (gets, puts int64) {
 
 // take pops the most recently returned entry of one of the Exec's free
 // lists.
-func take[T any](ex *Exec, list *[]T) (v T, ok bool) {
-	ex.freeMu.Lock()
+func take[T any](list *[]T) (v T, ok bool) {
 	if n := len(*list); n > 0 {
 		v, ok = (*list)[n-1], true
 		*list = (*list)[:n-1]
 	}
-	ex.freeMu.Unlock()
 	return v, ok
-}
-
-// give pushes an entry onto one of the Exec's free lists.
-func give[T any](ex *Exec, list *[]T, v T) {
-	ex.freeMu.Lock()
-	*list = append(*list, v)
-	ex.freeMu.Unlock()
 }
 
 // GetNodeBuf returns a batch-sized node buffer from the execution's free
@@ -173,7 +163,7 @@ func (ex *Exec) GetNodeBuf() []dom.Node {
 	if poolAudit.enabled.Load() {
 		poolAudit.gets.Add(1)
 	}
-	if b, ok := take(ex, &ex.nodeBufs); ok {
+	if b, ok := take(&ex.nodeBufs); ok {
 		return b
 	}
 	return make([]dom.Node, ex.batchLen())
@@ -185,7 +175,7 @@ func (ex *Exec) PutNodeBuf(b []dom.Node) {
 		poolAudit.puts.Add(1)
 	}
 	if len(b) == ex.batchLen() {
-		give(ex, &ex.nodeBufs, b)
+		ex.nodeBufs = append(ex.nodeBufs, b)
 	}
 }
 
@@ -194,7 +184,7 @@ func (ex *Exec) GetIDBuf() []dom.NodeID {
 	if poolAudit.enabled.Load() {
 		poolAudit.gets.Add(1)
 	}
-	if b, ok := take(ex, &ex.idBufs); ok {
+	if b, ok := take(&ex.idBufs); ok {
 		return b
 	}
 	return make([]dom.NodeID, ex.batchLen())
@@ -206,7 +196,7 @@ func (ex *Exec) PutIDBuf(b []dom.NodeID) {
 		poolAudit.puts.Add(1)
 	}
 	if len(b) == ex.batchLen() {
-		give(ex, &ex.idBufs, b)
+		ex.idBufs = append(ex.idBufs, b)
 	}
 }
 
@@ -216,7 +206,7 @@ func (ex *Exec) GetStepper(a dom.Axis) *dom.Stepper {
 	if poolAudit.enabled.Load() {
 		poolAudit.gets.Add(1)
 	}
-	if s, ok := take(ex, &ex.steppers[a]); ok {
+	if s, ok := take(&ex.steppers[a]); ok {
 		return s
 	}
 	return dom.NewStepper(a)
@@ -227,7 +217,8 @@ func (ex *Exec) PutStepper(s *dom.Stepper) {
 	if poolAudit.enabled.Load() {
 		poolAudit.puts.Add(1)
 	}
-	give(ex, &ex.steppers[s.Axis()], s)
+	a := s.Axis()
+	ex.steppers[a] = append(ex.steppers[a], s)
 }
 
 // Batched implements BatchIter. Every operator's Batched guards against a

@@ -9,7 +9,6 @@ package physical
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"natix/internal/dom"
 	"natix/internal/guard"
@@ -65,28 +64,13 @@ type Exec struct {
 	// every operator through the scalar protocol. Operators the code
 	// generator marked batch-capable serve NextBatch when it is positive.
 	BatchSize int
-	// Workers is the requested intra-query parallelism degree: plan
-	// segments the code generator marked parallelizable split their input
-	// batches across up to this many worker goroutines. 0 or 1 runs
-	// everything on the calling goroutine.
-	Workers int
-	// NewWorkerExec, set by the code generator when Workers > 1, builds
-	// the execution state of one exchange worker: a fresh machine and
-	// register file (sharing the plan's variables and read-only indexes)
-	// with its own buffer/stepper free lists, guarded by gov. Nil means
-	// the plan cannot parallelize (hand-built, or scalar).
-	NewWorkerExec func(gov *guard.Governor) *Exec
 
 	// Free lists for batch buffers and axis steppers. They live exactly as
-	// long as the Exec, which is one run — never shared across concurrent
-	// runs of one Prepared — and recycle the allocations of operators that
-	// re-open under d-joins, memoized subtrees and unions. Plain slices
-	// rather than runtime pools: a pool registers in the runtime's global
-	// pool list on its first Put and is swept at every GC, which a list
-	// that dies with its run does not need. The mutex exists only because
-	// exchange workers return node buffers to the coordinator's Exec from
-	// their own goroutines (exchange.go, runTask).
-	freeMu   sync.Mutex
+	// long as the Exec, which is one run on one goroutine, and recycle the
+	// allocations of operators that re-open under d-joins, memoized
+	// subtrees and unions. Plain slices rather than runtime pools: a pool
+	// registers in the runtime's global pool list on its first Put and is
+	// swept at every GC, which a list that dies with its run does not need.
 	nodeBufs [][]dom.Node
 	idBufs   [][]dom.NodeID
 	steppers [dom.AxisCount][]*dom.Stepper

@@ -25,17 +25,6 @@ type OpStat struct {
 	Bytes int64
 }
 
-// WorkerStat is the per-worker account of one Exchange execution: how many
-// input batches the worker processed, how many output nodes it produced,
-// and the wall time it spent inside its cloned pipeline. The exchange
-// records these on the coordinator at teardown, so reading a finished
-// Profile needs no synchronization.
-type WorkerStat struct {
-	Batches int64
-	Tuples  int64
-	Busy    time.Duration
-}
-
 // AccessPath records one access-path decision of an instrumented run: a
 // step chain the path index could in principle answer, whether the
 // PathIndexScan was chosen over axis navigation, and the cost figures the
@@ -63,13 +52,9 @@ type Profile struct {
 	Ops []OpStat
 	// Progs is indexed by nvm.Program.ID.
 	Progs []nvm.ProgStat
-	// Workers maps the operator slot of a parallel segment's top operator
-	// to the per-worker statistics of its exchange. Nil until an exchange
-	// runs.
-	Workers map[int][]WorkerStat
 	// Access maps the operator slot of a path-index candidate chain's top
 	// operator to its access-path decision. Nil until a candidate plan
-	// instantiates. Recorded on the coordinator goroutine only.
+	// instantiates.
 	Access map[int]*AccessPath
 }
 

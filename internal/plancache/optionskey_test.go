@@ -56,8 +56,8 @@ func sampleFor(t reflect.Type) (reflect.Value, bool) {
 // requires that setting any single field to a non-zero value changes the
 // canonical key. This is the cache-correctness property: two option sets
 // that compile different plans must never collide on one cache entry. When
-// a new Options field lands (as Batch did in PR 5 and Workers in this PR),
-// this test fails until OptionsKey encodes it.
+// a new Options field lands (as Batch and EnablePathIndex did), this test
+// fails until OptionsKey encodes it.
 func TestOptionsKeyCoversEveryField(t *testing.T) {
 	base := OptionsKey(natix.Options{})
 	ot := reflect.TypeOf(natix.Options{})
@@ -83,7 +83,6 @@ func TestOptionsKeyStable(t *testing.T) {
 			Namespaces: map[string]string{"a": "urn:a", "b": "urn:b", "c": "urn:c"},
 			Vars:       map[string]struct{}{"x": {}, "y": {}, "z": {}},
 			Batch:      8,
-			Workers:    4,
 		}
 	}
 	ref := OptionsKey(mk())

@@ -114,9 +114,6 @@ func OptionsKey(o natix.Options) string {
 	if o.Batch != 0 {
 		fmt.Fprintf(&sb, ";b=%d", o.Batch)
 	}
-	if o.Workers != 0 {
-		fmt.Fprintf(&sb, ";w=%d", o.Workers)
-	}
 	return sb.String()
 }
 

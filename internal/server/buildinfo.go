@@ -16,9 +16,6 @@ import (
 type BuildFeatures struct {
 	// Batch reports the batched execution protocol (the engine default).
 	Batch bool `json:"batch"`
-	// QueryWorkers is the intra-query parallelism degree compiled into
-	// served plans (0 = serial).
-	QueryWorkers int `json:"query_workers"`
 	// PathIndex reports cost-based path-index access-path selection.
 	PathIndex bool `json:"path_index"`
 }
@@ -55,8 +52,7 @@ func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, NewBuildInfo("shard", BuildFeatures{
-		Batch:        true,
-		QueryWorkers: s.cfg.QueryWorkers,
-		PathIndex:    s.cfg.PathIndex,
+		Batch:     true,
+		PathIndex: s.cfg.PathIndex,
 	}))
 }

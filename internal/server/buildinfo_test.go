@@ -18,9 +18,8 @@ func TestBuildInfoEndpoint(t *testing.T) {
 	if err := cat.OpenMem("d", strings.NewReader("<r/>")); err != nil {
 		t.Fatal(err)
 	}
-	svc, ts := newTestService(t, Config{
-		Catalog: cat, Cache: plancache.New(16, 0),
-		QueryWorkers: 2, PathIndex: true,
+	_, ts := newTestService(t, Config{
+		Catalog: cat, Cache: plancache.New(16, 0), PathIndex: true,
 	})
 
 	resp, err := http.Get(ts.URL + "/buildinfo")
@@ -44,12 +43,10 @@ func TestBuildInfoEndpoint(t *testing.T) {
 	if bi.Role != "shard" || bi.GOMAXPROCS < 1 {
 		t.Fatalf("role/procs = %+v", bi)
 	}
-	// Features mirror the EFFECTIVE serving config, after startup
-	// normalization (QueryWorkers is capped by GOMAXPROCS/Workers) — the
-	// homogeneity check a cluster operator runs across shards must see what
-	// the shard actually does, not what its flags asked for.
-	if !bi.Features.Batch || bi.Features.QueryWorkers != svc.cfg.QueryWorkers || !bi.Features.PathIndex {
-		t.Fatalf("features = %+v, want query_workers %d", bi.Features, svc.cfg.QueryWorkers)
+	// Features mirror the serving config — the homogeneity check a cluster
+	// operator runs across shards must see what the shard actually does.
+	if want := (BuildFeatures{Batch: true, PathIndex: true}); bi.Features != want {
+		t.Fatalf("features = %+v, want %+v", bi.Features, want)
 	}
 
 	// POST is rejected; /buildinfo is read-only.

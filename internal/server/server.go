@@ -141,17 +141,6 @@ type Config struct {
 	// quarantining.
 	QuarantineAfter int
 
-	// QueryWorkers sets the intra-query parallelism degree compiled into
-	// served plans (natix.Options.Workers); 0 or 1 serves serial plans.
-	// The admission pool already runs Workers queries at once, so the
-	// requested degree is capped at startup to GOMAXPROCS/Workers (at
-	// least 1): saturating the machine with inter-query concurrency and
-	// then fanning each query out again would only add scheduling churn.
-	// Store-backed documents always execute serially regardless — the
-	// engine's capability gate falls back when the document's buffer
-	// manager is single-goroutine.
-	QueryWorkers int
-
 	// PathIndex enables cost-based path-index access-path selection in
 	// served plans (natix.Options.EnablePathIndex). Reported on
 	// GET /buildinfo so cluster operators can verify shard homogeneity.
@@ -212,17 +201,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = 3
-	}
-	if c.QueryWorkers < 0 {
-		c.QueryWorkers = 0
-	}
-	if c.QueryWorkers > 1 {
-		if cap := max(1, runtime.GOMAXPROCS(0)/c.Workers); c.QueryWorkers > cap {
-			c.QueryWorkers = cap
-		}
-	}
-	if c.QueryWorkers == 1 {
-		c.QueryWorkers = 0 // 1 is serial; normalize so cache keys agree
 	}
 	if c.HighCostSeconds <= 0 {
 		c.HighCostSeconds = 250 * time.Millisecond
@@ -922,7 +900,6 @@ func (s *Server) compileOpts(req *QueryRequest) natix.Options {
 	opt := natix.Options{
 		Namespaces:      req.Namespaces,
 		Limits:          s.cfg.Limits,
-		Workers:         s.cfg.QueryWorkers,
 		EnablePathIndex: s.cfg.PathIndex,
 	}
 	if req.Mode == "canonical" {

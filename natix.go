@@ -174,19 +174,6 @@ type Options struct {
 	// size (1 is a valid, adversarial choice for testing). Results are
 	// identical in every mode.
 	Batch int
-
-	// Workers sets the intra-query parallelism degree: batch-capable plan
-	// segments (chains of axis steps and cheap selections) split their
-	// input across up to Workers goroutines, merged back in document
-	// order, so results — including node order — are identical to serial
-	// execution. 0 and 1 run serial; values above 1 take effect only for
-	// batched plans (Batch != BatchOff) against concurrently navigable
-	// documents (in-memory ones; store-backed documents fall back to
-	// serial because their buffer manager is single-goroutine). Governor
-	// limits, cancellation and Stats keep their serial semantics: budgets
-	// are enforced globally across workers and the first error in input
-	// order wins.
-	Workers int
 }
 
 // BatchOff disables the batched execution protocol when assigned to
@@ -304,9 +291,6 @@ func compileWith(expr string, opt Options) (*Prepared, error) {
 	plan.DisableSmartAgg = opt.DisableSmartAggregation
 	if plan.BatchSize > 0 {
 		plan.BatchSize = batchSizeFor(opt.Batch)
-		if opt.Workers > 1 {
-			plan.Workers = opt.Workers
-		}
 	}
 	if opt.EnablePathIndex {
 		plan.MarkPathIndex()

@@ -153,7 +153,6 @@ func TestPathIndexAgreesOnQueryMatrix(t *testing.T) {
 			{EnablePathIndex: true, Mode: Canonical},
 			{EnablePathIndex: true, Batch: BatchOff},
 			{EnablePathIndex: true, Batch: 3},
-			{EnablePathIndex: true, Workers: 2},
 		} {
 			qi := MustCompileWith(expr, opt)
 			base := opt

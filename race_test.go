@@ -228,83 +228,6 @@ func TestConcurrentSharedPreparedBatched(t *testing.T) {
 	}
 }
 
-// TestConcurrentSharedPreparedParallel stacks both concurrency layers: 8
-// goroutines share Prepared plans that each fan out across 4 exchange
-// workers internally, alternating between the in-memory backend (exchanges
-// active) and the store backend (capability gate forces the serial
-// fallback). Under -race this pins the exchange's isolation contract —
-// per-run worker Execs, coordinator-built pipelines, one-result-per-task
-// channels — against plan-level sharing.
-func TestConcurrentSharedPreparedParallel(t *testing.T) {
-	var sb []byte
-	sb = append(sb, "<site><people>"...)
-	for i := 0; i < 60; i++ {
-		sb = append(sb, fmt.Sprintf(`<person id="p%d"><age>%d</age></person>`, i, 10+i)...)
-	}
-	sb = append(sb, "</people></site>"...)
-	mem, err := ParseDocumentString(string(sb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := store.WriteTo(&buf, mem); err != nil {
-		t.Fatal(err)
-	}
-
-	// Batch 8 over 60 people keeps several tasks in flight per run; the
-	// duplicate-producing walk exercises the per-task local dedup.
-	opt := Options{Batch: 8, Workers: 4}
-	plans := []*Prepared{
-		MustCompileWith("/site/people/person/age", opt),
-		MustCompileWith("//person[age]/@id", opt),
-		MustCompileWith("//person/descendant-or-self::*", opt),
-	}
-	want := make([]string, len(plans))
-	for i, p := range plans {
-		res, err := p.Run(RootNode(mem), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.Value.String()
-	}
-
-	const goroutines = 8
-	const rounds = 12
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			sd, err := store.OpenReaderAt(bytes.NewReader(buf.Bytes()), store.Options{BufferPages: 8})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer sd.Close()
-			roots := []Node{RootNode(mem), RootNode(sd)}
-			for r := 0; r < rounds; r++ {
-				for i, p := range plans {
-					res, err := p.Run(roots[(g+r)%2], nil)
-					if err != nil {
-						errs <- fmt.Errorf("plan %d: %w", i, err)
-						return
-					}
-					if got := res.Value.String(); got != want[i] {
-						errs <- fmt.Errorf("plan %d: got %q want %q", i, got, want[i])
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 // TestConcurrentDistinctDocuments drives the shared GlobalNames cache with
 // several distinct documents at once: entry insertion (write-locked) and
 // builds (per-entry once) overlap across goroutines.

@@ -49,13 +49,10 @@ go test -short -run TestMatrix ./internal/difftest/
 # timing-sensitive.
 NATIX_PERF_GUARD=1 go test -run TestBatchSpeedupGuard -timeout 20m .
 
-# Parallel guard: 4 exchange workers must hit at least 2.5x over serial on
-# the Fig. 5 hot chains (the test self-skips below 4 cores, where the
-# difftest twins above still prove correctness and only overhead could be
-# measured). The race invocation re-pins the exchange's isolation contract
-# under the two concurrency layers stacked: shared plans x worker fan-out.
-NATIX_PERF_GUARD=1 go test -run TestParallelSpeedupGuard -timeout 20m .
-go test -race -run 'TestConcurrentSharedPreparedParallel|TestPoolBalanceParallel' -timeout 5m -count=1 .
+# Shared-plan gate: goroutines sharing Prepared plans must stay race-free on
+# the batched protocol, and every run must return each free-list buffer and
+# stepper it took, however it ends.
+go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched' -count=1 .
 
 # Index guard: the path-index access path must hit at least 5x over
 # navigation on the selective //name probes of the skewed corpus at 8000
