@@ -166,9 +166,10 @@ func BenchmarkAblationSmartAgg(b *testing.B) { benchAblation(b, "smartagg") }
 // (section 7) against the plain abbreviation expansion.
 func BenchmarkAblationPathRewrite(b *testing.B) { benchAblation(b, "pathrewrite") }
 
-// BenchmarkAblationNameIndex compares the future-work element-name index
-// scan (section 7) against the descendant traversal for //name queries.
-func BenchmarkAblationNameIndex(b *testing.B) { benchAblation(b, "nameindex") }
+// BenchmarkAblationPathIndex compares the future-work structural path
+// index scan (section 7) against the descendant traversal for //name
+// queries.
+func BenchmarkAblationPathIndex(b *testing.B) { benchAblation(b, "pathindex") }
 
 // BenchmarkAblationSeqProps compares the per-axis ppd rule (section 4.1)
 // against the deferred-work sequence analysis ([13]) that drops provably

@@ -42,7 +42,9 @@ var engineConfigs = []confEngine{
 	{name: "improved-nomemo", opt: Options{Mode: Improved, DisableMemoX: true, DisablePredReorder: true}},
 	{name: "improved-nostack", opt: Options{Mode: Improved, DisableStacked: true, DisableDupElimPush: true}},
 	{name: "improved-seqprops", opt: Options{Mode: Improved, EnableSequenceAnalysis: true}},
-	{name: "improved-index", opt: Options{Mode: Improved, EnableNameIndex: true}},
+	// The path index over the sequence-analysis plans, whose chains carry
+	// fewer Π^D for the candidate matcher to look through.
+	{name: "improved-index", opt: Options{Mode: Improved, EnablePathIndex: true, EnableSequenceAnalysis: true}},
 	{name: "improved-pathindex", opt: Options{Mode: Improved, EnablePathIndex: true}},
 	{name: "improved-pathindex-canon", opt: Options{Mode: Canonical, EnablePathIndex: true}},
 }

@@ -48,25 +48,6 @@ type VarScan struct {
 	Attr string
 }
 
-// IndexScan produces all elements of the context document that satisfy a
-// name test, in document order, from the element-name index (the "indexes"
-// future-work item of paper section 7). The translator emits it, when
-// enabled, for root-anchored descendant steps, where it is equivalent to
-// Υ[descendant::T] seeded at the root.
-type IndexScan struct {
-	Attr string
-	Test dom.NodeTest
-}
-
-// Children implements Op.
-func (*IndexScan) Children() []Op { return nil }
-
-// Produced implements Op.
-func (o *IndexScan) Produced() []string { return []string{o.Attr} }
-
-// String implements fmt.Stringer.
-func (o *IndexScan) String() string { return fmt.Sprintf("IdxScan[%s:%s]", o.Attr, o.Test) }
-
 // Select is σ_Pred.
 type Select struct {
 	In   Op

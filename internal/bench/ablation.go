@@ -106,16 +106,16 @@ var Ablations = []Ablation{
 		},
 	},
 	{
-		ID: "nameindex",
-		// Future-work index scan (section 7): a selective element name
-		// over the synthetic DBLP document — the index jumps straight to
-		// the ~2%% of elements named phdthesis instead of traversing the
-		// whole document.
+		ID: "pathindex",
+		// Future-work index (section 7): a selective element name over the
+		// synthetic DBLP document — the structural path index jumps
+		// straight to the ~2% of elements named phdthesis instead of
+		// traversing the whole document.
 		Query: "//phdthesis/@key",
 		Scale: 20000,
 		DBLP:  true,
 		Vars: []AblationVariant{
-			{"index-scan", natix.Options{EnableNameIndex: true}},
+			{"path-index", natix.Options{EnablePathIndex: true}},
 			{"traversal", natix.Options{}},
 		},
 	},

@@ -54,10 +54,9 @@ func (p *Plan) RenderProfile(prof *physical.Profile, res *Result) string {
 }
 
 // ScanTuples sums the tuples produced by the profile's scan-family
-// operators (unnest-maps, index scans, and path-index scans standing in for
-// a replaced chain) — by construction equal to the run's Stats.Tuples
-// counter; the consistency test in this package holds the two accounts
-// together.
+// operators (unnest-maps, plus path-index scans standing in for a replaced
+// chain) — by construction equal to the run's Stats.Tuples counter; the
+// consistency test in this package holds the two accounts together.
 func (p *Plan) ScanTuples(prof *physical.Profile) int64 {
 	var n int64
 	for op, slot := range p.opSlot {
@@ -68,8 +67,7 @@ func (p *Plan) ScanTuples(prof *physical.Profile) int64 {
 			n += prof.Ops[slot].Out
 			continue
 		}
-		switch op.(type) {
-		case *algebra.UnnestMap, *algebra.IndexScan:
+		if _, ok := op.(*algebra.UnnestMap); ok {
 			n += prof.Ops[slot].Out
 		}
 	}

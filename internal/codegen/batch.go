@@ -81,11 +81,6 @@ func (g *generator) markBatch(op algebra.Op, col int) {
 			g.markBatch(o.In, col)
 		}
 
-	case *algebra.IndexScan:
-		if g.regFor(o.Attr) == col {
-			g.plan.batchCol[op] = col
-		}
-
 	case *algebra.VarScan:
 		if g.regFor(o.Attr) == col {
 			g.plan.batchCol[op] = col

@@ -74,8 +74,7 @@ type Plan struct {
 	numOps   int
 	numProgs int
 
-	ids   *xfn.IDIndex
-	names *xfn.NameIndex
+	ids *xfn.IDIndex
 }
 
 // Compile generates the physical plan for a translation result.
@@ -84,7 +83,6 @@ func Compile(res *translate.Result) (*Plan, error) {
 		plan: &Plan{
 			source:   res,
 			ids:      xfn.NewIDIndex(),
-			names:    xfn.GlobalNames,
 			progs:    map[algebra.Op][]*nvm.Program{},
 			opSlot:   map[algebra.Op]int{},
 			batchCol: map[algebra.Op]int{},
@@ -158,7 +156,7 @@ func (p *Plan) run(stdctx context.Context, limits guard.Limits, ctx dom.Node, va
 		NoEarlyExit: p.DisableSmartAgg,
 		Gov:         gov,
 	}
-	ex := &physical.Exec{M: m, IDs: p.ids, Names: p.names, CtxDoc: ctx.Doc, Gov: gov, WrapIter: p.WrapIter, BatchSize: p.BatchSize}
+	ex := &physical.Exec{M: m, IDs: p.ids, CtxDoc: ctx.Doc, Gov: gov, WrapIter: p.WrapIter, BatchSize: p.BatchSize}
 	if prof != nil {
 		m.Prof = prof.Progs
 		ex.Prof = prof
@@ -394,15 +392,6 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 	switch o := op.(type) {
 	case *algebra.SingletonScan:
 		return func(*physical.Exec) physical.Iter { return &physical.SingletonScan{} }, nil
-
-	case *algebra.IndexScan:
-		out := g.regFor(o.Attr)
-		uri, local := indexKey(o.Test)
-		plan := g.plan
-		return func(ex *physical.Exec) physical.Iter {
-			_, batch := plan.batchCol[op]
-			return &physical.IndexScan{Ex: ex, OutReg: out, URI: uri, Local: local, Batch: batch}
-		}, nil
 
 	case *algebra.VarScan:
 		out := g.regFor(o.Attr)
@@ -670,18 +659,6 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("codegen: unsupported operator %T", op)
-}
-
-// indexKey maps a name test to the NameIndex lookup key.
-func indexKey(t dom.NodeTest) (uri, local string) {
-	switch t.Kind {
-	case dom.TestAnyName:
-		return "*", ""
-	case dom.TestNSName:
-		return t.URI, "*"
-	default:
-		return t.URI, t.Local
-	}
 }
 
 func (g *generator) compileMap(op, in algebra.Op, attr string, expr algebra.Scalar) (builder, error) {

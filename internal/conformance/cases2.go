@@ -161,8 +161,9 @@ var cases3 = []Case{
 	{Doc: "people", Expr: "//person[age > sum(//age) div count(//age)]/name", Want: "nodes:name"},
 	{Doc: "people", Expr: "string(//person[age = 35]/name)", Want: "str:Carl"},
 
-	// ---- explicit descendant steps with positions (index-scan rule
-	// interaction: positions count over the whole document) ----
+	// ---- explicit descendant steps with positions (positions count over
+	// the whole document; the path index leaves these chains to
+	// navigation) ----
 	{Doc: "basic", Expr: "/descendant::b[2]", Want: "nodes:b#3"},
 	{Doc: "basic", Expr: "/descendant::b[last()]", Want: "nodes:b#6"},
 	{Doc: "basic", Expr: "/descendant::b[position() > 1]/@id", Want: "nodes:@id=3 @id=6"},

@@ -1,10 +1,11 @@
 // Package difftest is the cross-mode differential harness of the
 // observability layer: it runs a corpus of XPath queries under every
 // translation configuration (Improved, Canonical, each ablation flag, the
-// name-index and sequence-analysis extensions) crossed with every document
-// backend (in-memory and store-backed), comparing all of them against the
-// reference interpreter. Any divergence — differing value, or an error in
-// one cell only — is reported with enough context to reproduce it.
+// sequence-analysis extension, and a path-index twin of each) crossed with
+// every document backend (in-memory and store-backed), comparing all of
+// them against the reference interpreter. Any divergence — differing value,
+// or an error in one cell only — is reported with enough context to
+// reproduce it.
 //
 // The corpus combines every conformance case (hand-computed expectations
 // double-check the reference itself) with deterministically generated
@@ -38,9 +39,9 @@ type Config struct {
 	Canon bool
 }
 
-// Configs returns the full configuration matrix of 64 configurations: both
-// translation modes, each ablation flag in isolation, and each
-// forward-looking extension — each in its default (batched) form plus a
+// Configs returns the full configuration matrix of 58 configurations: both
+// translation modes, each ablation flag in isolation, and the sequence
+// analysis extension — each in its default (batched) form plus a
 // scalar twin with the batched execution protocol off, so batched and
 // tuple-at-a-time execution diff against the reference and, transitively,
 // against each other. Two extra configurations stress the batch machinery at
@@ -57,7 +58,6 @@ func Configs() []Config {
 		{Name: "no-pred-reorder", Opt: natix.Options{Mode: natix.Improved, DisablePredReorder: true}},
 		{Name: "no-smart-agg", Opt: natix.Options{Mode: natix.Improved, DisableSmartAggregation: true}},
 		{Name: "no-path-rewrite", Opt: natix.Options{Mode: natix.Improved, DisablePathRewrite: true}},
-		{Name: "name-index", Opt: natix.Options{Mode: natix.Improved, EnableNameIndex: true}},
 		{Name: "seq-analysis", Opt: natix.Options{Mode: natix.Improved, EnableSequenceAnalysis: true}},
 	}
 	all := make([]Config, 0, 3*len(base)+2)

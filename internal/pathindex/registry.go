@@ -1,7 +1,6 @@
 // Index resolution. Documents that manage their own index persistence (the
 // paged store) implement Provider; everything else (MemDoc) gets a lazily
-// built index from a process-wide registry keyed by DocID, mirroring the
-// element-name index registry in xfn.
+// built index from a process-wide registry keyed by DocID.
 package pathindex
 
 import (

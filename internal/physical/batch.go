@@ -239,27 +239,6 @@ func (s *VarScan) NextBatch(out []dom.Node) (int, error) {
 }
 
 // Batched implements BatchIter.
-func (s *IndexScan) Batched() bool { return s.Batch && s.Ex != nil && s.Ex.BatchSize > 0 }
-
-// NextBatch implements BatchIter.
-func (s *IndexScan) NextBatch(out []dom.Node) (int, error) {
-	doc := s.Ex.CtxDoc
-	n := 0
-	for n < len(out) && s.idx < len(s.ids) {
-		out[n] = dom.Node{Doc: doc, ID: s.ids[s.idx]}
-		n++
-		s.idx++
-	}
-	if n > 0 {
-		s.Ex.Stats.Tuples += int64(n)
-		if err := s.Ex.Gov.Tuples(s.Ex.Stats.Tuples); err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
-}
-
-// Batched implements BatchIter.
 func (u *UnnestMap) Batched() bool { return u.Batch && u.Ex != nil && u.Ex.BatchSize > 0 }
 
 // NextBatch implements BatchIter: the batched axis loop. Context nodes

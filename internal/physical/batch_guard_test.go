@@ -17,7 +17,7 @@ func TestBatchedRequiresExec(t *testing.T) {
 		batched bool // expected with a batch-sized Exec attached
 	}{
 		{"VarScan", func(ex *Exec) BatchIter { return &VarScan{Ex: ex, Batch: true} }, true},
-		{"IndexScan", func(ex *Exec) BatchIter { return &IndexScan{Ex: ex, Batch: true} }, true},
+		{"PathIndexScan", func(ex *Exec) BatchIter { return &PathIndexScan{Ex: ex, Batch: true} }, true},
 		{"UnnestMap", func(ex *Exec) BatchIter { return &UnnestMap{Ex: ex, Batch: true} }, true},
 		{"Select", func(ex *Exec) BatchIter { return &Select{Ex: ex, Batch: true} }, true},
 		{"DupElim", func(ex *Exec) BatchIter { return &DupElim{Ex: ex, Batch: true} }, true},

@@ -40,11 +40,10 @@ type Stats struct {
 
 // Exec is the shared execution state of one query run.
 type Exec struct {
-	M     *nvm.Machine
-	IDs   *xfn.IDIndex
-	Names *xfn.NameIndex
-	// CtxDoc is the document of the initial context node; id() and index
-	// scans resolve against it.
+	M   *nvm.Machine
+	IDs *xfn.IDIndex
+	// CtxDoc is the document of the initial context node; id() and
+	// path-index scans resolve against it.
 	CtxDoc dom.Document
 	Stats  Stats
 	// Gov is the execution governor: cancellation, budgets, and store
@@ -293,44 +292,6 @@ func (u *UnnestMap) Close() error {
 	u.bin = nil
 	return u.In.Close()
 }
-
-// IndexScan emits the context document's elements matching a name test in
-// document order, from the lazily built element-name index.
-type IndexScan struct {
-	Ex     *Exec
-	OutReg int
-	// URI/Local follow xfn.NameIndex conventions ("*" wildcards).
-	URI, Local string
-	// Batch marks this instance batch-capable (set by the code generator).
-	Batch bool
-
-	ids []dom.NodeID
-	idx int
-}
-
-// Open implements Iter.
-func (s *IndexScan) Open() error {
-	s.ids = s.Ex.Names.Elements(s.Ex.CtxDoc, s.URI, s.Local)
-	s.idx = 0
-	return nil
-}
-
-// Next implements Iter.
-func (s *IndexScan) Next() (bool, error) {
-	if s.idx >= len(s.ids) {
-		return false, nil
-	}
-	s.Ex.M.Regs[s.OutReg] = nvm.NodeVal(dom.Node{Doc: s.Ex.CtxDoc, ID: s.ids[s.idx]})
-	s.idx++
-	s.Ex.Stats.Tuples++
-	if err := s.Ex.Gov.Tuples(s.Ex.Stats.Tuples); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Close implements Iter.
-func (s *IndexScan) Close() error { return nil }
 
 // Select filters by a boolean program (σ).
 type Select struct {

@@ -98,7 +98,6 @@ func OptionsKey(o natix.Options) string {
 		{o.DisablePredReorder, 'p'},
 		{o.DisableSmartAggregation, 'a'},
 		{o.DisablePathRewrite, 'r'},
-		{o.EnableNameIndex, 'N'},
 		{o.EnablePathIndex, 'P'},
 		{o.EnableSequenceAnalysis, 'Q'},
 	}

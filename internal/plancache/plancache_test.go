@@ -28,7 +28,7 @@ func TestOptionsKeyCanonical(t *testing.T) {
 	if OptionsKey(natix.Options{Mode: natix.Canonical}) == OptionsKey(natix.Options{}) {
 		t.Fatal("mode not in key")
 	}
-	if OptionsKey(natix.Options{EnableNameIndex: true}) == OptionsKey(natix.Options{DisableMemoX: true}) {
+	if OptionsKey(natix.Options{EnablePathIndex: true}) == OptionsKey(natix.Options{DisableMemoX: true}) {
 		t.Fatal("flags not distinguished")
 	}
 	if OptionsKey(natix.Options{Limits: natix.Limits{MaxTuples: 7}}) == OptionsKey(natix.Options{}) {

@@ -32,9 +32,6 @@ type Options struct {
 	// and materializes expensive clause results per context node
 	// (section 4.3.2).
 	PredReorder bool
-	// IndexScan replaces root-anchored descendant steps with element-name
-	// index scans (the "indexes" future-work item of section 7).
-	IndexScan bool
 	// SeqProps enables the sequence-level order/duplicate analysis the
 	// paper defers to future work ([13], sections 4.1 and 3.4.2): static
 	// properties (max-one, ordered, duplicate-free, non-nested) tracked
@@ -143,40 +140,18 @@ func (tr *translator) seq(e sem.Expr, sc scope) (seq, error) {
 // path translates the unified Path node: location paths, filter
 // expressions, and general path expressions (sections 3.1, 3.4, 3.5).
 func (tr *translator) path(p *sem.Path, sc scope) (seq, error) {
-	steps := p.Steps
-	var cur seq
-	var err error
-	if first, ok := tr.indexableFirstStep(p); ok {
-		// Root-anchored descendant step over a name test: the element
-		// name index delivers the same sequence (all matching elements in
-		// document order) without traversing.
-		out := tr.attr("c")
-		op, err := tr.preds(
-			algebra.Op(&algebra.IndexScan{Attr: out, Test: first.Test}),
-			first.Preds, scope{ctxAttr: out, inner: true}, "")
+	cur, err := tr.pathBase(p, sc)
+	if err != nil {
+		return seq{}, err
+	}
+	if len(p.FilterPreds) > 0 {
+		cur, err = tr.filterPreds(cur, p.FilterPreds, sc)
 		if err != nil {
 			return seq{}, err
-		}
-		// One context (the root): index output is ordered, dup-free and
-		// element-complete.
-		cur = seq{op: op, attr: out, pr: props{ordered: true, dupFree: true}}
-		steps = steps[1:]
-	} else {
-		cur, err = tr.pathBase(p, sc)
-		if err != nil {
-			return seq{}, err
-		}
-		if len(p.FilterPreds) > 0 {
-			cur, err = tr.filterPreds(cur, p.FilterPreds, sc)
-			if err != nil {
-				return seq{}, err
-			}
 		}
 	}
-	offset := len(p.Steps) - len(steps)
-	for i, step := range steps {
-		full := i + offset
-		prevPPD := full > 0 && ppd(p.Steps[full-1].Axis)
+	for i, step := range p.Steps {
+		prevPPD := i > 0 && ppd(p.Steps[i-1].Axis)
 		cur, err = tr.step(cur, step, sc, prevPPD)
 		if err != nil {
 			return seq{}, err
@@ -187,27 +162,6 @@ func (tr *translator) path(p *sem.Path, sc scope) (seq, error) {
 		cur.pr = cur.pr.afterDupElim()
 	}
 	return cur, nil
-}
-
-// indexableFirstStep reports whether the path starts with a root-anchored
-// descendant(-or-self) step over a name test whose predicates are safe to
-// evaluate against the index output (no other filter predicates, and the
-// index covers exactly descendant::T of the root, so positions match the
-// traversal order).
-func (tr *translator) indexableFirstStep(p *sem.Path) (*sem.Step, bool) {
-	if !tr.opt.IndexScan || p.Base != nil || !p.Absolute ||
-		len(p.FilterPreds) > 0 || len(p.Steps) == 0 {
-		return nil, false
-	}
-	s := p.Steps[0]
-	if s.Axis != dom.AxisDescendant && s.Axis != dom.AxisDescendantOrSelf {
-		return nil, false
-	}
-	switch s.Test.Kind {
-	case dom.TestName, dom.TestNSName, dom.TestAnyName:
-		return s, true
-	}
-	return nil, false
 }
 
 // pathBase produces the initial context sequence of a path.

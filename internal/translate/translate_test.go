@@ -371,35 +371,3 @@ func TestSeqPropsTransitions(t *testing.T) {
 		t.Errorf("self: %+v", s)
 	}
 }
-
-func TestIndexScanRule(t *testing.T) {
-	opt := Improved()
-	opt.IndexScan = true
-	// Root-anchored descendant over a name test: index scan.
-	res := trans(t, "/descendant::b[@k]/c", opt)
-	found := false
-	algebra.Walk(res.Plan, func(o algebra.Op) {
-		if _, ok := o.(*algebra.IndexScan); ok {
-			found = true
-		}
-	})
-	if !found {
-		t.Errorf("no index scan:\n%s", algebra.Explain(res.Plan))
-	}
-	// Not applicable: relative paths, non-descendant first steps,
-	// node-type tests, or disabled option.
-	for _, expr := range []string{"descendant::b", "/a/descendant::b", "/descendant::text()"} {
-		res := trans(t, expr, opt)
-		algebra.Walk(res.Plan, func(o algebra.Op) {
-			if _, ok := o.(*algebra.IndexScan); ok {
-				t.Errorf("%q should not use the index", expr)
-			}
-		})
-	}
-	res2 := trans(t, "/descendant::b", Improved())
-	algebra.Walk(res2.Plan, func(o algebra.Op) {
-		if _, ok := o.(*algebra.IndexScan); ok {
-			t.Error("index scan with the option disabled")
-		}
-	})
-}

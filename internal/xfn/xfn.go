@@ -217,75 +217,3 @@ func ID(ix *IDIndex, d dom.Document, value xval.Value) []dom.Node {
 	}
 	return SortDedup(out)
 }
-
-// NameIndex resolves element-name lookups for the IndexScan physical
-// operator (the "indexes" item of the paper's future-work list, section 7):
-// for each document it lazily builds a map from expanded element names to
-// the document-ordered list of matching elements, plus the list of all
-// elements for wildcard scans.
-type NameIndex struct {
-	mu   sync.RWMutex
-	docs map[uint64]*nameIndexEntry
-}
-
-// nameIndexEntry is one document's name index; built exactly once under the
-// entry's own sync.Once (see idIndexEntry), immutable afterwards.
-type nameIndexEntry struct {
-	once   sync.Once
-	byName map[nameKey][]dom.NodeID
-	all    []dom.NodeID
-}
-
-type nameKey struct {
-	uri, local string
-}
-
-// NewNameIndex returns an empty index cache.
-func NewNameIndex() *NameIndex { return &NameIndex{docs: map[uint64]*nameIndexEntry{}} }
-
-// GlobalNames is the process-wide name index: like a real system's index
-// structures it belongs to the stored document, not to a compiled query,
-// so repeated compilations share it. Entries are keyed by document
-// identity and live for the process (documents are not structurally
-// updatable; value updates do not change names).
-var GlobalNames = NewNameIndex()
-
-// Elements returns the document-ordered elements with the given expanded
-// name; local "*" matches any local name within uri, and uri "*" any name
-// at all.
-// Safe for concurrent use across goroutines sharing a compiled query (the
-// same caveat as IDIndex.Lookup applies to store-backed documents).
-func (ix *NameIndex) Elements(d dom.Document, uri, local string) []dom.NodeID {
-	key := d.DocID()
-	ix.mu.RLock()
-	e, ok := ix.docs[key]
-	ix.mu.RUnlock()
-	if !ok {
-		ix.mu.Lock()
-		if e, ok = ix.docs[key]; !ok {
-			e = &nameIndexEntry{}
-			ix.docs[key] = e
-		}
-		ix.mu.Unlock()
-	}
-	e.once.Do(func() { e.build(d) })
-	if uri == "*" {
-		return e.all
-	}
-	return e.byName[nameKey{uri: uri, local: local}]
-}
-
-func (e *nameIndexEntry) build(d dom.Document) {
-	e.byName = map[nameKey][]dom.NodeID{}
-	n := dom.NodeID(d.NodeCount())
-	for id := dom.NodeID(1); id <= n; id++ {
-		if d.Kind(id) != dom.KindElement {
-			continue
-		}
-		e.all = append(e.all, id)
-		k := nameKey{uri: d.NamespaceURI(id), local: d.LocalName(id)}
-		e.byName[k] = append(e.byName[k], id)
-		wild := nameKey{uri: d.NamespaceURI(id), local: "*"}
-		e.byName[wild] = append(e.byName[wild], id)
-	}
-}

@@ -142,12 +142,6 @@ type Options struct {
 	// Canonical mode.
 	DisablePathRewrite bool
 
-	// EnableNameIndex replaces root-anchored descendant steps with
-	// element-name index scans (the "indexes" future-work item of paper
-	// section 7). The index is built lazily per document and cached on
-	// the compiled query.
-	EnableNameIndex bool
-
 	// EnablePathIndex turns on cost-based access-path selection against the
 	// structural path index (internal/pathindex): root-anchored chains of
 	// child/descendant steps whose path-summary match is provably
@@ -210,7 +204,6 @@ func (o *Options) translateOptions() translate.Options {
 		t.PredReorder = false
 	}
 	t.SeqProps = o.EnableSequenceAnalysis
-	t.IndexScan = o.EnableNameIndex
 	return t
 }
 
@@ -220,10 +213,11 @@ func (o *Options) translateOptions() translate.Options {
 // concurrent Run/RunContext calls — every execution gets its own register
 // file, NVM machine, iterator tree and governor, so the only state shared
 // between two simultaneous runs is read-only (the plan, its subscript
-// programs) or internally synchronized (the lazily built ID/name index
-// caches). Compiling once and running many times amortizes the whole
-// pipeline, which is the expensive part of short queries; internal/plancache
-// builds an LRU of Prepared plans on top of this contract.
+// programs) or internally synchronized (the lazily built ID index cache and
+// the path-index registry). Compiling once and running many times amortizes
+// the whole pipeline, which is the expensive part of short queries;
+// internal/plancache builds an LRU of Prepared plans on top of this
+// contract.
 //
 // Concurrency caveat: the safety statement covers the plan, not the
 // document. In-memory documents (ParseDocument) are immutable and support

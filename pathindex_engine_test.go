@@ -19,17 +19,13 @@ func pathIndexCorpus(sections int) string {
 	return sb.String()
 }
 
-// runBoth evaluates expr with and without path-index selection and fails on
-// any divergence — including node order, which the substitution proof
-// guarantees byte-identically.
-func runBoth(t *testing.T, xml, expr string) (withIdx, without *Result) {
+// runBoth evaluates expr on d with and without path-index selection and
+// fails on any divergence — including node order, which the substitution
+// proof guarantees byte-identically.
+func runBoth(t *testing.T, d Document, ns map[string]string, expr string) (withIdx, without *Result) {
 	t.Helper()
-	d, err := ParseDocumentString(xml)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qi := MustCompileWith(expr, Options{EnablePathIndex: true})
-	qn := MustCompileWith(expr, Options{})
+	qi := MustCompileWith(expr, Options{EnablePathIndex: true, Namespaces: ns})
+	qn := MustCompileWith(expr, Options{Namespaces: ns})
 	ri, err := qi.Run(RootNode(d), nil)
 	if err != nil {
 		t.Fatalf("%s with index: %v", expr, err)
@@ -52,20 +48,64 @@ func runBoth(t *testing.T, xml, expr string) (withIdx, without *Result) {
 	return ri, rn
 }
 
+// nsPathIndexCorpus is pathIndexCorpus with a namespaced <p:q/> in every
+// section and a <b> that carries a second attribute and a <c> child, so
+// every name-test shape and a step above the chain have matches.
+func nsPathIndexCorpus(sections int) string {
+	var sb strings.Builder
+	sb.WriteString(`<r xmlns:p="urn:p">`)
+	for i := 0; i < sections; i++ {
+		fmt.Fprintf(&sb, `<a id="s%d"><c>x</c><c>y</c><c>z</c><d/><d/><b n="%d" k="1"><c/></b><p:q/></a>`, i, i)
+	}
+	sb.WriteString("</r>")
+	return sb.String()
+}
+
 // TestPathIndexScanChosen: on a selective corpus the scan replaces the walk
-// — same result, same order, and the axis-step account collapses from
-// O(subtree) to (near) zero.
+// for every name-test shape of a root-anchored downward chain — same result,
+// same order, and the axis-step account keeps only the steps above the
+// chain. A positional predicate on the first step numbers its nodes per
+// context, which the chain matcher refuses, so that shape navigates.
 func TestPathIndexScanChosen(t *testing.T) {
-	xml := pathIndexCorpus(200)
-	ri, rn := runBoth(t, xml, "//b")
-	if got := len(ri.Value.Nodes); got != 200 {
-		t.Fatalf("//b matched %d nodes", got)
+	d, err := ParseDocumentString(nsPathIndexCorpus(200))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rn.Stats.AxisSteps == 0 {
-		t.Fatal("navigation run reports no axis steps — test is vacuous")
+	ns := map[string]string{"p": "urn:p"}
+	cases := []struct {
+		expr   string
+		chosen bool
+		steps  int64 // AxisSteps with the index; navigation's when not chosen
+	}{
+		{"//b", true, 0},
+		{"//*", true, 0},
+		{"//p:*", true, 0},
+		{"//p:q", true, 0},
+		{"/descendant-or-self::b", true, 0},
+		{"/descendant::b[@k]/c", true, 600}, // @k: n then k; /c: one child
+		{"//b[@n='7']", true, 399},          // @n: n first, then k except on the match
+		{"/descendant::b[1]", false, -1},
 	}
-	if ri.Stats.AxisSteps != 0 {
-		t.Fatalf("index run still walked %d axis steps (scan not chosen?)", ri.Stats.AxisSteps)
+	for _, c := range cases {
+		ri, rn := runBoth(t, d, ns, c.expr)
+		if len(rn.Value.Nodes) == 0 {
+			t.Fatalf("%s: empty result — row is vacuous", c.expr)
+		}
+		qi := MustCompileWith(c.expr, Options{EnablePathIndex: true, Namespaces: ns})
+		a, err := qi.ExplainAnalyze(t.Context(), RootNode(d), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(a.Tree, "PathIndexScan["); got != c.chosen {
+			t.Errorf("%s: PathIndexScan chosen = %v, want %v:\n%s", c.expr, got, c.chosen, a.Tree)
+		}
+		want := c.steps
+		if !c.chosen {
+			want = rn.Stats.AxisSteps
+		}
+		if ri.Stats.AxisSteps != want {
+			t.Errorf("%s: %d axis steps with the index, want %d (navigation: %d)", c.expr, ri.Stats.AxisSteps, want, rn.Stats.AxisSteps)
+		}
 	}
 }
 
@@ -97,16 +137,15 @@ func TestPathIndexExplainAnalyze(t *testing.T) {
 // context) and chains the cost model rejects both fall back to navigation —
 // with identical results and an explain line naming the reason.
 func TestPathIndexFallbacks(t *testing.T) {
-	nested := `<r><a><a><b/><c/></a><b/></a><b/></r>`
-	runBoth(t, nested, "//a/b") // intermediate a-set nests: no-match fallback
-	runBoth(t, nested, "/r/a")  // one-node walk: cost fallback
-	runBoth(t, nested, "//a//b")
-	runBoth(t, nested, "//c")
-
-	d, err := ParseDocumentString(nested)
+	d, err := ParseDocumentString(`<r><a><a><b/><c/></a><b/></a><b/></r>`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	runBoth(t, d, nil, "//a/b") // intermediate a-set nests: no-match fallback
+	runBoth(t, d, nil, "/r/a")  // one-node walk: cost fallback
+	runBoth(t, d, nil, "//a//b")
+	runBoth(t, d, nil, "//c")
+
 	q := MustCompileWith("//a/b", Options{EnablePathIndex: true})
 	a, err := q.ExplainAnalyze(t.Context(), RootNode(d), nil)
 	if err != nil {

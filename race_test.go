@@ -3,6 +3,7 @@ package natix
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 )
 
 // raceDoc has both id attributes (exercising the query-cached IDIndex) and
-// enough element names for IndexScan plans (the GlobalNames cache).
+// root-anchored name chains for path-index plans (the pathindex.Global
+// registry).
 func raceDoc(t *testing.T) Node {
 	t.Helper()
 	var sb []byte
@@ -28,14 +30,16 @@ func raceDoc(t *testing.T) Node {
 
 // TestConcurrentQuerySharing runs the same compiled queries from 8
 // goroutines against one document. The lazily built per-query ID index and
-// the process-wide name index are both cold at the start, so every
-// goroutine races to build them; run under -race this pins down the
+// the process-wide path-index registry are both cold at the start, so every
+// goroutine races to build them — the access-path decision resolves the
+// index through pathindex.Global.For before it prices the chain, so even
+// this small document builds one; run under -race this pins down the
 // sync.Once-per-document construction of both caches.
 func TestConcurrentQuerySharing(t *testing.T) {
 	root := raceDoc(t)
 	queries := []*Query{
-		MustCompileWith("//person[age > 30]", Options{Mode: Improved, EnableNameIndex: true}),
-		MustCompileWith("count(//age)", Options{Mode: Improved, EnableNameIndex: true}),
+		MustCompileWith("//person[age > 30]", Options{Mode: Improved, EnablePathIndex: true}),
+		MustCompileWith("//age", Options{Mode: Improved, EnablePathIndex: true}),
 		MustCompileWith("id('p7 p13')/age", Options{Mode: Improved}),
 	}
 	const goroutines = 8
@@ -154,8 +158,8 @@ func TestConcurrentSharedPrepared(t *testing.T) {
 // TestConcurrentSharedPreparedBatched is the batched-protocol twin of
 // TestConcurrentSharedPrepared: one Prepared per query shape, 8 goroutines,
 // both backends, with a deliberately tiny batch size so every run cycles
-// the per-Exec buffer and stepper pools many times. Run under -race this
-// pins the pooling down: the sync.Pools hang off the per-run Exec, so
+// the per-Exec buffer and stepper free lists many times. Run under -race
+// this pins the recycling down: the free lists hang off the per-run Exec, so
 // concurrent Runs of one plan must never share a buffer.
 func TestConcurrentSharedPreparedBatched(t *testing.T) {
 	var sb []byte
@@ -228,11 +232,12 @@ func TestConcurrentSharedPreparedBatched(t *testing.T) {
 	}
 }
 
-// TestConcurrentDistinctDocuments drives the shared GlobalNames cache with
-// several distinct documents at once: entry insertion (write-locked) and
-// builds (per-entry once) overlap across goroutines.
+// TestConcurrentDistinctDocuments drives the process-wide path-index
+// registry (pathindex.Global) with several distinct documents at once: entry
+// insertion (write-locked) and builds (per-entry once) overlap across
+// goroutines.
 func TestConcurrentDistinctDocuments(t *testing.T) {
-	q := MustCompileWith("count(//person)", Options{Mode: Improved, EnableNameIndex: true})
+	q := MustCompileWith("//person", Options{Mode: Improved, EnablePathIndex: true})
 	const goroutines = 8
 	docs := make([]Node, goroutines)
 	for i := range docs {
@@ -249,7 +254,7 @@ func TestConcurrentDistinctDocuments(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 16; r++ {
 				res, err := q.Run(root, nil)
-				if err != nil || res.Value.N != 2 {
+				if err != nil || len(res.Value.Nodes) != 2 {
 					t.Errorf("run: %v %v", res, err)
 					return
 				}
@@ -257,4 +262,12 @@ func TestConcurrentDistinctDocuments(t *testing.T) {
 		}(docs[g])
 	}
 	wg.Wait()
+	// The race above is on the registry only if the plan resolves the index.
+	a, err := q.ExplainAnalyze(t.Context(), docs[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(a.Tree, "=> access path:") {
+		t.Errorf("no access-path decision, so no registry lookup:\n%s", a.Tree)
+	}
 }

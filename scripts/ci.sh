@@ -50,9 +50,10 @@ go test -short -run TestMatrix ./internal/difftest/
 NATIX_PERF_GUARD=1 go test -run TestBatchSpeedupGuard -timeout 20m .
 
 # Shared-plan gate: goroutines sharing Prepared plans must stay race-free on
-# the batched protocol, and every run must return each free-list buffer and
-# stepper it took, however it ends.
-go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched' -count=1 .
+# the batched protocol, every run must return each free-list buffer and
+# stepper it took, however it ends, and cold lookups in the process-wide
+# path-index registry must build each document's index exactly once.
+go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments' -count=1 .
 
 # Index guard: the path-index access path must hit at least 5x over
 # navigation on the selective //name probes of the skewed corpus at 8000
