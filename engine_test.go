@@ -3,11 +3,13 @@ package natix
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"natix/internal/conformance"
 	"natix/internal/dom"
+	"natix/internal/gen"
 	"natix/internal/store"
 	"natix/internal/xval"
 )
@@ -220,5 +222,50 @@ func TestCrossDocumentVariables(t *testing.T) {
 	}
 	if res3.Value.N != 1 {
 		t.Errorf("parents of $other = %v", res3.Value.N)
+	}
+}
+
+// TestTwoDocumentVisitedStep: $v/ancestor::* runs as a visited-set step
+// with one set per document. The two documents are identical, so their
+// nodes share NodeIDs and only the DocID tells them apart: the answer must
+// hold every ancestor in both, as it does with the Π^D only at the end of
+// the path and under the canonical translation.
+func TestTwoDocumentVisitedStep(t *testing.T) {
+	a := gen.Generate(gen.Params{Elements: 300, Fanout: 3})
+	b := gen.Generate(gen.Params{Elements: 300, Fanout: 3})
+	var ctxs []Node
+	want := map[dom.NodeID]bool{}
+	for i, id := range []dom.NodeID{250, 17, 250, 401, 90, 17} {
+		ctxs = append(ctxs, Node{Doc: a, ID: id}, Node{Doc: b, ID: id})
+		if i%2 == 0 {
+			ctxs = append(ctxs, Node{Doc: b, ID: id})
+		}
+		for p := a.Parent(id); p != dom.NilNode; p = a.Parent(p) {
+			if a.Kind(p) == dom.KindElement {
+				want[p] = true
+			}
+		}
+	}
+	vars := map[string]Value{"v": NodeSet(ctxs)}
+	const expr = "$v/ancestor::*"
+	q := MustCompile(expr)
+	if !strings.Contains(q.ExplainPhysical(), "visited-set") {
+		t.Fatalf("%s has no visited-set step:\n%s", expr, q.ExplainPhysical())
+	}
+	res, err := q.Run(RootNode(a), vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Value.Nodes) != 2*len(want) {
+		t.Fatalf("%d ancestors, want %d in each of two documents", len(res.Value.Nodes), len(want))
+	}
+	for _, opt := range []Options{{DisableDupElimPush: true}, {Mode: Canonical}} {
+		other, err := MustCompileWith(expr, opt).Run(RootNode(a), vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := conformance.Render(res.Value), conformance.Render(other.Value); got != want {
+			t.Errorf("%+v: %s, fused %s", opt, want, got)
+		}
 	}
 }

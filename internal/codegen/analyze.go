@@ -87,8 +87,8 @@ func (p *Plan) analyzeOp(sb *strings.Builder, op algebra.Op, depth int, prof *ph
 		if self < 0 {
 			self = 0
 		}
-		fmt.Fprintf(sb, "%s%s  (out=%d opens=%d time=%s self=%s bytes=%d)\n",
-			pad, op, st.Out, st.Opens, fmtDur(st.Time), fmtDur(self), st.Bytes)
+		fmt.Fprintf(sb, "%s%s  (out=%d opens=%d time=%s self=%s bytes=%d)%s\n",
+			pad, op, st.Out, st.Opens, fmtDur(st.Time), fmtDur(self), st.Bytes, p.fusedNote(op))
 		// An access-path decision of the path-index selection pass attaches
 		// to the candidate chain's top operator: the chosen line compares
 		// the summary's estimate against the actual output of the scan.

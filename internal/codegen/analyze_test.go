@@ -7,7 +7,9 @@ import (
 
 	"natix/internal/algebra"
 	"natix/internal/dom"
+	"natix/internal/gen"
 	"natix/internal/guard"
+	"natix/internal/physical"
 	"natix/internal/translate"
 )
 
@@ -195,5 +197,62 @@ func TestProfileIsolation(t *testing.T) {
 	}
 	if len(res.Value.Nodes) != 3 {
 		t.Fatalf("plain run after analyze: %v", res.Value)
+	}
+}
+
+// TestFig5VisitedSteps pins the engine counters of Fig. 5 q1-q4 at 2000
+// elements, where every Π^D sits directly over a Υ and runs fused into it
+// as a visited-set step: the counts must be exact on both protocols and
+// under a WrapIter hook (fusion is decided at compile time, not by the
+// iterator a run instantiates), ExplainAnalyze must count what Run counts,
+// and the profiled scan tuples must equal Stats.Tuples. (Π^D over plain
+// walks took 22 268, 1 669 874, 13 550 and 4 011 axis steps.)
+func TestFig5VisitedSteps(t *testing.T) {
+	d := gen.Generate(gen.Params{Elements: 2000, Fanout: 6})
+	root := dom.Node{Doc: d, ID: d.Root()}
+	for _, c := range []struct {
+		expr  string
+		stats physical.Stats
+	}{
+		{"/child::xdoc/descendant::*/ancestor::*/descendant::*/@id", physical.Stats{AxisSteps: 8664, Tuples: 6332}},
+		{"/child::xdoc/descendant::*/preceding-sibling::*/following::*/@id", physical.Stats{AxisSteps: 10649, Tuples: 7653}},
+		{"/child::xdoc/descendant::*/ancestor::*/ancestor::*/@id", physical.Stats{AxisSteps: 4779, Tuples: 2446}},
+		{"/child::xdoc/child::*/parent::*/descendant::*/@id", physical.Stats{AxisSteps: 4011, Tuples: 4006}},
+	} {
+		plan := compileQuery(t, c.expr, translate.Improved())
+		if n := strings.Count(plan.ExplainPhysical(), "<fused: visited-set step below>"); n == 0 {
+			t.Errorf("%s: no fused step in\n%s", c.expr, plan.ExplainPhysical())
+		}
+		res, err := plan.Run(root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats != c.stats {
+			t.Errorf("%s: stats %+v, want %+v", c.expr, res.Stats, c.stats)
+		}
+		// ExplainAnalyze, kept apart from its rendering to reach the profile.
+		prof := plan.NewProfile()
+		ares, err := plan.run(context.Background(), guard.Limits{}, root, nil, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ares.Stats != res.Stats {
+			t.Errorf("%s: ExplainAnalyze stats %+v, Run %+v", c.expr, ares.Stats, res.Stats)
+		}
+		if tree := plan.RenderProfile(prof, ares); !strings.Contains(tree, "<fused: visited-set step below>") {
+			t.Errorf("%s: analyze tree shows no fused step:\n%s", c.expr, tree)
+		}
+		if got := plan.ScanTuples(prof); got != res.Stats.Tuples {
+			t.Errorf("%s: profiled scan tuples %d != Stats.Tuples %d", c.expr, got, res.Stats.Tuples)
+		}
+		plan.WrapIter = func(it physical.Iter) physical.Iter { return it }
+		plan.BatchSize = 0
+		sres, err := plan.Run(root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sres.Stats != res.Stats || len(sres.Value.Nodes) != len(res.Value.Nodes) {
+			t.Errorf("%s: scalar run under WrapIter: %+v, batched %+v", c.expr, sres.Stats, res.Stats)
+		}
 	}
 }

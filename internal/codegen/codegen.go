@@ -53,6 +53,11 @@ type Plan struct {
 	// Run instantiations read it without synchronization.
 	batchCol map[algebra.Op]int
 
+	// visited holds the UnnestMaps a Π^D was fused into (compileOp's
+	// DupElim case): they run as visited-set steps. Nil until the first
+	// fusion; read-only after Compile, like batchCol.
+	visited map[algebra.Op]bool
+
 	// pathCand holds the access-path candidates of the path-index selection
 	// pass (pathsel.go), keyed by chain-top operator. Empty unless
 	// MarkPathIndex ran; read-only afterwards.
@@ -420,6 +425,7 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 			return &physical.UnnestMap{
 				Ex: ex, In: in(ex), InReg: inReg, OutReg: outReg,
 				EpochReg: epochReg, Axis: axis, Test: test, Batch: batch,
+				Visited: plan.visited[op],
 			}
 		}, nil
 
@@ -519,6 +525,17 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 			return nil, err
 		}
 		attrReg := g.regFor(o.Attr)
+		// Directly over a Υ without an epoch attribute, on the Υ's own
+		// output, the Π^D is fused into the Υ: a visited-set step emits
+		// exactly the Π^D's output and never walks a node twice. The Π^D
+		// keeps its operator slot as a pass-through of the Υ's iterator.
+		if u, ok := o.In.(*algebra.UnnestMap); ok && u.EpochAttr == "" && g.regFor(u.OutAttr) == attrReg {
+			if g.plan.visited == nil {
+				g.plan.visited = map[algebra.Op]bool{}
+			}
+			g.plan.visited[u] = true
+			return in, nil
+		}
 		plan := g.plan
 		return func(ex *physical.Exec) physical.Iter {
 			_, batch := plan.batchCol[op]
@@ -710,9 +727,9 @@ func (p *Plan) explainOp(sb *strings.Builder, op algebra.Op, depth int) {
 	if pc := p.pathCand[op]; pc != nil {
 		// Candidate chains of the path-index selection pass are decided per
 		// document at instantiation; the physical plan shows where.
-		fmt.Fprintf(sb, "%s%s  <path-index candidate [%s]>\n", pad, op, pc.pattern)
+		fmt.Fprintf(sb, "%s%s  <path-index candidate [%s]>%s\n", pad, op, pc.pattern, p.fusedNote(op))
 	} else {
-		fmt.Fprintf(sb, "%s%s\n", pad, op)
+		fmt.Fprintf(sb, "%s%s%s\n", pad, op, p.fusedNote(op))
 	}
 	for _, prog := range p.progs[op] {
 		sb.WriteString(indent(prog.Disasm(), pad+"  | "))
@@ -729,6 +746,14 @@ func (p *Plan) explainOp(sb *strings.Builder, op algebra.Op, depth int) {
 	for _, c := range op.Children() {
 		p.explainOp(sb, c, depth+1)
 	}
+}
+
+// fusedNote marks a Π^D that was fused into the Υ below it.
+func (p *Plan) fusedNote(op algebra.Op) string {
+	if d, ok := op.(*algebra.DupElim); ok && p.visited[d.In] {
+		return "  <fused: visited-set step below>"
+	}
+	return ""
 }
 
 func indent(s, pad string) string {

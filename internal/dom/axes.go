@@ -108,6 +108,13 @@ type Stepper struct {
 	ctx  NodeID
 	cur  NodeID
 	done bool
+	vis  *Visited // nil for a plain walk
+
+	// Pruned counts the marked nodes a visited-set walk met instead of
+	// yielding: each is one probe of the walk, whether it ended the walk,
+	// was stepped over with its subtree, or was skipped. Dropped counts the
+	// ones a test-and-mark walk skipped. The caller reads and zeroes both.
+	Pruned, Dropped int64
 
 	// following/preceding state.
 	anchorAncestors map[NodeID]struct{} // preceding: ancestor set to skip
@@ -126,8 +133,16 @@ func (s *Stepper) Axis() Axis { return s.axis }
 
 // Reset positions the stepper at the start of the axis for context node
 // (doc, ctx).
-func (s *Stepper) Reset(doc Document, ctx NodeID) {
-	s.doc, s.ctx, s.done = doc, ctx, false
+func (s *Stepper) Reset(doc Document, ctx NodeID) { s.ResetVisited(doc, ctx, nil) }
+
+// ResetVisited is Reset for a visited-set walk (v nil is a plain walk): it
+// yields only nodes not in v and adds each to v as it reaches it, so walks
+// sharing v yield the first occurrences of their plain walks, in order. A
+// marked node prunes the walk by the rule "reached n => the axis from n is
+// already reached" (visit; DESIGN.md §5 has the proof per axis). v must
+// hold nodes of doc only, reached by walks of this axis only.
+func (s *Stepper) ResetVisited(doc Document, ctx NodeID, v *Visited) {
+	s.doc, s.ctx, s.done, s.vis = doc, ctx, false, v
 	switch s.axis {
 	case AxisSelf, AxisAncestorOrSelf, AxisDescendantOrSelf:
 		s.cur = ctx
@@ -142,7 +157,14 @@ func (s *Stepper) Reset(doc Document, ctx NodeID) {
 	case AxisAttribute:
 		s.cur = doc.FirstAttr(ctx)
 	case AxisDescendant:
-		s.cur = s.descend(ctx)
+		if v != nil && v.Has(ctx) {
+			// A marked context was reached by an earlier walk, and so
+			// was its whole subtree.
+			s.Pruned++
+			s.cur = NilNode
+		} else {
+			s.cur = s.descend(ctx)
+		}
 	case AxisFollowing:
 		s.cur = s.followingStart()
 	case AxisPreceding:
@@ -150,8 +172,13 @@ func (s *Stepper) Reset(doc Document, ctx NodeID) {
 	case AxisNamespace:
 		s.initNamespace()
 	}
-	if s.axis != AxisNamespace && s.cur == NilNode {
-		s.done = true
+	if s.axis != AxisNamespace {
+		if v != nil {
+			s.visit()
+		}
+		if s.cur == NilNode {
+			s.done = true
+		}
 	}
 }
 
@@ -208,6 +235,17 @@ func (s *Stepper) Next() (NodeID, bool) {
 }
 
 func (s *Stepper) advance() {
+	s.move()
+	if s.vis != nil {
+		s.visit()
+	}
+	if s.cur == NilNode {
+		s.done = true
+	}
+}
+
+// move steps cur to the next node of the plain axis walk.
+func (s *Stepper) move() {
 	d := s.doc
 	switch s.axis {
 	case AxisSelf, AxisParent:
@@ -227,8 +265,28 @@ func (s *Stepper) advance() {
 	case AxisPreceding:
 		s.cur = s.precedingPrev(s.cur)
 	}
-	if s.cur == NilNode {
-		s.done = true
+}
+
+// visit applies the visited set to the node a visited-set walk just
+// reached: marked nodes end the walk, are stepped over with their subtree,
+// or are skipped one by one (test-and-mark: preceding is not closed under
+// the pruning rule); the first unmarked node is marked and is next.
+func (s *Stepper) visit() {
+	for s.cur != NilNode && s.vis.Has(s.cur) {
+		s.Pruned++
+		switch s.axis {
+		case AxisAncestor, AxisAncestorOrSelf, AxisParent,
+			AxisFollowing, AxisFollowingSibling, AxisPrecedingSibling:
+			s.cur = NilNode
+		case AxisDescendant, AxisDescendantOrSelf:
+			s.cur = s.skipWithin(s.cur, s.ctx)
+		default:
+			s.Dropped++
+			s.move()
+		}
+	}
+	if s.cur != NilNode {
+		s.vis.Mark(s.cur)
 	}
 }
 
@@ -251,10 +309,16 @@ func (s *Stepper) descend(id NodeID) NodeID { return s.doc.FirstChild(id) }
 // preorderNextWithin advances cur in preorder without leaving the subtree
 // rooted at stop.
 func (s *Stepper) preorderNextWithin(cur, stop NodeID) NodeID {
-	d := s.doc
-	if c := d.FirstChild(cur); c != NilNode {
+	if c := s.doc.FirstChild(cur); c != NilNode {
 		return c
 	}
+	return s.skipWithin(cur, stop)
+}
+
+// skipWithin advances cur in preorder past its own subtree without leaving
+// the subtree rooted at stop.
+func (s *Stepper) skipWithin(cur, stop NodeID) NodeID {
+	d := s.doc
 	for cur != stop && cur != NilNode {
 		if sib := d.NextSibling(cur); sib != NilNode {
 			return sib
@@ -316,7 +380,7 @@ func (s *Stepper) initPreceding() {
 	case KindAttribute, KindNamespace:
 		anchor = d.Parent(anchor)
 		if anchor == NilNode {
-			s.done = true
+			s.cur = NilNode
 			return
 		}
 	}
@@ -390,6 +454,14 @@ func (s *Stepper) initNamespace() {
 			s.nsSeen[prefix] = struct{}{}
 			if d.Value(ns) == "" {
 				continue // xmlns="" undeclares the default namespace
+			}
+			if s.vis != nil {
+				if s.vis.Has(ns) {
+					s.Pruned++
+					s.Dropped++
+					continue
+				}
+				s.vis.Mark(ns)
 			}
 			s.nsNodes = append(s.nsNodes, ns)
 		}

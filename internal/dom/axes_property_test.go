@@ -219,3 +219,118 @@ func TestFollowingOfAttributeBrute(t *testing.T) {
 		}
 	}
 }
+
+// TestVisitedWalkAgainstDedup checks visited-set walks (ResetVisited) on
+// every axis over random documents with attributes, namespaces and text.
+// A context sequence with duplicates, in arbitrary order and across two
+// documents, is walked with one visited set per document: the walks must
+// yield exactly the first occurrences of the independent plain walks,
+// element for element and in order, and every marked node the pruning
+// rule probes must be counted once in Pruned.
+func TestVisitedWalkAgainstDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	stops := map[Axis]bool{
+		AxisAncestor: true, AxisAncestorOrSelf: true, AxisParent: true,
+		AxisFollowing: true, AxisFollowingSibling: true, AxisPrecedingSibling: true,
+	}
+	var total [AxisCount]int64
+	for iter := 0; iter < 30; iter++ {
+		docs := []Document{buildRandom(rng, 40+rng.Intn(60)), buildRandom(rng, 40+rng.Intn(60))}
+		type ctx struct {
+			doc int
+			id  NodeID
+		}
+		var ctxs []ctx
+		for i := 0; i < 25; i++ {
+			if len(ctxs) > 0 && rng.Intn(4) == 0 {
+				ctxs = append(ctxs, ctxs[rng.Intn(len(ctxs))]) // a duplicate
+				continue
+			}
+			k := rng.Intn(2)
+			ctxs = append(ctxs, ctx{k, NodeID(1 + rng.Intn(docs[k].NodeCount()))})
+		}
+		for a := 0; a < AxisCount; a++ {
+			axis := Axis(a)
+			st := NewStepper(axis)
+			sets := []*Visited{NewVisited(docs[0]), NewVisited(docs[1])}
+			seen := []map[NodeID]bool{{}, {}}
+			batched := iter%2 == 1
+			for ci, c := range ctxs {
+				d, m := docs[c.doc], seen[c.doc]
+				// Expected: the plain walk's unseen nodes, and the probes
+				// the pruning rule makes on the seen ones.
+				var want []NodeID
+				var probes, drops int64
+				plain := collect(d, c.id, axis)
+				for _, n := range plain {
+					if !m[n] {
+						want = append(want, n)
+					}
+				}
+				switch {
+				case stops[axis]:
+					for _, n := range plain {
+						if m[n] {
+							probes = 1
+							break
+						}
+					}
+				case axis == AxisDescendant && m[c.id]:
+					probes = 1
+				case axis == AxisDescendant || axis == AxisDescendantOrSelf:
+					// One probe per maximal marked subtree of the walk.
+					for _, n := range plain {
+						top := m[n]
+						for p := d.Parent(n); top && n != c.id && p != c.id; p = d.Parent(p) {
+							top = !m[p]
+						}
+						if top && n != c.id && axis == AxisDescendantOrSelf && m[c.id] {
+							top = false
+						}
+						if top {
+							probes++
+						}
+					}
+				default:
+					for _, n := range plain {
+						if m[n] {
+							probes++
+						}
+					}
+					drops = probes
+				}
+				for _, n := range plain {
+					m[n] = true
+				}
+
+				st.ResetVisited(d, c.id, sets[c.doc])
+				var got []NodeID
+				if batched {
+					buf := make([]NodeID, 3)
+					for k := st.NextBatch(buf); k > 0; k = st.NextBatch(buf) {
+						got = append(got, buf[:k]...)
+					}
+				} else {
+					for n, ok := st.Next(); ok; n, ok = st.Next() {
+						got = append(got, n)
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("iter %d axis %s context %d (%d #%d %s): got %v, want %v (plain %v)",
+						iter, axis, ci, c.doc, c.id, d.Kind(c.id), got, want, plain)
+				}
+				if st.Pruned != probes || st.Dropped != drops {
+					t.Fatalf("iter %d axis %s context %d (%d #%d): pruned %d dropped %d, want %d and %d",
+						iter, axis, ci, c.doc, c.id, st.Pruned, st.Dropped, probes, drops)
+				}
+				st.Pruned, st.Dropped = 0, 0
+				total[axis] += probes
+			}
+		}
+	}
+	for a, n := range total {
+		if n == 0 {
+			t.Errorf("axis %s: no walk met a marked node", Axis(a))
+		}
+	}
+}

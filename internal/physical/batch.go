@@ -256,6 +256,11 @@ func (u *UnnestMap) NextBatch(out []dom.Node) (int, error) {
 				room = len(u.ids)
 			}
 			k := u.stepper.NextBatch(u.ids[:room])
+			if u.Visited {
+				if err := u.settle(); err != nil {
+					return 0, err
+				}
+			}
 			if k == 0 {
 				u.active = false
 				continue
@@ -285,7 +290,7 @@ func (u *UnnestMap) NextBatch(out []dom.Node) (int, error) {
 		if ctx.IsNil() {
 			continue // non-node context (e.g. empty deref): no output
 		}
-		u.stepper.Reset(ctx.Doc, ctx.ID)
+		u.stepper.ResetVisited(ctx.Doc, ctx.ID, u.visitedFor(ctx.Doc))
 		u.curDoc = ctx.Doc
 		u.active = true
 	}

@@ -22,6 +22,12 @@ type Iter = nvm.Iterator
 
 // Stats counts engine events during one execution, for the benchmark
 // harness and the ablation studies.
+//
+// A visited-set step (UnnestMap.Visited, a Π^D fused into the Υ below it)
+// is counted as what it does: Tuples are its post-dedup output, every
+// marked node its walk probes counts as one AxisSteps whether the walk
+// stops there, steps over it or skips it, and DupDropped counts only the
+// nodes a test-and-mark walk skips (dom.Stepper.ResetVisited).
 type Stats struct {
 	// AxisSteps counts nodes enumerated by unnest-map axis traversals
 	// (before node tests).
@@ -172,14 +178,26 @@ type UnnestMap struct {
 	Test     dom.NodeTest
 	// Batch marks this instance batch-capable (set by the code generator).
 	Batch bool
+	// Visited makes this a visited-set step, Π^D[OutReg] fused in: walks
+	// share one set per document from Open to Open, so each node is
+	// emitted once per evaluation (dom.Stepper.ResetVisited). Set by the
+	// code generator, never with an epoch register.
+	Visited bool
 
 	stepper   *dom.Stepper
 	principal dom.NodeKind
 	active    bool
 	epoch     int64
 
+	// Visited-set state: the sets by DocID, the set of curDoc, and the
+	// bytes charged for them since Open.
+	sets    map[uint64]*dom.Visited
+	vis     *dom.Visited
+	charged int64
+
 	// Batched-protocol state: the input column buffer, its read cursor,
-	// the axis NodeID scratch, and the document of the active context.
+	// the axis NodeID scratch, and the document of the active context
+	// (on both protocols for a visited-set step).
 	bin          batchSource
 	inBuf        []dom.Node
 	inPos, inLen int
@@ -196,6 +214,11 @@ func (u *UnnestMap) Open() error {
 	}
 	u.principal = u.Axis.Principal()
 	u.active = false
+	u.Ex.Gov.Release(u.charged)
+	u.charged = 0
+	for _, v := range u.sets {
+		v.Reset()
+	}
 	if u.Batched() {
 		if u.inBuf == nil {
 			u.inBuf = u.Ex.GetNodeBuf()
@@ -235,7 +258,7 @@ func (u *UnnestMap) Next() (bool, error) {
 			if n.IsNil() {
 				continue // non-node context (e.g. empty deref): no output
 			}
-			u.stepper.Reset(n.Doc, n.ID)
+			u.stepper.ResetVisited(n.Doc, n.ID, u.visitedFor(n.Doc))
 			u.epoch++
 			if u.EpochReg >= 0 {
 				regs[u.EpochReg] = nvm.NumVal(float64(u.epoch))
@@ -244,6 +267,11 @@ func (u *UnnestMap) Next() (bool, error) {
 		}
 		for {
 			id, ok := u.stepper.Next()
+			if u.Visited {
+				if err := u.settle(); err != nil {
+					return false, err
+				}
+			}
 			if !ok {
 				u.active = false
 				break
@@ -276,9 +304,49 @@ func (u *UnnestMap) Next() (bool, error) {
 	}
 }
 
+// visitedFor returns the visited set of doc for a visited-set step, nil
+// for a plain one.
+func (u *UnnestMap) visitedFor(doc dom.Document) *dom.Visited {
+	if !u.Visited || doc == u.curDoc {
+		return u.vis
+	}
+	id := doc.DocID()
+	v := u.sets[id]
+	if v == nil {
+		if u.sets == nil {
+			u.sets = map[uint64]*dom.Visited{}
+		}
+		v = dom.NewVisited(doc)
+		u.sets[id] = v
+	}
+	u.vis, u.curDoc = v, doc
+	return v
+}
+
+// settle books what a visited-set walk did since the last call: the marked
+// nodes it probed are axis steps (and governor events), its test-and-mark
+// skips are dropped duplicates, and the set's growth is charged to the
+// byte budget.
+func (u *UnnestMap) settle() error {
+	s := u.stepper
+	pruned := s.Pruned
+	u.Ex.Stats.AxisSteps += pruned
+	u.Ex.Stats.DupDropped += s.Dropped
+	s.Pruned, s.Dropped = 0, 0
+	if b := u.vis.Uncharged(); b > 0 {
+		u.charged += b
+		if err := u.Ex.Gov.Grow(b); err != nil {
+			return err
+		}
+	}
+	return u.Ex.Gov.Events(pruned)
+}
+
 // Close implements Iter, returning the stepper and batch buffers to the
-// execution's free lists.
+// execution's free lists and the visited sets' charge to the budget.
 func (u *UnnestMap) Close() error {
+	u.Ex.Gov.Release(u.charged)
+	u.charged = 0
 	if u.stepper != nil {
 		u.Ex.PutStepper(u.stepper)
 		u.stepper = nil
