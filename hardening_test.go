@@ -8,7 +8,10 @@ package natix
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -294,6 +297,80 @@ func TestGovernorStatsAdvance(t *testing.T) {
 		}
 		if _, err := q.Run(RootNode(d), nil); err != nil {
 			t.Errorf("generous %+v tripped: %v", lim, err)
+		}
+	}
+}
+
+// TestTextPageFaultsFailValueQueries: the value predicates of Fig. 10 d10
+// and d11 compare on the text pages in place. When those pages cannot be
+// read — the medium fails, or a page's checksum does not match — the run
+// must return the fault and no result, unwind every iterator, and leave no
+// page pinned once the record cache is released.
+func TestTextPageFaultsFailValueQueries(t *testing.T) {
+	mem := gen.DBLP(gen.DBLPParams{Publications: 300, Seed: 1})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "dblp.natix")
+	if err := store.Write(path, mem); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header fields (store/format.go): page size at byte 8, the first text
+	// page at byte 24. The text segment runs to the end of the file.
+	pageSize := int64(binary.LittleEndian.Uint32(img[8:]))
+	textOff := int64(binary.LittleEndian.Uint32(img[24:])) * pageSize
+	corrupt := append([]byte(nil), img...)
+	for p := textOff; p < int64(len(corrupt)); p += pageSize {
+		corrupt[p+pageSize-1] ^= 0xff // the page's checksum trailer
+	}
+	corruptPath := filepath.Join(dir, "corrupt.natix")
+	if err := os.WriteFile(corruptPath, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("text medium failed")
+	open := map[string]func() (*store.Doc, error){
+		"clean": func() (*store.Doc, error) { return store.Open(path, store.Options{BufferPages: 8}) },
+		"io": func() (*store.Doc, error) {
+			d, _, err := store.OpenFaulty(path, store.Options{BufferPages: 8}, func(off int64, _ int) error {
+				if off >= textOff {
+					return boom
+				}
+				return nil
+			})
+			return d, err
+		},
+		"checksum": func() (*store.Doc, error) { return store.Open(corruptPath, store.Options{BufferPages: 8}) },
+	}
+	for _, spec := range []struct{ ID, XPath string }{ // Fig. 10 (internal/bench)
+		{"d10", "/dblp/*[author = 'Guido Moerkotte']/@key"},
+		{"d11", "/dblp/inproceedings[@key = 'conf/er/LockemannM91']/title"},
+	} {
+		for _, mode := range []string{"clean", "io", "checksum"} {
+			d, err := open[mode]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err, lt := trackedRun(MustCompile(spec.XPath), context.Background(), RootNode(d), nil)
+			switch {
+			case mode == "clean":
+				if err != nil || len(res.Value.Nodes) == 0 {
+					t.Errorf("%s clean: err %v, result %v", spec.ID, err, res)
+				}
+			case res != nil:
+				t.Errorf("%s %s: faulted run returned a result (%d nodes, err %v)", spec.ID, mode, len(res.Value.Nodes), err)
+			case mode == "io" && !errors.Is(err, boom):
+				t.Errorf("%s io: err = %v, want the injected fault", spec.ID, err)
+			case mode == "checksum" && (err == nil || !strings.Contains(err.Error(), "checksum mismatch")):
+				t.Errorf("%s checksum: err = %v, want a checksum mismatch", spec.ID, err)
+			}
+			lt.assertBalanced(t, spec.ID+" "+mode)
+			d.ReleaseRecordCache()
+			if n := d.PinnedPages(); n != 0 {
+				t.Errorf("%s %s: %d pages still pinned", spec.ID, mode, n)
+			}
+			d.Close()
 		}
 	}
 }

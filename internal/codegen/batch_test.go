@@ -2,9 +2,11 @@ package codegen
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"natix/internal/dom"
+	"natix/internal/interp"
 	"natix/internal/translate"
 	"natix/internal/xval"
 )
@@ -71,6 +73,50 @@ func TestBatchSizeEquivalence(t *testing.T) {
 				}
 				if got.Stats != ref.Stats {
 					t.Errorf("%s batch=%d: stats %+v, scalar %+v", q, bs, got.Stats, ref.Stats)
+				}
+			}
+		}
+	}
+}
+
+// TestTmpCSMatchesInterp runs positional predicates whose Tmp^cs buffers
+// many multi-tuple contexts, each entered through a lookahead row, on both
+// protocols and both translations, against the interpreter.
+func TestTmpCSMatchesInterp(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<a>")
+	for i := 1; i <= 12; i++ {
+		fmt.Fprintf(&sb, `<b k="%d">`, i)
+		for j := 1; j <= i%5+1; j++ {
+			fmt.Fprintf(&sb, `<c k="%d-%d"/>`, i, j)
+		}
+		sb.WriteString("</b>")
+	}
+	sb.WriteString("</a>")
+	d, err := dom.ParseString(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := dom.Node{Doc: d, ID: d.Root()}
+	for _, q := range []string{
+		"//b/c[position() = last()]", "//b/c[last() - 1]/@k", "/a/b[position() = last() - 2]",
+		"//c[position() = last()]", "//b[c][position() = last()]/c[1]", "//b/c[position() < last()]",
+	} {
+		ref, err := interp.Compile(q, nil, interp.Options{DedupSteps: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Eval(root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []translate.Options{translate.Improved(), translate.Canonical()} {
+			plan := compileQuery(t, q, opt)
+			for _, bs := range []int{0, plan.BatchSize} {
+				plan.BatchSize = bs
+				got := runQuery(t, plan, d)
+				if !sameNodes(got, want) {
+					t.Errorf("%s batch=%d: nodes %v, interpreter %v", q, bs, names(got), names(want))
 				}
 			}
 		}

@@ -2,9 +2,11 @@ package codegen
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
+	"natix/internal/algebra"
 	"natix/internal/dom"
 	"natix/internal/sem"
 	"natix/internal/translate"
@@ -125,6 +127,70 @@ func TestExplainOutputs(t *testing.T) {
 	scalar := compileQuery(t, "1 + count(//a)", translate.Improved())
 	if !strings.Contains(scalar.Explain(), "count") {
 		t.Errorf("scalar explain: %s", scalar.Explain())
+	}
+}
+
+// TestStrEqPeephole: strval(x) =|!= 'lit' compiles to one streq after its
+// operand, in either operand order, with the answer of strval + cmp; numbers,
+// relational operators, variables and function results keep cmp.
+func TestStrEqPeephole(t *testing.T) {
+	d, err := dom.ParseString(`<a><p><year>1991</year><title>x</title></p><p><year>1995</year><title>y</title></p></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := map[string]xval.Value{"v": xval.Str("x")}
+	for _, c := range []struct {
+		expr  string
+		fused bool
+		count int
+	}{
+		{"//p[year = '1991']", true, 1},
+		{"//p[title != 'x']", true, 1},
+		{"//p['1995' = year]", true, 1},
+		{"//p[year = 1991]", false, 1},
+		{"//p[year < '1995']", false, 1},
+		{"//p[$v = 'x']", false, 2},
+		{"//*[name() = 'title']", false, 2},
+	} {
+		plan := compileQuery(t, c.expr, translate.Improved())
+		out := plan.ExplainPhysical()
+		if fused := strings.Contains(out, "streq"); fused != c.fused {
+			t.Errorf("%s: fused = %v, want %v:\n%s", c.expr, fused, c.fused, out)
+		}
+		if c.fused && regexp.MustCompile(`\d  strval`).MatchString(out) {
+			t.Errorf("%s: strval left beside streq:\n%s", c.expr, out)
+		}
+		res, err := plan.Run(dom.Node{Doc: d, ID: d.Root()}, vars)
+		if err != nil {
+			t.Fatalf("%s: %v", c.expr, err)
+		}
+		if len(res.Value.Nodes) != c.count {
+			t.Errorf("%s: %d nodes, want %d", c.expr, len(res.Value.Nodes), c.count)
+		}
+	}
+	// Both operand orders of a hand-built σ fuse and agree.
+	titles := childStep(childStep(childStep(ctxSeed(), "c0", "c1", "a"), "c1", "c2", "p"), "c2", "c3", "title")
+	sv := &algebra.StrValue{X: &algebra.AttrRef{Name: "c3"}}
+	lit := &algebra.Const{Val: xval.Str("y")}
+	for _, cmp := range []*algebra.CompareExpr{
+		{Op: xval.OpEq, L: sv, R: lit},
+		{Op: xval.OpEq, L: lit, R: sv},
+		{Op: xval.OpNe, L: lit, R: sv},
+	} {
+		p, err := Compile(&translate.Result{Plan: &algebra.Select{In: titles, Pred: cmp}, Attr: "c3"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := p.ExplainPhysical(); !strings.Contains(out, "streq     "+cmp.Op.String()+" 'y'") {
+			t.Errorf("%s not fused:\n%s", cmp, out)
+		}
+		res, err := p.Run(dom.Node{Doc: d, ID: d.Root()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Value.Nodes; len(n) != 1 || n[0].StringValue() == "y" != (cmp.Op == xval.OpEq) {
+			t.Errorf("%s: %v", cmp, n)
+		}
 	}
 }
 

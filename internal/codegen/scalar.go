@@ -5,6 +5,7 @@ import (
 
 	"natix/internal/algebra"
 	"natix/internal/nvm"
+	"natix/internal/xval"
 )
 
 // progBuilder accumulates one NVM program.
@@ -69,6 +70,19 @@ func (pb *progBuilder) emit(s algebra.Scalar) error {
 		}
 		pb.code = append(pb.code, nvm.Instr{Op: nvm.OpNeg})
 	case *algebra.CompareExpr:
+		if x, lit, ok := strEqOperands(n); ok {
+			if err := pb.emit(x); err != nil {
+				return err
+			}
+			neg := 0
+			if n.Op == xval.OpNe {
+				neg = 1
+			}
+			idx := len(pb.prog.Consts)
+			pb.prog.Consts = append(pb.prog.Consts, nvm.ScalarVal(lit))
+			pb.code = append(pb.code, nvm.Instr{Op: nvm.OpStrEq, A: idx, B: neg})
+			return nil
+		}
 		if err := pb.emit(n.L); err != nil {
 			return err
 		}
@@ -148,6 +162,26 @@ func (pb *progBuilder) emitLogic(n *algebra.LogicExpr) error {
 		pb.code[p].A = end
 	}
 	return nil
+}
+
+// strEqOperands matches strval(x) = 'lit' and strval(x) != 'lit' in either
+// operand order and returns x and the literal: the shape OpStrEq runs in one
+// instruction. Numbers, booleans, relational operators and anything but a
+// string constant opposite the strval keep OpCompare.
+func strEqOperands(n *algebra.CompareExpr) (algebra.Scalar, xval.Value, bool) {
+	if n.Op != xval.OpEq && n.Op != xval.OpNe {
+		return nil, xval.Value{}, false
+	}
+	sv, c := n.L, n.R
+	if _, ok := sv.(*algebra.StrValue); !ok {
+		sv, c = c, sv
+	}
+	s, ok := sv.(*algebra.StrValue)
+	k, isConst := c.(*algebra.Const)
+	if !ok || !isConst || k.Val.Kind != xval.KindString {
+		return nil, xval.Value{}, false
+	}
+	return s.X, k.Val, true
 }
 
 func aggCode(k algebra.AggKind) nvm.AggCode {

@@ -147,6 +147,60 @@ func ElementStringValue(d Document, id NodeID) string {
 	return sb.String()
 }
 
+// InPlaceValues is implemented by documents whose values are not held as Go
+// strings (the page store). ValueLen is a value's length in bytes, read
+// without the value; ValueEquals compares the value with s where it is
+// stored. StringValueEquals uses them so a comparison never materializes a
+// value.
+type InPlaceValues interface {
+	ValueLen(id NodeID) int
+	ValueEquals(id NodeID, s string) bool
+}
+
+// StringValueEquals reports whether the string-value of id equals s. On an
+// InPlaceValues document it never concatenates: a text, attribute, comment,
+// processing-instruction or namespace node compares its value, and a
+// document or element node streams its text descendants, in
+// ElementStringValue's order, against consecutive pieces of s. Other
+// documents hold their values as strings and compare StringValue.
+func StringValueEquals(d Document, id NodeID, s string) bool {
+	iv, ok := d.(InPlaceValues)
+	if !ok {
+		return d.StringValue(id) == s
+	}
+	switch d.Kind(id) {
+	case KindDocument, KindElement:
+		// Single text child: one whole-value comparison, whose length check
+		// alone settles most mismatches.
+		if c := d.FirstChild(id); c != NilNode && d.NextSibling(c) == NilNode && d.Kind(c) == KindText {
+			return iv.ValueEquals(c, s)
+		}
+		rest, ok := matchText(d, iv, id, s)
+		return ok && rest == ""
+	}
+	return iv.ValueEquals(id, s)
+}
+
+// matchText matches the text descendants of id against the front of s and
+// returns the unmatched rest; ok is false at the first mismatch.
+func matchText(d Document, iv InPlaceValues, id NodeID, s string) (rest string, ok bool) {
+	for c := d.FirstChild(id); c != NilNode; c = d.NextSibling(c) {
+		switch d.Kind(c) {
+		case KindText:
+			n := iv.ValueLen(c)
+			if n > len(s) || !iv.ValueEquals(c, s[:n]) {
+				return s, false
+			}
+			s = s[n:]
+		case KindElement:
+			if s, ok = matchText(d, iv, c, s); !ok {
+				return s, false
+			}
+		}
+	}
+	return s, true
+}
+
 // Builder constructs a MemDoc incrementally in document order. It is used by
 // the XML parser and by the synthetic document generators.
 type Builder struct {

@@ -19,6 +19,7 @@ var opNames = [...]string{
 	OpToBool:       "tobool",
 	OpCall:         "call",
 	OpStrValue:     "strval",
+	OpStrEq:        "streq",
 	OpRoot:         "root",
 	OpAgg:          "agg",
 	OpPredTruth:    "predtruth",
@@ -56,6 +57,12 @@ func (p *Program) Disasm() string {
 			fmt.Fprintf(&sb, " %s", sem.ArithOp(in.A))
 		case OpCompare:
 			fmt.Fprintf(&sb, " %s", xval.CompareOp(in.A))
+		case OpStrEq:
+			op := xval.OpEq
+			if in.B != 0 {
+				op = xval.OpNe
+			}
+			fmt.Fprintf(&sb, " %s %s", op, formatVal(p.Consts[in.A]))
 		case OpShortCircuit:
 			mode := "and"
 			if in.B != 0 {

@@ -72,6 +72,10 @@ const (
 	OpCall
 	// OpStrValue pops a node (or value) and pushes its string-value.
 	OpStrValue
+	// OpStrEq pops a node (or value) and pushes whether its string-value
+	// equals the string Consts[A], negated when B != 0: strval + const +
+	// cmp =/!= in one instruction that compares a node in place.
+	OpStrEq
 	// OpRoot pops a node and pushes its document node.
 	OpRoot
 	// OpAgg runs nested iterator Subplans[A] with aggregate B (an AggCode),
@@ -236,6 +240,9 @@ func (m *Machine) run(p *Program) (v Val, err error) {
 		case OpStrValue:
 			a := m.top()
 			*a = StrVal(a.Str())
+		case OpStrEq:
+			a := m.top()
+			*a = BoolVal(a.strEquals(p.Consts[in.A].val.S) != (in.B != 0))
 		case OpRoot:
 			a := m.top()
 			n := a.Node()

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"natix/internal/dom"
+	"natix/internal/guard"
 	"natix/internal/sem"
 	"natix/internal/xval"
 )
@@ -340,6 +341,59 @@ func TestCompareNodeFastPath(t *testing.T) {
 	}
 }
 
+// TestStrEqInstr runs loadr r0; streq =|!= 'lit'; end on node operands
+// (text split around a comment, a nested element, an attribute) and on
+// scalar operands, against strval + cmp, and checks the governor is charged
+// the three instructions actually executed. Compare's node-versus-string
+// case must agree in both operand orders.
+func TestStrEqInstr(t *testing.T) {
+	d, err := dom.ParseString(`<a k="v">ab<!--c-->c<b>d</b></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := d.FirstChild(d.Root())
+	operands := []Val{
+		NodeVal(dom.Node{Doc: d, ID: a}),
+		NodeVal(dom.Node{Doc: d, ID: d.FirstAttr(a)}),
+		NodeVal(dom.Node{Doc: d, ID: d.Root()}),
+		StrVal("abcd"), NumVal(1991), BoolVal(true),
+		ScalarVal(xval.NodeSet([]dom.Node{{Doc: d, ID: a}})),
+	}
+	for _, x := range operands {
+		for _, lit := range []string{"abcd", "abc", "abcde", "v", "1991", "true", ""} {
+			want := x.Str() == lit
+			if x.IsNode() {
+				if got := Compare(xval.OpEq, x, StrVal(lit)); got != want {
+					t.Errorf("Compare(%v = %q) = %v", x.Value(), lit, got)
+				}
+				if got := Compare(xval.OpNe, StrVal(lit), x); got == want {
+					t.Errorf("Compare(%q != %v) = %v", lit, x.Value(), got)
+				}
+			}
+			for neg, op := range []xval.CompareOp{xval.OpEq, xval.OpNe} {
+				g := guard.New(nil, guard.Limits{}, nil)
+				m := &Machine{Regs: []Val{x}, Gov: g}
+				p := &Program{
+					Consts: []Val{StrVal(lit)},
+					Code:   []Instr{{Op: OpLoadReg, A: 0}, {Op: OpStrEq, A: 0, B: neg}, {Op: OpEnd}},
+				}
+				ref := &Program{
+					Consts: []Val{StrVal(lit)},
+					Code: []Instr{{Op: OpLoadReg, A: 0}, {Op: OpStrValue}, {Op: OpConst, A: 0},
+						{Op: OpCompare, A: int(op)}, {Op: OpEnd}},
+				}
+				got, wantVal := run(t, m, p).Bool(), run(t, &Machine{Regs: []Val{x}}, ref).Bool()
+				if got != wantVal || got != (want != (neg == 1)) {
+					t.Errorf("streq %s %q on %v = %v, strval+cmp %v", op, lit, x.Value(), got, wantVal)
+				}
+				if n := g.NVMSteps(); n != 3 {
+					t.Errorf("streq program charged %d steps, want 3", n)
+				}
+			}
+		}
+	}
+}
+
 func TestValKey(t *testing.T) {
 	d, _ := dom.ParseString("<a/>")
 	n1 := NodeVal(dom.Node{Doc: d, ID: 2})
@@ -382,6 +436,8 @@ func TestDisasm(t *testing.T) {
 			{Op: OpAgg, A: 0, B: int(AggCount), C: 2},
 			{Op: OpMemoCheck, A: 1, B: -1, C: 12},
 			{Op: OpMemoStore, A: 1, B: 4},
+			{Op: OpStrEq, A: 1},
+			{Op: OpStrEq, A: 1, B: 1},
 			{Op: OpEnd},
 		},
 	}
@@ -390,7 +446,8 @@ func TestDisasm(t *testing.T) {
 		"; (a and $v) = 2", "const     2", "const     'x'", "loadv     $v",
 		"brdec     or -> 5", "tobool", "loadr     r3", "strval",
 		"cmp       =", "call      not/1", "agg       count plan#0 r2",
-		"mchk      cache#1 key=· -> 12", "msto      cache#1 key=r4", "end",
+		"mchk      cache#1 key=· -> 12", "msto      cache#1 key=r4",
+		"streq     = 'x'", "streq     != 'x'", "end",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Disasm missing %q:\n%s", want, out)

@@ -80,6 +80,15 @@ func (v Val) Str() string {
 	return v.val.String()
 }
 
+// strEquals reports whether Str() == s. A node compares its string-value
+// where it is stored (dom.StringValueEquals) instead of materializing it.
+func (v Val) strEquals(s string) bool {
+	if v.isNode {
+		return dom.StringValueEquals(v.node.Doc, v.node.ID, s)
+	}
+	return v.val.String() == s
+}
+
 // Key returns a comparable identity for duplicate elimination and
 // memoization: node identity for nodes, kind+content for scalars.
 func (v Val) Key() any {
@@ -115,27 +124,29 @@ func Compare(op xval.CompareOp, a, b Val) bool {
 		if b.val.IsNodeSet() {
 			return xval.Compare(op, a.Value(), b.val)
 		}
-		return compareNodeScalar(op, a.node.StringValue(), b.val)
+		return compareNodeScalar(op, a, b.val)
 	case b.isNode:
 		if a.val.IsNodeSet() {
 			return xval.Compare(op, a.val, b.Value())
 		}
-		return compareNodeScalar(op.Negate(), b.node.StringValue(), a.val)
+		return compareNodeScalar(op.Negate(), b, a.val)
 	default:
 		return xval.Compare(op, a.val, b.val)
 	}
 }
 
-// compareNodeScalar compares a node's string-value against a scalar with
-// the node on the left.
-func compareNodeScalar(op xval.CompareOp, sv string, b xval.Value) bool {
-	switch b.Kind {
-	case xval.KindBoolean:
+// compareNodeScalar compares node n's string-value against a scalar with
+// the node on the left. String equality compares in place (strEquals).
+func compareNodeScalar(op xval.CompareOp, n Val, b xval.Value) bool {
+	switch {
+	case b.Kind == xval.KindBoolean:
 		return xval.Compare(op, xval.Bool(true), b) // singleton node-set is true
-	case xval.KindNumber:
-		return numCompare(op, xval.ParseNumber(sv), b.N)
+	case b.Kind == xval.KindNumber:
+		return numCompare(op, n.Num(), b.N)
+	case op == xval.OpEq || op == xval.OpNe:
+		return n.strEquals(b.S) == (op == xval.OpEq)
 	default:
-		return compareStrings(op, sv, b.S)
+		return compareStrings(op, n.Str(), b.S)
 	}
 }
 

@@ -524,10 +524,16 @@ type TmpCS struct {
 	EpochReg int   // -1: whole input is one context
 	SaveRegs []int // registers produced by the input subtree
 
-	buf       []row
-	idx       int
-	cs        float64
-	pending   bool // a lookahead tuple (next context) is buffered
+	// buf holds the current context. Its rows stay allocated beyond len
+	// across contexts and re-Opens, and new ones are carved from chunk, so
+	// buffering a tuple does not allocate per tuple.
+	buf     []row
+	chunk   []nvm.Val
+	idx     int
+	cs      float64
+	pending bool // a lookahead tuple (next context) is buffered
+	// pendRow is the lookahead's own storage, copied into buf when its
+	// context starts: a slot of buf would be overwritten by that context.
 	pendRow   row
 	inOpen    bool
 	exhausted bool
@@ -589,8 +595,7 @@ func (t *TmpCS) Next() (bool, error) {
 				return false, err
 			}
 			t.charged += oneRow
-			t.buf = append(t.buf, t.pendRow)
-			t.pendRow = nil
+			copy(t.slot(), t.pendRow)
 			t.pending = false
 			if t.EpochReg >= 0 {
 				epoch = t.buf[0][t.epochIdx].Num()
@@ -609,19 +614,18 @@ func (t *TmpCS) Next() (bool, error) {
 				return false, err
 			}
 			t.charged += oneRow
-			r := snapshot(regs, t.SaveRegs, nil)
 			if t.EpochReg >= 0 {
 				e := regs[t.EpochReg].Num()
 				if len(t.buf) == 0 {
 					epoch = e
 				} else if e != epoch {
 					// The tuple belongs to the next context.
-					t.pendRow = r
+					t.pendRow = snapshot(regs, t.SaveRegs, t.pendRow)
 					t.pending = true
 					break
 				}
 			}
-			t.buf = append(t.buf, r)
+			snapshot(regs, t.SaveRegs, t.slot())
 		}
 		if len(t.buf) == 0 {
 			if t.exhausted && !t.pending {
@@ -632,6 +636,26 @@ func (t *TmpCS) Next() (bool, error) {
 		// The position attribute of the final tuple is the context size.
 		t.cs = t.buf[len(t.buf)-1][t.posIdx].Num()
 	}
+}
+
+// slot appends a row to buf and returns its storage: the row an earlier
+// context or run left beyond len, or else one carved from chunk. A chunk
+// holds as many rows as buf already has (1 to 256), so a context of n
+// tuples allocates O(log n) times on its first pass and never again.
+func (t *TmpCS) slot() row {
+	n := len(t.buf)
+	if n < cap(t.buf) && t.buf[:n+1][n] != nil {
+		t.buf = t.buf[:n+1]
+		return t.buf[n]
+	}
+	w := len(t.SaveRegs)
+	if len(t.chunk) < w {
+		t.chunk = make([]nvm.Val, min(max(n, 1), 256)*w)
+	}
+	r := row(t.chunk[:w:w])
+	t.chunk = t.chunk[w:]
+	t.buf = append(t.buf, r)
+	return r
 }
 
 // slotOf resolves a register to its index in the snapshot set. A miss is a
@@ -648,6 +672,8 @@ func slotOf(regs []int, reg int) (int, error) {
 
 // Close implements Iter.
 func (t *TmpCS) Close() error {
+	t.Ex.Gov.Release(t.charged)
+	t.charged = 0
 	if t.inOpen {
 		t.inOpen = false
 		return t.In.Close()

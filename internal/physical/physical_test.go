@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"natix/internal/dom"
+	"natix/internal/guard"
 	"natix/internal/nvm"
 	"natix/internal/xfn"
 	"natix/internal/xval"
@@ -117,6 +118,64 @@ func TestTmpCSContexts(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("tuple %d = %+v, want %+v (all %v)", i, got[i], want[i], got)
 		}
+	}
+}
+
+// TestTmpCSRowReuse replays contexts of sizes 3, 1, 4, 2, 5 — each but the
+// first entered through a lookahead row — with a payload register per tuple,
+// across three Opens. Rows are reused from context to context and run to
+// run, so every payload must come back intact, re-runs must not allocate,
+// and the byte charge must be back to zero after Close.
+func TestTmpCSRowReuse(t *testing.T) {
+	ex := newExec(4)
+	ex.Gov = guard.New(nil, guard.Limits{}, nil)
+	type out struct{ payload, pos, cs float64 }
+	var rows []map[int]nvm.Val
+	var want []out
+	for ep, size := range []int{3, 1, 4, 2, 5} {
+		for pos := 1; pos <= size; pos++ {
+			p := float64(100*ep + pos)
+			rows = append(rows, map[int]nvm.Val{0: nvm.NumVal(float64(ep)), 1: nvm.NumVal(float64(pos)), 3: nvm.NumVal(p)})
+			want = append(want, out{p, float64(pos), float64(size)})
+		}
+	}
+	tc := &TmpCS{Ex: ex, In: &feedIter{ex: ex, rows: rows}, PosReg: 1, OutReg: 2, EpochReg: 0, SaveRegs: []int{0, 1, 3}}
+	got := make([]out, 0, len(want))
+	read := func() {
+		r := ex.M.Regs
+		got = append(got, out{r[3].Num(), r[1].Num(), r[2].Num()})
+	}
+	for run := 0; run < 3; run++ {
+		got = got[:0]
+		drain(t, tc, read)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d tuples, want %d", run, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d tuple %d = %+v, want %+v", run, i, got[i], want[i])
+			}
+		}
+		if tc.charged != 0 || ex.Gov.Bytes() != 0 {
+			t.Fatalf("run %d: %d bytes charged after Close (governor %d)", run, tc.charged, ex.Gov.Bytes())
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { got = got[:0]; drain(t, tc, read) }); allocs != 0 {
+		t.Errorf("re-run allocates %.1f times, want 0", allocs)
+	}
+	// A context abandoned mid-replay still returns its charge on Close.
+	if err := tc.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := tc.Next(); !ok || err != nil {
+		t.Fatalf("Next = %v, %v", ok, err)
+	}
+	if ex.Gov.Bytes() == 0 {
+		t.Fatal("nothing charged for a buffered context")
+	}
+	tc.Close()
+	if tc.charged != 0 || ex.Gov.Bytes() != 0 {
+		t.Errorf("%d bytes charged after an early Close (governor %d)", tc.charged, ex.Gov.Bytes())
 	}
 }
 

@@ -179,26 +179,41 @@ func (b *buffer) lruRemove(f *frame) {
 	f.prev, f.next = nil, nil
 }
 
-// readStream copies length bytes starting at byte offset off of the stream
-// beginning at startPage, crossing page boundaries through the buffer. The
-// stream is the concatenation of the pages' usable prefixes.
-func (b *buffer) readStream(startPage uint32, off uint64, length int) ([]byte, error) {
-	out := make([]byte, 0, length)
+// eachChunk walks the length bytes starting at byte offset off of the stream
+// beginning at startPage in place, one page at a time: it fixes the page,
+// hands fn the span's bytes on it (f.data[a:b], valid only during the call),
+// and unfixes the page before moving on. The stream is the concatenation of
+// the pages' usable prefixes. fn returns false to stop the walk early.
+func (b *buffer) eachChunk(startPage uint32, off uint64, length int, fn func([]byte) bool) error {
 	for length > 0 {
 		page := startPage + uint32(off/uint64(b.usable))
 		inPage := int(off % uint64(b.usable))
 		f, err := b.fix(page)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		n := b.usable - inPage
-		if n > length {
-			n = length
-		}
-		out = append(out, f.data[inPage:inPage+n]...)
+		n := min(b.usable-inPage, length)
+		more := fn(f.data[inPage : inPage+n])
 		b.unfix(f)
+		if !more {
+			return nil
+		}
 		off += uint64(n)
 		length -= n
+	}
+	return nil
+}
+
+// readStream copies length bytes of a stream (see eachChunk) into a fresh
+// slice.
+func (b *buffer) readStream(startPage uint32, off uint64, length int) ([]byte, error) {
+	out := make([]byte, 0, length)
+	err := b.eachChunk(startPage, off, length, func(c []byte) bool {
+		out = append(out, c...)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"natix/internal/dom"
 	"natix/internal/pathindex"
@@ -61,7 +62,10 @@ type Doc struct {
 	pathIxDone bool
 }
 
-var _ dom.Document = (*Doc)(nil)
+var (
+	_ dom.Document      = (*Doc)(nil)
+	_ dom.InPlaceValues = (*Doc)(nil)
+)
 
 // Open opens a store file.
 func Open(path string, opt Options) (*Doc, error) {
@@ -297,20 +301,56 @@ func (d *Doc) Prefix(id dom.NodeID) string { return d.names[d.recU32(id, offPref
 // NamespaceURI implements dom.Document.
 func (d *Doc) NamespaceURI(id dom.NodeID) string { return d.names[d.recU32(id, offURI)] }
 
-// Value implements dom.Document.
+// valueSpan returns the text-segment window of id's value.
+func (d *Doc) valueSpan(id dom.NodeID) (off uint64, n int) {
+	d.withRecord(id, func(r record) { off, n = r.valueOff(), int(r.valueLen()) })
+	return off, n
+}
+
+// Value implements dom.Document. The string is built straight from the text
+// page(s): one allocation.
 func (d *Doc) Value(id dom.NodeID) string {
-	var off uint64
-	var n uint32
-	d.withRecord(id, func(r record) { off, n = r.valueOff(), r.valueLen() })
+	off, n := d.valueSpan(id)
 	if n == 0 {
 		return ""
 	}
-	data, err := d.buf.readStream(d.h.textStart, off, int(n))
-	if err != nil {
+	var sb strings.Builder
+	sb.Grow(n)
+	if err := d.buf.eachChunk(d.h.textStart, off, n, func(c []byte) bool {
+		sb.Write(c)
+		return true
+	}); err != nil {
 		d.setFault(err)
 		return ""
 	}
-	return string(data)
+	return sb.String()
+}
+
+// ValueLen implements dom.InPlaceValues from the node record alone.
+func (d *Doc) ValueLen(id dom.NodeID) int {
+	_, n := d.valueSpan(id)
+	return n
+}
+
+// ValueEquals implements dom.InPlaceValues: it compares on the text pages
+// themselves, after checking the record's length, so a length mismatch never
+// fixes a text page. A failed fix records the sticky fault and reports "not
+// equal".
+func (d *Doc) ValueEquals(id dom.NodeID, s string) bool {
+	off, n := d.valueSpan(id)
+	if n != len(s) {
+		return false
+	}
+	eq := true
+	if err := d.buf.eachChunk(d.h.textStart, off, n, func(c []byte) bool {
+		eq = string(c) == s[:len(c)]
+		s = s[len(c):]
+		return eq
+	}); err != nil {
+		d.setFault(err)
+		return false
+	}
+	return eq
 }
 
 // Parent implements dom.Document.

@@ -31,11 +31,14 @@ go test -race ./...
 (cd benchmark && go vet . && go test .)
 
 # Fault-tolerance gate: the re-exec crash harness (>= 20 SIGKILLs against the
-# commit pipeline and the atomic reload rename) plus the 64-client chaos soak.
-# Both already run inside the full -race suite above; this step re-runs them
+# commit pipeline and the atomic reload rename) plus the 64-client chaos soak,
+# and the in-place string comparison on the store: its property test against
+# the materialized string-value, and Fig. 10's value queries on failing and
+# corrupt text pages (fault returned, never a result, no page left pinned).
+# All already run inside the full -race suite above; this step re-runs them
 # under a pinned time budget so a recovery hang or soak deadlock fails the
 # gate quickly instead of eating the whole CI slot.
-go test -race -run 'TestCrashRecovery|TestChaosSoak' -timeout 5m -count=1 ./internal/chaos/
+go test -race -run 'TestCrashRecovery|TestChaosSoak|TestStringValueEqualsInPlace|TestTextPageFaultsFailValueQueries' -timeout 5m -count=1 ./internal/chaos/ ./internal/store/ .
 
 # Differential harness: every corpus query under every translation
 # configuration x document backend, against the reference interpreter.
