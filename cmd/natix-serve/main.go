@@ -110,10 +110,8 @@ type options struct {
 	debugAddr    string
 	chaosSpec    string
 
-	profilePath    string
-	warmTopK       int
-	noSingleflight bool
-	noNormalize    bool
+	profilePath string
+	warmTopK    int
 
 	coordinator   bool
 	topologyPath  string
@@ -141,8 +139,6 @@ func main() {
 	flag.BoolVar(&o.pathIndex, "path-index", false, "enable cost-based path-index access-path selection in served plans")
 	flag.StringVar(&o.profilePath, "profile", "", "workload profile file: loaded at startup, top-K entries per document saved at shutdown (empty = in-memory only)")
 	flag.IntVar(&o.warmTopK, "warm-topk", 0, "hottest profiled queries recompiled per document on reload and /warm (0 = default 8, negative disables warming)")
-	flag.BoolVar(&o.noSingleflight, "no-singleflight", false, "do not coalesce identical in-flight query executions")
-	flag.BoolVar(&o.noNormalize, "no-normalize", false, "do not canonicalize query text for plan-cache and singleflight keys")
 	flag.BoolVar(&o.metrics, "metrics", true, "collect engine metrics (served at /metrics either way)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "also serve /metrics and /debug/pprof on this address")
 	flag.StringVar(&o.chaosSpec, "chaos", "", "fault-injection plan for soak runs, e.g. seed=42,http_latency=0.2:5ms,http_drop=0.05,http_503=0.05,read=0.02,reload_open=0.1 (NEVER in production)")
@@ -225,10 +221,8 @@ func runShard(o options, plan *chaos.Plan) error {
 		MaxResultNodes: o.maxNodes,
 		PathIndex:      o.pathIndex,
 
-		ProfilePath:          o.profilePath,
-		WarmTopK:             o.warmTopK,
-		DisableSingleflight:  o.noSingleflight,
-		DisableNormalization: o.noNormalize,
+		ProfilePath: o.profilePath,
+		WarmTopK:    o.warmTopK,
 	})
 
 	handler := svc.Handler()
@@ -261,8 +255,6 @@ func runCoordinator(o options, plan *chaos.Plan) error {
 		DefaultTimeout: o.timeout,
 		MaxTimeout:     o.maxTimeout,
 		ProbeInterval:  o.probeInterval,
-
-		DisableSingleflight: o.noSingleflight,
 	}
 	if plan != nil {
 		// Outbound coordinator→shard faults ride the transport; inbound

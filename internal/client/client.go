@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"natix/internal/httpapi"
 	"natix/internal/server"
 )
 
@@ -36,7 +37,7 @@ import (
 type Error struct {
 	// Status is the HTTP status the envelope arrived with.
 	Status int
-	// Code is the machine-readable envelope code (server.Code*, or
+	// Code is the machine-readable envelope code (httpapi.Code*, or
 	// "injected_fault" from a chaos plan).
 	Code string
 	// Message is the human-readable envelope message.
@@ -56,25 +57,25 @@ func (e *Error) Error() string {
 // error of the given family.
 
 // IsParse reports an expression that did not compile.
-func IsParse(err error) bool { return hasCode(err, server.CodeParseError) }
+func IsParse(err error) bool { return hasCode(err, httpapi.CodeParseError) }
 
 // IsLimit reports a tripped resource budget.
-func IsLimit(err error) bool { return hasCode(err, server.CodeLimit) }
+func IsLimit(err error) bool { return hasCode(err, httpapi.CodeLimit) }
 
 // IsTimeout reports a deadline exceeded server-side.
-func IsTimeout(err error) bool { return hasCode(err, server.CodeTimeout) }
+func IsTimeout(err error) bool { return hasCode(err, httpapi.CodeTimeout) }
 
 // IsStoreFault reports document I/O failure, corruption or quarantine.
-func IsStoreFault(err error) bool { return hasCode(err, server.CodeStoreFault) }
+func IsStoreFault(err error) bool { return hasCode(err, httpapi.CodeStoreFault) }
 
 // IsOverload reports admission rejection: queue full, degraded-mode
 // shedding, or drain.
 func IsOverload(err error) bool {
-	return hasCode(err, server.CodeOverloaded) || hasCode(err, server.CodeShuttingDown)
+	return hasCode(err, httpapi.CodeOverloaded) || hasCode(err, httpapi.CodeShuttingDown)
 }
 
 // IsUnknownDocument reports a name the catalog does not serve.
-func IsUnknownDocument(err error) bool { return hasCode(err, server.CodeUnknownDoc) }
+func IsUnknownDocument(err error) bool { return hasCode(err, httpapi.CodeUnknownDoc) }
 
 func hasCode(err error, code string) bool {
 	var e *Error
@@ -94,11 +95,11 @@ func Retryable(err error) bool {
 	}
 	switch e.Status {
 	case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusGatewayTimeout:
-		return e.Code != server.CodeTimeout // a server-side deadline will just trip again
+		return e.Code != httpapi.CodeTimeout // a server-side deadline will just trip again
 	case http.StatusServiceUnavailable:
 		// Drain, degraded shedding and injected faults are transient;
 		// quarantine is sticky until an operator reloads.
-		return e.Code != server.CodeStoreFault
+		return e.Code != httpapi.CodeStoreFault
 	}
 	return false
 }
@@ -229,18 +230,12 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // decodeError turns a non-200 response into a typed *Error.
 func decodeError(resp *http.Response, data []byte) error {
 	e := &Error{Status: resp.StatusCode}
-	var envelope struct {
-		Error struct {
-			Code         string `json:"code"`
-			Message      string `json:"message"`
-			RetryAfterMS int64  `json:"retry_after_ms"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(data, &envelope); err == nil && envelope.Error.Code != "" {
-		e.Code = envelope.Error.Code
-		e.Message = envelope.Error.Message
-		if envelope.Error.RetryAfterMS > 0 {
-			e.RetryAfter = time.Duration(envelope.Error.RetryAfterMS) * time.Millisecond
+	var env httpapi.Envelope
+	if err := json.Unmarshal(data, &env); err == nil && env.Error != nil && env.Error.Code != "" {
+		e.Code = env.Error.Code
+		e.Message = env.Error.Message
+		if env.Error.RetryAfterMS > 0 {
+			e.RetryAfter = time.Duration(env.Error.RetryAfterMS) * time.Millisecond
 		}
 	} else {
 		e.Code = "http_" + strconv.Itoa(resp.StatusCode)

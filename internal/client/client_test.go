@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"natix/internal/httpapi"
 	"natix/internal/server"
 )
 
@@ -40,12 +41,12 @@ func TestQueryRetriesTransientThenSucceeds(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch calls.Add(1) {
 		case 1:
-			envelope(w, http.StatusTooManyRequests, server.CodeOverloaded, 1)
+			envelope(w, http.StatusTooManyRequests, httpapi.CodeOverloaded, 1)
 		case 2:
 			// Connection drop mid-response: a transport error to the client.
 			panic(http.ErrAbortHandler)
 		case 3:
-			envelope(w, http.StatusServiceUnavailable, server.CodeShuttingDown, 1)
+			envelope(w, http.StatusServiceUnavailable, httpapi.CodeShuttingDown, 1)
 		default:
 			json.NewEncoder(w).Encode(server.QueryResponse{Document: "d", Generation: 1})
 		}
@@ -71,14 +72,14 @@ func TestQueryDoesNotRetryPermanentErrors(t *testing.T) {
 		code   string
 		check  func(error) bool
 	}{
-		{"parse error", http.StatusBadRequest, server.CodeParseError, IsParse},
-		{"limit", http.StatusUnprocessableEntity, server.CodeLimit, IsLimit},
-		{"unknown document", http.StatusNotFound, server.CodeUnknownDoc, IsUnknownDocument},
-		{"server timeout", http.StatusGatewayTimeout, server.CodeTimeout, IsTimeout},
-		{"quarantine", http.StatusServiceUnavailable, server.CodeStoreFault, IsStoreFault},
-		{"internal", http.StatusInternalServerError, server.CodeInternal, func(err error) bool {
+		{"parse error", http.StatusBadRequest, httpapi.CodeParseError, IsParse},
+		{"limit", http.StatusUnprocessableEntity, httpapi.CodeLimit, IsLimit},
+		{"unknown document", http.StatusNotFound, httpapi.CodeUnknownDoc, IsUnknownDocument},
+		{"server timeout", http.StatusGatewayTimeout, httpapi.CodeTimeout, IsTimeout},
+		{"quarantine", http.StatusServiceUnavailable, httpapi.CodeStoreFault, IsStoreFault},
+		{"internal", http.StatusInternalServerError, httpapi.CodeInternal, func(err error) bool {
 			var e *Error
-			return errors.As(err, &e) && e.Code == server.CodeInternal
+			return errors.As(err, &e) && e.Code == httpapi.CodeInternal
 		}},
 	}
 	for _, tc := range cases {
@@ -111,7 +112,7 @@ func TestRetriesExhaust(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		envelope(w, http.StatusTooManyRequests, server.CodeOverloaded, 1)
+		envelope(w, http.StatusTooManyRequests, httpapi.CodeOverloaded, 1)
 	}))
 	defer ts.Close()
 	c := fastClient(ts.URL)
@@ -140,7 +141,7 @@ func TestRetryAfterHonored(t *testing.T) {
 			gap.Store(now - prev)
 		}
 		if calls.Add(1) == 1 {
-			envelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, hintMS)
+			envelope(w, http.StatusServiceUnavailable, httpapi.CodeOverloaded, hintMS)
 			return
 		}
 		json.NewEncoder(w).Encode(server.QueryResponse{})
@@ -209,7 +210,7 @@ func TestDeadlinePropagation(t *testing.T) {
 func TestBackoffRefusesSleepPastDeadline(t *testing.T) {
 	// A retry whose backoff cannot finish before the deadline fails fast.
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		envelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, 10_000)
+		envelope(w, http.StatusServiceUnavailable, httpapi.CodeOverloaded, 10_000)
 	}))
 	defer ts.Close()
 	c := fastClient(ts.URL)
@@ -230,7 +231,7 @@ func TestReloadNeverRetries(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		envelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, 1)
+		envelope(w, http.StatusServiceUnavailable, httpapi.CodeOverloaded, 1)
 	}))
 	defer ts.Close()
 	_, err := fastClient(ts.URL).Reload(context.Background(), "d")
@@ -250,7 +251,7 @@ func TestDocumentsAndProbes(t *testing.T) {
 		case "/healthz/live":
 			fmt.Fprint(w, `{"status":"alive","uptime_ms":5}`)
 		case "/healthz/ready":
-			envelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, 0)
+			envelope(w, http.StatusServiceUnavailable, httpapi.CodeOverloaded, 0)
 		default:
 			http.NotFound(w, r)
 		}
@@ -279,14 +280,14 @@ func TestRetryableClassification(t *testing.T) {
 		err  error
 		want bool
 	}{
-		{mk(http.StatusTooManyRequests, server.CodeOverloaded), true},
-		{mk(http.StatusServiceUnavailable, server.CodeShuttingDown), true},
+		{mk(http.StatusTooManyRequests, httpapi.CodeOverloaded), true},
+		{mk(http.StatusServiceUnavailable, httpapi.CodeShuttingDown), true},
 		{mk(http.StatusServiceUnavailable, "injected_fault"), true},
-		{mk(http.StatusServiceUnavailable, server.CodeStoreFault), false}, // quarantine is sticky
-		{mk(http.StatusGatewayTimeout, server.CodeTimeout), false},
+		{mk(http.StatusServiceUnavailable, httpapi.CodeStoreFault), false}, // quarantine is sticky
+		{mk(http.StatusGatewayTimeout, httpapi.CodeTimeout), false},
 		{mk(http.StatusBadGateway, "http_502"), true},
-		{mk(http.StatusBadRequest, server.CodeParseError), false},
-		{mk(http.StatusInternalServerError, server.CodeInternal), false},
+		{mk(http.StatusBadRequest, httpapi.CodeParseError), false},
+		{mk(http.StatusInternalServerError, httpapi.CodeInternal), false},
 		{errors.New("read: connection reset by peer"), true},
 		{context.Canceled, false},
 		{context.DeadlineExceeded, false},

@@ -5,6 +5,7 @@ package cluster
 // and cache pre-warming after a topology swap.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,49 +15,62 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"natix/internal/catalog"
+	"natix/internal/httpapi"
 	"natix/internal/plancache"
 	"natix/internal/server"
 )
 
-// delayTransport delays every coordinator->shard /query call, holding
-// coordinator flights open long enough for joins to be deterministic.
+// delayTransport delays every coordinator->shard /query call while delay
+// is set, holding coordinator flights open long enough for joins to be
+// deterministic, and reports on cancelled each delayed call whose context
+// ended first.
 type delayTransport struct {
-	base  http.RoundTripper
-	delay time.Duration
+	base      http.RoundTripper
+	delay     atomic.Int64 // a time.Duration; zero passes calls straight through
+	cancelled chan struct{}
 }
 
 func (d *delayTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(r.URL.Path, "/query") {
+	if delay := time.Duration(d.delay.Load()); delay > 0 && strings.HasSuffix(r.URL.Path, "/query") {
 		select {
-		case <-time.After(d.delay):
+		case <-time.After(delay):
 		case <-r.Context().Done():
+			select {
+			case d.cancelled <- struct{}{}:
+			default:
+			}
 			return nil, r.Context().Err()
 		}
 	}
 	return d.base.RoundTrip(r)
 }
 
-func delayShardQueries(delay time.Duration) func(http.RoundTripper) http.RoundTripper {
-	return func(rt http.RoundTripper) http.RoundTripper {
-		return &delayTransport{base: rt, delay: delay}
+// newDelay returns a delayTransport and the Config.WrapTransport that
+// installs it.
+func newDelay(delay time.Duration) (*delayTransport, func(http.RoundTripper) http.RoundTripper) {
+	d := &delayTransport{cancelled: make(chan struct{}, 8)}
+	d.delay.Store(int64(delay))
+	return d, func(rt http.RoundTripper) http.RoundTripper {
+		d.base = rt
+		return d
 	}
+}
+
+func delayShardQueries(delay time.Duration) func(http.RoundTripper) http.RoundTripper {
+	_, wrap := newDelay(delay)
+	return wrap
 }
 
 // waitCoordFlight blocks until the coordinator has any open flight.
 func waitCoordFlight(t *testing.T, c *Coordinator) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.flightMu.Lock()
-		n := len(c.flights)
-		c.flightMu.Unlock()
-		if n > 0 {
-			return
-		}
+	for c.flights.Len() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("coordinator flight never registered")
 		}
@@ -165,9 +179,9 @@ func TestCoordLeaderErrorFanOut(t *testing.T) {
 	wg.Wait()
 
 	for i := 0; i < clients; i++ {
-		if statuses[i] != http.StatusBadRequest || codes[i] != server.CodeParseError {
+		if statuses[i] != http.StatusBadRequest || codes[i] != httpapi.CodeParseError {
 			t.Fatalf("client %d: status %d code %q, want 400 %q",
-				i, statuses[i], codes[i], server.CodeParseError)
+				i, statuses[i], codes[i], httpapi.CodeParseError)
 		}
 	}
 	if got := coord.Coalesced(); got != clients-1 {
@@ -204,8 +218,8 @@ func TestCoordWaiterCancelVsLeader(t *testing.T) {
 	if st != http.StatusGatewayTimeout {
 		t.Fatalf("joiner status = %d, want 504 (%s)", st, data)
 	}
-	if code, _ := coordErr(t, data); code != server.CodeTimeout {
-		t.Fatalf("joiner code = %q, want %q", code, server.CodeTimeout)
+	if code, _ := coordErr(t, data); code != httpapi.CodeTimeout {
+		t.Fatalf("joiner code = %q, want %q", code, httpapi.CodeTimeout)
 	}
 	qr := <-leaderDone
 	if qr == nil || qr.Result == nil || qr.Result.Number == nil || *qr.Result.Number != 8 {
@@ -213,6 +227,104 @@ func TestCoordWaiterCancelVsLeader(t *testing.T) {
 	}
 	if got := coord.Coalesced(); got != 1 {
 		t.Fatalf("coalesced = %d, want 1", got)
+	}
+}
+
+// TestCoordLeaderClientLeaves: the leader's own client hanging up is one
+// waiter leaving. Alone on its flight, it takes the fan-out down with it:
+// the shard call is cancelled at once instead of holding the only inflight
+// slot for its full delay, and the next query is admitted.
+func TestCoordLeaderClientLeaves(t *testing.T) {
+	slow, wrap := newDelay(2 * time.Second)
+	coord, _ := startCluster(t, []map[string]string{
+		{"a": smallDoc(8)},
+	}, Config{MaxInflight: 1, WrapTransport: wrap})
+	h := coord.Handler()
+
+	body, err := json.Marshal(QueryRequest{QueryRequest: server.QueryRequest{Query: "count(//x)", Document: "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, hangUp := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, hangUp)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)).WithContext(ctx))
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("hung-up leader: status %d (%s), want 504", w.Code, w.Body)
+	}
+	select {
+	case <-slow.cancelled:
+	case <-time.After(time.Second):
+		t.Fatal("shard call still running 1 s after the leader's client left")
+	}
+	deadline := time.Now().Add(time.Second)
+	for len(coord.slots) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned fan-out still holds the inflight slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	slow.delay.Store(0)
+	st, data := postCoord(t, h, QueryRequest{QueryRequest: server.QueryRequest{Query: "count(//x)", Document: "a"}})
+	if st != http.StatusOK {
+		t.Fatalf("next query: status %d (%s), want 200", st, data)
+	}
+}
+
+// TestCoordJoinerOutlivesShortLeader: a joiner never inherits the leader's
+// deadline. The 50 ms leader gets its own 504; the fan-out it started keeps
+// going for the 5 s joiner, who gets the answer.
+func TestCoordJoinerOutlivesShortLeader(t *testing.T) {
+	coord, _ := startCluster(t, []map[string]string{
+		{"a": smallDoc(8)},
+	}, Config{WrapTransport: delayShardQueries(300 * time.Millisecond)})
+	h := coord.Handler()
+
+	const q = "count(//x)"
+	leader := make(chan struct{})
+	go func() {
+		defer close(leader)
+		st, data := postCoord(t, h, QueryRequest{QueryRequest: server.QueryRequest{Query: q, Document: "a", TimeoutMS: 50}})
+		if code, _ := coordErr(t, data); st != http.StatusGatewayTimeout || code != httpapi.CodeTimeout {
+			t.Errorf("50 ms leader: %d %s, want 504 %s", st, data, httpapi.CodeTimeout)
+		}
+	}()
+	waitCoordFlight(t, coord)
+	st, data := postCoord(t, h, QueryRequest{QueryRequest: server.QueryRequest{Query: q, Document: "a", TimeoutMS: 5000}})
+	<-leader
+	if st != http.StatusOK {
+		t.Fatalf("5 s joiner: status %d (%s), want 200", st, data)
+	}
+	if qr := decodeCoord(t, data); !qr.Coalesced || qr.Result == nil || qr.Result.Number == nil || *qr.Result.Number != 8 {
+		t.Fatalf("5 s joiner: %+v, want the coalesced count 8", qr)
+	}
+	if got := coord.Coalesced(); got != 1 {
+		t.Fatalf("coalesced = %d, want 1", got)
+	}
+}
+
+// TestCoordLoneShortLeaderCancels: a leader alone on its flight stops the
+// fan-out when it leaves at its own deadline — the MaxTimeout bound is
+// never run out — and the flight is gone the moment the leader answers.
+func TestCoordLoneShortLeaderCancels(t *testing.T) {
+	slow, wrap := newDelay(2 * time.Second)
+	coord, _ := startCluster(t, []map[string]string{
+		{"a": smallDoc(8)},
+	}, Config{WrapTransport: wrap})
+
+	st, data := postCoord(t, coord.Handler(), QueryRequest{QueryRequest: server.QueryRequest{
+		Query: "count(//x)", Document: "a", TimeoutMS: 50,
+	}})
+	if code, _ := coordErr(t, data); st != http.StatusGatewayTimeout || code != httpapi.CodeTimeout {
+		t.Fatalf("50 ms leader: %d %s, want 504 %s", st, data, httpapi.CodeTimeout)
+	}
+	if n := coord.flights.Len(); n != 0 {
+		t.Fatalf("%d flights after the lone leader left, want 0", n)
+	}
+	select {
+	case <-slow.cancelled:
+	case <-time.After(time.Second):
+		t.Fatal("shard call still running 1 s after the lone leader left")
 	}
 }
 
@@ -372,35 +484,5 @@ func TestCoordTopologySwapWarms(t *testing.T) {
 	}
 	if topo.LastWarm == nil || topo.LastWarm.Warmed != 2 {
 		t.Fatalf("last_warm = %+v, want warmed 2", topo.LastWarm)
-	}
-}
-
-func TestCoordSingleflightDisabled(t *testing.T) {
-	coord, _ := startCluster(t, []map[string]string{
-		{"a": smallDoc(8)},
-	}, Config{DisableSingleflight: true, WrapTransport: delayShardQueries(100 * time.Millisecond)})
-	h := coord.Handler()
-
-	const clients = 4
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st, data := postCoord(t, h, QueryRequest{QueryRequest: server.QueryRequest{
-				Query: "count(//x)", Document: "a",
-			}})
-			if st != http.StatusOK {
-				t.Errorf("status %d (%s)", st, data)
-				return
-			}
-			if qr := decodeCoord(t, data); qr.Coalesced {
-				t.Error("coalesced response with singleflight disabled")
-			}
-		}()
-	}
-	wg.Wait()
-	if got := coord.Coalesced(); got != 0 {
-		t.Fatalf("coalesced = %d, want 0", got)
 	}
 }

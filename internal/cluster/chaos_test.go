@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"natix/internal/chaos"
+	"natix/internal/httpapi"
 	"natix/internal/server"
 )
 
@@ -48,7 +49,7 @@ func TestCoordinatorChaosDropRetriesThenPartial(t *testing.T) {
 	if status != http.StatusBadGateway {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	if code, _ := coordErr(t, data); code != CodeShardUnreachable {
+	if code, _ := coordErr(t, data); code != httpapi.CodeShardUnreachable {
 		t.Fatalf("code %s", code)
 	}
 	if got := plan.Injected(chaos.SiteShardDrop) - before; got != 3 {
@@ -75,7 +76,7 @@ func TestCoordinatorChaosDropRetriesThenPartial(t *testing.T) {
 		t.Fatalf("partial = %+v", qr)
 	}
 	for _, f := range qr.Failed {
-		if f.Shard != "s1" || f.Code != CodeShardUnreachable {
+		if f.Shard != "s1" || f.Code != httpapi.CodeShardUnreachable {
 			t.Fatalf("failure = %+v", f)
 		}
 	}

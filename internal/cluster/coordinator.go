@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,27 +12,31 @@ import (
 	"sync/atomic"
 	"time"
 
+	"natix/internal/canon"
 	"natix/internal/client"
+	"natix/internal/flight"
+	"natix/internal/httpapi"
 	"natix/internal/metrics"
 	"natix/internal/server"
 )
 
 // Coordinator metrics, on the process-wide default registry.
 var (
-	mCoordRequests = metrics.Default.Counter("natix_coord_requests_total", "Queries accepted by the coordinator.")
-	mCoordRejected = metrics.Default.Counter("natix_coord_rejected_total", "Queries rejected by coordinator admission control.")
-	mCoordErrors   = metrics.Default.Counter("natix_coord_errors_total", "Coordinated queries that failed.")
-	mCoordScatter  = metrics.Default.Counter("natix_coord_scatter_total", "Queries scatter-gathered across shards (vs routed to one).")
-	mCoordPartial  = metrics.Default.Counter("natix_coord_partial_total", "Scatter-gathered queries answered with a partial envelope.")
-	mCoordTime     = metrics.Default.Histogram("natix_coord_request_seconds", "End-to-end coordinator /query latency.")
-	mCoordFanout   = metrics.Default.Histogram("natix_coord_fanout_documents", "Documents fanned out per scatter-gathered query.")
-	mShardReqs     = metrics.Default.CounterVec("natix_coord_shard_requests_total", "Coordinator->shard query calls, by shard.", "shard")
-	mShardErrs     = metrics.Default.CounterVec("natix_coord_shard_errors_total", "Failed coordinator->shard query calls, by shard.", "shard")
-	mShardMicros   = metrics.Default.CounterVec("natix_coord_shard_micros_total", "Cumulative coordinator->shard call latency in microseconds, by shard (divide by the request counter for the mean).", "shard")
-	mShardsHealthy = metrics.Default.Gauge("natix_coord_healthy_shards", "Shards currently considered healthy by the prober.")
-	mTopoReloads   = metrics.Default.Counter("natix_coord_topology_reloads_total", "Topology reloads installed.")
-	mProbes        = metrics.Default.Counter("natix_coord_probes_total", "Health-probe rounds completed.")
-	mCoordWarmed   = metrics.Default.Counter("natix_coord_warmed_plans_total", "Shard plans pre-warmed by coordinator reload fan-outs and topology swaps.")
+	mCoordRequests  = metrics.Default.Counter("natix_coord_requests_total", "Queries accepted by the coordinator.")
+	mCoordRejected  = metrics.Default.Counter("natix_coord_rejected_total", "Queries rejected by coordinator admission control.")
+	mCoordErrors    = metrics.Default.Counter("natix_coord_errors_total", "Coordinated queries that failed.")
+	mCoordScatter   = metrics.Default.Counter("natix_coord_scatter_total", "Queries scatter-gathered across shards (vs routed to one).")
+	mCoordPartial   = metrics.Default.Counter("natix_coord_partial_total", "Scatter-gathered queries answered with a partial envelope.")
+	mCoordTime      = metrics.Default.Histogram("natix_coord_request_seconds", "End-to-end coordinator /query latency.")
+	mCoordFanout    = metrics.Default.Histogram("natix_coord_fanout_documents", "Documents fanned out per scatter-gathered query.")
+	mShardReqs      = metrics.Default.CounterVec("natix_coord_shard_requests_total", "Coordinator->shard query calls, by shard.", "shard")
+	mShardErrs      = metrics.Default.CounterVec("natix_coord_shard_errors_total", "Failed coordinator->shard query calls, by shard.", "shard")
+	mShardMicros    = metrics.Default.CounterVec("natix_coord_shard_micros_total", "Cumulative coordinator->shard call latency in microseconds, by shard (divide by the request counter for the mean).", "shard")
+	mShardsHealthy  = metrics.Default.Gauge("natix_coord_healthy_shards", "Shards currently considered healthy by the prober.")
+	mTopoReloads    = metrics.Default.Counter("natix_coord_topology_reloads_total", "Topology reloads installed.")
+	mProbes         = metrics.Default.Counter("natix_coord_probes_total", "Health-probe rounds completed.")
+	mCoordWarmed    = metrics.Default.Counter("natix_coord_warmed_plans_total", "Shard plans pre-warmed by coordinator reload fan-outs and topology swaps.")
+	mCoordCoalesced = metrics.Default.Counter("natix_coord_coalesced_total", "Coordinator queries served by joining an identical in-flight fan-out instead of calling shards.")
 )
 
 // Config configures a Coordinator. Zero fields take the documented
@@ -70,11 +73,6 @@ type Config struct {
 	// every probe.
 	UnhealthyAfter int
 	HealthyAfter   int
-
-	// DisableSingleflight turns off coordinator-level coalescing of
-	// identical in-flight queries (each request then fans out to shards
-	// independently; the shards still coalesce their own executions).
-	DisableSingleflight bool
 
 	// MaxRetries bounds the per-call retry attempts of the shard clients
 	// (default 2; the coordinator sits on the request path, so its retry
@@ -222,6 +220,35 @@ func (st *clusterState) docUnion() ([]string, map[string]*shardState) {
 	return names, owner
 }
 
+// documents resolves a document expression — "*", a comma list, or one
+// name — into names in global document order: sorted, deduplicated. For
+// "*" owner pre-resolves each name's shard; otherwise it is nil.
+func (st *clusterState) documents(expr string) ([]string, map[string]*shardState, *httpapi.Error) {
+	if expr == "*" {
+		docs, owner := st.docUnion()
+		if len(docs) == 0 {
+			return nil, nil, httpapi.Errf(http.StatusNotFound, httpapi.CodeUnknownDoc,
+				"no documents discovered yet: the prober has not seen any shard catalog")
+		}
+		return docs, owner, nil
+	}
+	seen := map[string]bool{}
+	var docs []string
+	for _, d := range strings.Split(expr, ",") {
+		d = strings.TrimSpace(d)
+		if d == "" {
+			return nil, nil, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBadRequest,
+				"empty document name in list %q", expr)
+		}
+		if !seen[d] {
+			seen[d] = true
+			docs = append(docs, d)
+		}
+	}
+	sort.Strings(docs) // global document order is sorted-by-name
+	return docs, nil, nil
+}
+
 // Coordinator scatter-gathers /query across a topology of natix-serve
 // shards. Use New, mount Handler, call Shutdown then Close.
 type Coordinator struct {
@@ -229,7 +256,12 @@ type Coordinator struct {
 	state atomic.Pointer[clusterState]
 	httpc *http.Client
 
-	coordFlightState
+	// Coordinator-level singleflight: without it, N clients submitting one
+	// hot query would fan out N identical shard calls, each of which the
+	// shard would then coalesce anyway — paying N round-trips to save
+	// nothing.
+	flights   flight.Group[string, *QueryResponse]
+	canon     canon.Memo
 	coalesced atomic.Int64
 
 	slots    chan struct{}
@@ -269,7 +301,6 @@ func New(cfg Config) (*Coordinator, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	c.flights = map[string]*coordFlight{}
 	c.install(cfg.Topology)
 	go c.probeLoop()
 	return c, nil
@@ -446,123 +477,123 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/healthz/live", c.handleLive)
 	mux.HandleFunc("/healthz/ready", c.handleReady)
 	mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, server.NewBuildInfo("coordinator", server.BuildFeatures{Batch: true}))
+		httpapi.WriteJSON(w, http.StatusOK, server.NewBuildInfo("coordinator", server.BuildFeatures{Batch: true}))
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		metrics.Default.WritePrometheus(w)
-	})
+	mux.HandleFunc("/metrics", metrics.ServePrometheus)
 	return mux
 }
 
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, errf(http.StatusMethodNotAllowed, server.CodeBadRequest, "POST only"))
-		return
+// drainErr is the drain verdict of /query: nil while serving, the
+// structured 503 (counted as a rejection) once Shutdown began.
+func (c *Coordinator) drainErr() *httpapi.Error {
+	if !c.draining.Load() {
+		return nil
 	}
-	if c.draining.Load() {
-		mCoordRejected.Inc()
-		writeErr(w, errf(http.StatusServiceUnavailable, server.CodeShuttingDown, "coordinator is draining"))
-		return
-	}
-	var req QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, errf(http.StatusBadRequest, server.CodeBadRequest, "bad request body: %v", err))
-		return
-	}
-	if req.Query == "" || req.Document == "" {
-		writeErr(w, errf(http.StatusBadRequest, server.CodeBadRequest, "query and document are required"))
-		return
-	}
+	mCoordRejected.Inc()
+	return httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeShuttingDown, "coordinator is draining")
+}
 
+func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	if !httpapi.ReadQuery(w, r, c.drainErr, &req) {
+		return
+	}
 	c.jobWG.Add(1)
 	defer c.jobWG.Done()
-	if c.draining.Load() {
-		mCoordRejected.Inc()
-		writeErr(w, errf(http.StatusServiceUnavailable, server.CodeShuttingDown, "coordinator is draining"))
+	// Re-check after jobWG.Add so Shutdown's Wait cannot miss us.
+	if e := c.drainErr(); e != nil {
+		httpapi.WriteError(w, e)
 		return
 	}
+	ctx, cancel := context.WithTimeout(r.Context(),
+		httpapi.Timeout(req.TimeoutMS, c.cfg.DefaultTimeout, c.cfg.MaxTimeout))
+	defer cancel()
 
-	timeout := c.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > c.cfg.MaxTimeout {
-			timeout = c.cfg.MaxTimeout
-		}
-	}
-
-	if c.cfg.DisableSingleflight {
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		resp, apiErr := c.admitAndRoute(ctx, &req)
-		if apiErr != nil {
-			mCoordErrors.Inc()
-			writeErr(w, apiErr)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	// Singleflight: identical in-flight queries share one fan-out. Joining
+	// Singleflight: identical in-flight queries share one fan-out, bounded
+	// by MaxTimeout and cancelled when its last waiter leaves. Joining
 	// happens before slot admission — a joiner consumes no shard call, so
-	// it must never be turned away by the inflight bound.
-	k := flightKey(&req, c.state.Load().topo.Generation())
-	execCtx, execCancel := context.WithTimeout(context.Background(), timeout)
-	f, leader := c.joinOrLead(k, execCancel)
-	if !leader {
-		execCancel() // joined: the leader's context drives the fan-out
+	// it must never be turned away by the inflight bound. The leader fans
+	// out on the flight's detached context and waits like any joiner, so
+	// its own client leaving is one waiter leaving. Admission rejection and
+	// shard failure fan the same typed error out to every waiter.
+	f, leader := c.flights.Join(c.flightKey(&req, c.state.Load().topo.Generation()), c.cfg.MaxTimeout)
+	expired := "request expired while coordinating"
+	if leader {
+		c.jobWG.Add(1)
+		go func() {
+			defer c.jobWG.Done()
+			f.Finish(c.admitAndRoute(f.Context(), &req))
+		}()
+	} else {
 		c.coalesced.Add(1)
 		if metrics.Enabled() {
 			mCoordCoalesced.Inc()
 		}
-		waitCtx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		select {
-		case <-f.done:
-			if f.err != nil {
-				mCoordErrors.Inc()
-				writeErr(w, f.err)
-				return
-			}
-			cp := *f.resp
-			cp.Coalesced = true
-			writeJSON(w, http.StatusOK, &cp)
-		case <-waitCtx.Done():
-			f.leave()
-			writeErr(w, errf(http.StatusGatewayTimeout, server.CodeTimeout,
-				"request expired awaiting a coalesced fan-out"))
-		}
-		return
+		expired = "request expired awaiting a coalesced fan-out"
 	}
-	// Leader: fan out on a context detached from this HTTP request, so a
-	// joiner (or this request's own client) cancelling cannot kill an
-	// execution others still await. Admission rejection and shard failure
-	// fan the same typed error to every waiter.
-	resp, apiErr := c.admitAndRoute(execCtx, &req)
-	c.finishFlight(k, f, resp, apiErr)
-	execCancel() // flight complete; release the detached timer
-	if apiErr != nil {
+	resp, e, ok := f.Wait(ctx)
+	switch {
+	case !ok:
+		httpapi.WriteError(w, httpapi.Errf(http.StatusGatewayTimeout, httpapi.CodeTimeout, "%s", expired))
+	case e != nil:
 		mCoordErrors.Inc()
-		writeErr(w, apiErr)
-		return
+		httpapi.WriteError(w, e)
+	case leader:
+		httpapi.WriteJSON(w, http.StatusOK, resp)
+	default:
+		cp := *resp
+		cp.Coalesced = true
+		httpapi.WriteJSON(w, http.StatusOK, &cp)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// admitAndRoute applies the inflight bound and dispatches one query — the
-// shared tail of the singleflight-leader and singleflight-off paths. A full
-// coordinator answers a structured 429 immediately: the same contract as a
-// shard's admission queue, one layer up.
-func (c *Coordinator) admitAndRoute(ctx context.Context, req *QueryRequest) (*QueryResponse, *apiError) {
+// flightKey builds the coalescing key: canonical query text, the document
+// expression verbatim (a single name, a list, or "*" — each is its own
+// answer shape), the result-affecting request options, and the topology
+// generation so a flight never bridges a topology swap.
+func (c *Coordinator) flightKey(req *QueryRequest, topoGen uint64) string {
+	cq, _ := c.canon.Canonicalize(req.Query)
+	var sb strings.Builder
+	sb.WriteString(cq)
+	sb.WriteByte(0)
+	sb.WriteString(req.Document)
+	sb.WriteByte(0)
+	sb.WriteString(req.Mode)
+	if len(req.Namespaces) > 0 {
+		prefixes := make([]string, 0, len(req.Namespaces))
+		for p := range req.Namespaces {
+			prefixes = append(prefixes, p)
+		}
+		sort.Strings(prefixes)
+		for _, p := range prefixes {
+			sb.WriteByte(0)
+			sb.WriteString(p)
+			sb.WriteByte('=')
+			sb.WriteString(req.Namespaces[p])
+		}
+	}
+	if req.AllowPartial {
+		sb.WriteString("\x00partial")
+	}
+	var gb [8]byte
+	for i := 0; i < 8; i++ {
+		gb[i] = byte(topoGen >> (8 * i))
+	}
+	sb.WriteByte(0)
+	sb.Write(gb[:])
+	return sb.String()
+}
+
+// admitAndRoute applies the inflight bound and dispatches a leader's query.
+// A full coordinator answers a structured 429 immediately: the same
+// contract as a shard's admission queue, one layer up.
+func (c *Coordinator) admitAndRoute(ctx context.Context, req *QueryRequest) (*QueryResponse, *httpapi.Error) {
 	select {
 	case c.slots <- struct{}{}:
 		defer func() { <-c.slots }()
 	default:
 		mCoordRejected.Inc()
-		return nil, errf(http.StatusTooManyRequests, server.CodeOverloaded,
+		return nil, httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
 			"coordinator at max inflight (%d)", c.cfg.MaxInflight)
 	}
 	mCoordRequests.Inc()
@@ -576,42 +607,23 @@ func (c *Coordinator) admitAndRoute(ctx context.Context, req *QueryRequest) (*Qu
 
 // route dispatches one admitted query: single-document to the owning
 // shard, lists and wildcards through the scatter-gather path.
-func (c *Coordinator) route(ctx context.Context, st *clusterState, req *QueryRequest, started time.Time) (*QueryResponse, *apiError) {
-	switch {
-	case req.Document == "*":
-		docs, owner := st.docUnion()
-		if len(docs) == 0 {
-			return nil, errf(http.StatusNotFound, server.CodeUnknownDoc,
-				"no documents discovered yet: the prober has not seen any shard catalog")
-		}
-		return c.scatter(ctx, st, req, docs, owner, started)
-	case strings.Contains(req.Document, ","):
-		seen := map[string]bool{}
-		var docs []string
-		for _, d := range strings.Split(req.Document, ",") {
-			d = strings.TrimSpace(d)
-			if d == "" {
-				return nil, errf(http.StatusBadRequest, server.CodeBadRequest,
-					"empty document name in list %q", req.Document)
-			}
-			if !seen[d] {
-				seen[d] = true
-				docs = append(docs, d)
-			}
-		}
-		sort.Strings(docs) // global document order is sorted-by-name
-		return c.scatter(ctx, st, req, docs, nil, started)
-	default:
+func (c *Coordinator) route(ctx context.Context, st *clusterState, req *QueryRequest, started time.Time) (*QueryResponse, *httpapi.Error) {
+	if req.Document != "*" && !strings.Contains(req.Document, ",") {
 		return c.single(ctx, st, req, started)
 	}
+	docs, owner, e := st.documents(req.Document)
+	if e != nil {
+		return nil, e
+	}
+	return c.scatter(ctx, st, req, docs, owner, started)
 }
 
 // single routes a one-document query to its owning shard and passes the
 // shard's answer through, with the coordinator's timing breakdown added.
-func (c *Coordinator) single(ctx context.Context, st *clusterState, req *QueryRequest, started time.Time) (*QueryResponse, *apiError) {
+func (c *Coordinator) single(ctx context.Context, st *clusterState, req *QueryRequest, started time.Time) (*QueryResponse, *httpapi.Error) {
 	sh := st.resolve(req.Document)
 	if !sh.healthy.Load() {
-		return nil, shardDownErr(sh, req.Document)
+		return nil, envelopeFrom(errShardDown, req.Document, sh.id)
 	}
 	inner := req.QueryRequest
 	t0 := time.Now()
@@ -641,7 +653,7 @@ func (c *Coordinator) single(ctx context.Context, st *clusterState, req *QueryRe
 // shard call per document, bounded by FanOut, and merges the results in
 // sequence order. owner, when non-nil, pre-resolves each document's shard
 // (the wildcard path already walked the placement map).
-func (c *Coordinator) scatter(ctx context.Context, st *clusterState, req *QueryRequest, docs []string, owner map[string]*shardState, started time.Time) (*QueryResponse, *apiError) {
+func (c *Coordinator) scatter(ctx context.Context, st *clusterState, req *QueryRequest, docs []string, owner map[string]*shardState, started time.Time) (*QueryResponse, *httpapi.Error) {
 	mCoordScatter.Inc()
 	if metrics.Enabled() {
 		mCoordFanout.Observe(float64(len(docs)))
@@ -777,40 +789,15 @@ type ReloadShardStatus struct {
 // Failures are per-document and explicit, never silently dropped: the
 // answer is the cluster-level analogue of a shard's own reload response.
 func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, errf(http.StatusMethodNotAllowed, server.CodeBadRequest, "POST only"))
-		return
-	}
-	name := r.URL.Query().Get("document")
-	if name == "" {
-		writeErr(w, errf(http.StatusBadRequest, server.CodeBadRequest, "missing ?document="))
+	name, ok := httpapi.DocumentParam(w, r)
+	if !ok {
 		return
 	}
 	st := c.state.Load()
-	var docs []string
-	var owner map[string]*shardState
-	if name == "*" {
-		docs, owner = st.docUnion()
-		if len(docs) == 0 {
-			writeErr(w, errf(http.StatusNotFound, server.CodeUnknownDoc,
-				"no documents discovered yet: the prober has not seen any shard catalog"))
-			return
-		}
-	} else {
-		seen := map[string]bool{}
-		for _, d := range strings.Split(name, ",") {
-			d = strings.TrimSpace(d)
-			if d == "" {
-				writeErr(w, errf(http.StatusBadRequest, server.CodeBadRequest,
-					"empty document name in list %q", name))
-				return
-			}
-			if !seen[d] {
-				seen[d] = true
-				docs = append(docs, d)
-			}
-		}
-		sort.Strings(docs)
+	docs, owner, e := st.documents(name)
+	if e != nil {
+		httpapi.WriteError(w, e)
+		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.MaxTimeout)
 	defer cancel()
@@ -880,7 +867,7 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 	if warmed > 0 && metrics.Enabled() {
 		mCoordWarmed.Add(int64(warmed))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"documents": out,
 		"shards":    shards,
 		"warmed":    warmed,
@@ -979,7 +966,7 @@ func (c *Coordinator) warmAll(ctx context.Context) WarmSummary {
 
 func (c *Coordinator) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, errf(http.StatusMethodNotAllowed, server.CodeBadRequest, "GET only"))
+		httpapi.WriteError(w, httpapi.Errf(http.StatusMethodNotAllowed, httpapi.CodeBadRequest, "GET only"))
 		return
 	}
 	st := c.state.Load()
@@ -998,7 +985,7 @@ func (c *Coordinator) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		sh.mu.Unlock()
 		out = append(out, docEntry{Name: n, Shard: sh.id, Generation: meta.Generation, IndexEpoch: meta.IndexEpoch})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"documents": out})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"documents": out})
 }
 
 // ShardStatus is one shard's row of the GET /topology answer.
@@ -1048,11 +1035,11 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 			out["last_warm"] = *c.lastWarm
 		}
 		c.warmMu.Unlock()
-		writeJSON(w, http.StatusOK, out)
+		httpapi.WriteJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
-			writeErr(w, errf(http.StatusBadRequest, server.CodeBadRequest, "read body: %v", err))
+			httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBadRequest, "read body: %v", err))
 			return
 		}
 		var topo *Topology
@@ -1060,19 +1047,19 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 			// Empty body: re-read the topology file (the operator edited it
 			// in place, atomically).
 			if c.cfg.TopologyPath == "" {
-				writeErr(w, errf(http.StatusBadRequest, server.CodeBadRequest,
+				httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBadRequest,
 					"no topology file configured; POST the new topology as the body"))
 				return
 			}
 			topo, err = LoadTopologyFile(c.cfg.TopologyPath)
 			if err != nil {
-				writeErr(w, errf(http.StatusBadRequest, server.CodeBadRequest, "%v", err))
+				httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBadRequest, "%v", err))
 				return
 			}
 		} else {
 			topo, err = ParseTopology(body)
 			if err != nil {
-				writeErr(w, errf(http.StatusBadRequest, server.CodeBadRequest, "%v", err))
+				httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBadRequest, "%v", err))
 				return
 			}
 			if c.cfg.TopologyPath != "" {
@@ -1081,7 +1068,7 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 				// leaves a coordinator that re-reads the new file at
 				// startup — never a torn topology.
 				if err := topo.Save(c.cfg.TopologyPath); err != nil {
-					writeErr(w, errf(http.StatusInternalServerError, server.CodeStoreFault, "persist topology: %v", err))
+					httpapi.WriteError(w, httpapi.Errf(http.StatusInternalServerError, httpapi.CodeStoreFault, "persist topology: %v", err))
 					return
 				}
 			}
@@ -1100,39 +1087,34 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 			defer wcancel()
 			c.warmAll(wctx)
 		}()
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"generation": topo.Generation(), "shards": len(topo.ShardIDs()), "carried_over": carried,
 		})
 	default:
-		writeErr(w, errf(http.StatusMethodNotAllowed, server.CodeBadRequest, "GET or POST only"))
+		httpapi.WriteError(w, httpapi.Errf(http.StatusMethodNotAllowed, httpapi.CodeBadRequest, "GET or POST only"))
 	}
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	_, _, shards := c.topologyStatus()
-	healthy := 0
-	for _, s := range shards {
-		if s.Healthy {
-			healthy++
-		}
-	}
+	st := c.state.Load()
+	healthy, shards := st.healthy(), len(st.order)
 	status := "ok"
 	code := http.StatusOK
 	if c.draining.Load() {
 		status = "draining"
 		code = http.StatusServiceUnavailable
-	} else if healthy < len(shards) {
+	} else if healthy < shards {
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{
+	httpapi.WriteJSON(w, code, map[string]any{
 		"status": status, "role": "coordinator",
-		"healthy_shards": healthy, "shards": len(shards),
+		"healthy_shards": healthy, "shards": shards,
 		"uptime_ms": time.Since(c.start).Milliseconds(),
 	})
 }
 
 func (c *Coordinator) handleLive(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "alive", "role": "coordinator",
 		"uptime_ms": time.Since(c.start).Milliseconds(),
 	})
@@ -1142,13 +1124,8 @@ func (c *Coordinator) handleLive(w http.ResponseWriter, _ *http.Request) {
 // shard — partial capability beats no capability, and the partial envelope
 // keeps the degradation explicit per query.
 func (c *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
-	_, _, shards := c.topologyStatus()
-	healthy := 0
-	for _, s := range shards {
-		if s.Healthy {
-			healthy++
-		}
-	}
+	st := c.state.Load()
+	healthy, shards := st.healthy(), len(st.order)
 	code := http.StatusOK
 	status := "ready"
 	if c.draining.Load() || healthy == 0 {
@@ -1156,8 +1133,8 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
 		status = "unready"
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, map[string]any{
-		"status": status, "healthy_shards": healthy, "shards": len(shards),
+	httpapi.WriteJSON(w, code, map[string]any{
+		"status": status, "healthy_shards": healthy, "shards": shards,
 		"uptime_ms": time.Since(c.start).Milliseconds(),
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"natix/internal/catalog"
+	"natix/internal/httpapi"
 	"natix/internal/plancache"
 	"natix/internal/server"
 )
@@ -166,7 +167,7 @@ func TestCoordinatorSingleDocRouting(t *testing.T) {
 	if status != http.StatusNotFound {
 		t.Fatalf("unknown doc: status %d: %s", status, data)
 	}
-	if code, _ := coordErr(t, data); code != server.CodeUnknownDoc {
+	if code, _ := coordErr(t, data); code != httpapi.CodeUnknownDoc {
 		t.Fatalf("unknown doc: code %s", code)
 	}
 }
@@ -299,8 +300,8 @@ func TestCoordinatorPartialEnvelope(t *testing.T) {
 		t.Fatalf("status %d: %s", status, data)
 	}
 	code, msg := coordErr(t, data)
-	if code != CodeShardUnreachable || !strings.Contains(msg, `"beta"`) {
-		t.Fatalf("first error = %s %q, want %s naming beta", code, msg, CodeShardUnreachable)
+	if code != httpapi.CodeShardUnreachable || !strings.Contains(msg, `"beta"`) {
+		t.Fatalf("first error = %s %q, want %s naming beta", code, msg, httpapi.CodeShardUnreachable)
 	}
 
 	// Partial: explicit envelope, every missing document listed, the
@@ -318,7 +319,7 @@ func TestCoordinatorPartialEnvelope(t *testing.T) {
 	}
 	var failedDocs []string
 	for _, f := range qr.Failed {
-		if f.Shard != "s1" || f.Code != CodeShardUnreachable {
+		if f.Shard != "s1" || f.Code != httpapi.CodeShardUnreachable {
 			t.Fatalf("failure = %+v", f)
 		}
 		failedDocs = append(failedDocs, f.Document)
@@ -336,7 +337,7 @@ func TestCoordinatorPartialEnvelope(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("dead single: status %d: %s", status, data)
 	}
-	if code, _ := coordErr(t, data); code != CodeShardUnreachable {
+	if code, _ := coordErr(t, data); code != httpapi.CodeShardUnreachable {
 		t.Fatalf("dead single: code %s", code)
 	}
 }
@@ -387,7 +388,7 @@ func TestCoordinatorAdmissionAndDrain(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	if code, _ := coordErr(t, data); code != server.CodeOverloaded {
+	if code, _ := coordErr(t, data); code != httpapi.CodeOverloaded {
 		t.Fatalf("code %s", code)
 	}
 	<-coord.slots
@@ -401,7 +402,7 @@ func TestCoordinatorAdmissionAndDrain(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("draining: status %d: %s", status, data)
 	}
-	if code, _ := coordErr(t, data); code != server.CodeShuttingDown {
+	if code, _ := coordErr(t, data); code != httpapi.CodeShuttingDown {
 		t.Fatalf("draining: code %s", code)
 	}
 }
@@ -429,9 +430,9 @@ func TestCoordinatorTopologyReloadCarryOver(t *testing.T) {
 		t.Fatalf("reload status %d: %s", w.Code, w.Body)
 	}
 	var ack struct {
-		Generation uint64 `json:"generation"`
-		Shards     int    `json:"shards"`
-		CarriedOver int   `json:"carried_over"`
+		Generation  uint64 `json:"generation"`
+		Shards      int    `json:"shards"`
+		CarriedOver int    `json:"carried_over"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
 		t.Fatal(err)

@@ -121,13 +121,18 @@ func (c *Coordinator) noteProbeFail(sh *shardState, err error) {
 	}
 }
 
-// updateHealthyGauge publishes the healthy-shard count.
-func (c *Coordinator) updateHealthyGauge(st *clusterState) {
+// healthy counts the shards the prober considers healthy.
+func (st *clusterState) healthy() int {
 	n := 0
 	for _, id := range st.order {
 		if st.shards[id].healthy.Load() {
 			n++
 		}
 	}
-	mShardsHealthy.Set(int64(n))
+	return n
+}
+
+// updateHealthyGauge publishes the healthy-shard count.
+func (c *Coordinator) updateHealthyGauge(st *clusterState) {
+	mShardsHealthy.Set(int64(st.healthy()))
 }

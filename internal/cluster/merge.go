@@ -2,22 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"natix/internal/client"
+	"natix/internal/httpapi"
 	"natix/internal/server"
-)
-
-// The coordinator's additions to the shard error-code vocabulary.
-const (
-	// CodeShardUnreachable marks a shard the coordinator could not reach:
-	// known-unhealthy in the routing table, or a transport failure that
-	// survived the client's retries.
-	CodeShardUnreachable = "shard_unreachable"
 )
 
 // errShardDown marks a document whose shard the routing table holds
@@ -44,7 +36,7 @@ type mergedScatter struct {
 	failed []DocFailure
 	// firstErr is the envelope of the failure earliest in global document
 	// order — what a non-partial query surfaces.
-	firstErr *apiError
+	firstErr *httpapi.Error
 	// result is the globally ordered merged node-set, present only when
 	// every per-document result is a node-set (scalar kinds do not
 	// concatenate; PerDocument stays authoritative for those).
@@ -102,14 +94,14 @@ func mergeOutcomes(outcomes []docOutcome) mergedScatter {
 // envelopeFrom maps a shard-call failure onto the coordinator's error
 // envelope, preserving the shard's own status/code when the failure was a
 // decoded service error and attributing the failure to the shard.
-func envelopeFrom(err error, doc, shard string) *apiError {
+func envelopeFrom(err error, doc, shard string) *httpapi.Error {
 	var ce *client.Error
 	if errors.As(err, &ce) {
 		status := ce.Status
 		if status == 0 {
 			status = http.StatusBadGateway
 		}
-		e := &apiError{
+		e := &httpapi.Error{
 			Status: status, Code: ce.Code,
 			Message: fmt.Sprintf("shard %s: document %q: %s", shard, doc, ce.Message),
 		}
@@ -119,62 +111,14 @@ func envelopeFrom(err error, doc, shard string) *apiError {
 		return e
 	}
 	if errors.Is(err, errShardDown) {
-		return errf(http.StatusServiceUnavailable, CodeShardUnreachable,
+		return httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeShardUnreachable,
 			"shard %s unhealthy: document %q unavailable", shard, doc)
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return errf(http.StatusGatewayTimeout, server.CodeTimeout,
+		return httpapi.Errf(http.StatusGatewayTimeout, httpapi.CodeTimeout,
 			"shard %s: document %q: %v", shard, doc, err)
 	}
 	// A transport failure the client's retries did not outlast.
-	return errf(http.StatusBadGateway, CodeShardUnreachable,
+	return httpapi.Errf(http.StatusBadGateway, httpapi.CodeShardUnreachable,
 		"shard %s: document %q: %v", shard, doc, err)
-}
-
-// shardDownErr is the single-document form of the unhealthy-shard verdict.
-func shardDownErr(sh *shardState, doc string) *apiError {
-	return errf(http.StatusServiceUnavailable, CodeShardUnreachable,
-		"shard %s unhealthy: document %q unavailable", sh.id, doc)
-}
-
-// apiError mirrors the shard service's structured error envelope — the
-// coordinator speaks the same wire contract, so every existing client
-// (including internal/client) decodes coordinator failures unchanged.
-type apiError struct {
-	Status       int    `json:"-"`
-	Code         string `json:"code"`
-	Message      string `json:"message"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-// defaultRetryAfterMS is the backpressure hint on 429/503 answers.
-const defaultRetryAfterMS = 250
-
-func errf(status int, code, format string, args ...any) *apiError {
-	e := &apiError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		e.RetryAfterMS = defaultRetryAfterMS
-	}
-	return e
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, e *apiError) {
-	if e.RetryAfterMS > 0 {
-		secs := (e.RetryAfterMS + 999) / 1000
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	} else if e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, e.Status, map[string]*apiError{"error": e})
 }

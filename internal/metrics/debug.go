@@ -16,10 +16,7 @@ import (
 func Handler() http.Handler {
 	PublishExpvar()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		Default.WritePrometheus(w)
-	})
+	mux.HandleFunc("/metrics", ServePrometheus)
 	mux.Handle("/debug/vars", http.DefaultServeMux) // expvar registers itself there
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -27,6 +24,13 @@ func Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// ServePrometheus is the GET /metrics handler: the Prometheus text dump of
+// the default registry. The debug mux and both natix-serve roles mount it.
+func ServePrometheus(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	Default.WritePrometheus(w)
 }
 
 // Serve enables collection and serves Handler() on addr in a background

@@ -8,11 +8,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"natix/internal/catalog"
+	"natix/internal/httpapi"
 	"natix/internal/metrics"
 	"natix/internal/plancache"
 )
@@ -39,26 +39,14 @@ func occupyWorker(t *testing.T, s *Server, post func(QueryRequest) (int, []byte)
 	return release
 }
 
-// waitFlight blocks until a flight keyed on the canonical form of q is
-// registered (distinguishing it from the occupier's own flight).
-func waitFlight(t *testing.T, s *Server, q string) {
+// waitFlights blocks until n flights are registered (the occupier's own
+// flight counts as one).
+func waitFlights(t *testing.T, s *Server, n int) {
 	t.Helper()
-	cq, _ := s.canonicalize(q)
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.flightMu.Lock()
-		found := false
-		for k := range s.flights {
-			if k.query == cq {
-				found = true
-			}
-		}
-		s.flightMu.Unlock()
-		if found {
-			return
-		}
+	for s.flights.Len() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("flight for %q never registered", q)
+			t.Fatalf("%d of %d flights registered", s.flights.Len(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -181,9 +169,9 @@ func TestWaiterCancelVsLeader(t *testing.T) {
 	// Wait for the leader's own flight (not the occupier's) to register,
 	// then join with a deadline that expires while the occupier still
 	// holds the worker.
-	waitFlight(t, s, q)
+	waitFlights(t, s, 2)
 	st, data := post(QueryRequest{Query: q, Document: "d", TimeoutMS: 60})
-	if st != http.StatusGatewayTimeout || errCode(t, data) != CodeTimeout {
+	if st != http.StatusGatewayTimeout || errCode(t, data) != httpapi.CodeTimeout {
 		t.Fatalf("short-deadline joiner: %d %s", st, data)
 	}
 	if got := s.Counters().Coalesced - coal0; got != 1 {
@@ -235,8 +223,8 @@ func TestLeaderErrorFanOut(t *testing.T) {
 	wg.Wait()
 	<-release
 	for i := 0; i < clients; i++ {
-		if statuses[i] != http.StatusBadRequest || codes[i] != CodeParseError {
-			t.Fatalf("waiter %d: %d %s, want 400 %s", i, statuses[i], codes[i], CodeParseError)
+		if statuses[i] != http.StatusBadRequest || codes[i] != httpapi.CodeParseError {
+			t.Fatalf("waiter %d: %d %s, want 400 %s", i, statuses[i], codes[i], httpapi.CodeParseError)
 		}
 	}
 }
@@ -392,7 +380,7 @@ func TestAdaptiveCostClassFromProfile(t *testing.T) {
 		t.Fatalf("seed query: %d %s", st, data)
 	}
 	req := &QueryRequest{Query: "count(//x)", Document: "d"}
-	cq, _ := s.canonicalize(req.Query)
+	cq, _ := s.canon.Canonicalize(req.Query)
 	if got := s.costClass(req, cq); got != costLow {
 		t.Fatalf("fast small query classed %s, want %s", got, costLow)
 	}
@@ -408,49 +396,92 @@ func TestAdaptiveCostClassFromProfile(t *testing.T) {
 
 	// A first-time query without plan or history falls back to length.
 	novel := &QueryRequest{Query: "//x[" + strings.Repeat("@a or ", 40) + "@z]", Document: "d"}
-	ncq, _ := s.canonicalize(novel.Query)
+	ncq, _ := s.canon.Canonicalize(novel.Query)
 	if got := s.costClass(novel, ncq); got != costHigh {
 		t.Fatalf("long novel query classed %s, want %s", got, costHigh)
 	}
 }
 
-// TestSingleflightDisabled: the ablation flag executes duplicates
-// independently.
-func TestSingleflightDisabled(t *testing.T) {
+// TestJoinerOutlivesShortLeader: a joiner never inherits the leader's
+// deadline. The leader gives up after 50 ms and gets its own 504; the
+// execution it started keeps running for the 5 s joiner, who gets the
+// answer.
+func TestJoinerOutlivesShortLeader(t *testing.T) {
 	cat := catalog.New()
-	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(400))); err != nil {
+	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(2000))); err != nil {
 		t.Fatal(err)
 	}
 	s, ts := newTestService(t, Config{
-		Catalog:             cat,
-		Cache:               plancache.New(32, 0),
-		Workers:             2,
-		QueueDepth:          32,
-		DefaultTimeout:      30 * time.Second,
-		DisableSingleflight: true,
+		Catalog:        cat,
+		Cache:          plancache.New(32, 0),
+		Workers:        1,
+		QueueDepth:     16,
+		DefaultTimeout: 30 * time.Second,
 	})
+	post := func(req QueryRequest) (int, []byte) { return postQuery(t, ts, req) }
+	release := occupyWorker(t, s, post)
+	coal0 := s.Counters().Coalesced
+
+	const q = "count(//x)"
+	leader := make(chan []byte, 1)
+	go func() {
+		st, data := post(QueryRequest{Query: q, Document: "d", TimeoutMS: 50})
+		if st != http.StatusGatewayTimeout || errCode(t, data) != httpapi.CodeTimeout {
+			t.Errorf("50 ms leader: %d %s, want 504 %s", st, data, httpapi.CodeTimeout)
+		}
+		leader <- data
+	}()
+	waitFlights(t, s, 2)
+	st, data := post(QueryRequest{Query: q, Document: "d", TimeoutMS: 5000})
+	<-leader
+	<-release
+	if st != http.StatusOK {
+		t.Fatalf("5 s joiner: %d %s, want 200", st, data)
+	}
+	if qr := decodeQuery(t, data); !qr.Coalesced || qr.Result.Number == nil || *qr.Result.Number != 2000 {
+		t.Fatalf("5 s joiner: %+v, want the coalesced count 2000", qr)
+	}
+	if got := s.Counters().Coalesced - coal0; got != 1 {
+		t.Fatalf("coalesced = %d, want 1", got)
+	}
+}
+
+// TestLoneShortLeaderCancels: a leader alone on its flight still stops the
+// execution when it leaves at its own deadline — the MaxTimeout bound is
+// never run out. Its queued job is dropped unexecuted, and the flight is
+// gone the moment the leader answers.
+func TestLoneShortLeaderCancels(t *testing.T) {
+	cat := catalog.New()
+	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(2000))); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestService(t, Config{
+		Catalog:        cat,
+		Workers:        1,
+		QueueDepth:     16,
+		DefaultTimeout: 30 * time.Second,
+	})
+	post := func(req QueryRequest) (int, []byte) { return postQuery(t, ts, req) }
+	release := occupyWorker(t, s, post)
 	exec0 := s.Counters().Executed
-	const clients = 6
-	var wg sync.WaitGroup
-	var fails atomic.Int64
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if st, _ := postQuery(t, ts, QueryRequest{Query: heavyQuery, Document: "d"}); st != http.StatusOK {
-				fails.Add(1)
-			}
-		}()
+
+	st, data := post(QueryRequest{Query: "count(//x)", Document: "d", TimeoutMS: 50})
+	if st != http.StatusGatewayTimeout || errCode(t, data) != httpapi.CodeTimeout {
+		t.Fatalf("50 ms leader: %d %s, want 504 %s", st, data, httpapi.CodeTimeout)
 	}
-	wg.Wait()
-	if fails.Load() != 0 {
-		t.Fatalf("%d requests failed", fails.Load())
+	if n := s.flights.Len(); n != 1 {
+		t.Fatalf("%d flights after the lone leader left, want 1 (the occupier's)", n)
 	}
-	if got := s.Counters().Executed - exec0; got != clients {
-		t.Fatalf("executions = %d, want %d (no coalescing)", got, clients)
+	<-release
+	drained := make(chan struct{})
+	go func() { s.jobWG.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abandoned job never left the queue")
 	}
-	if got := s.Counters().Coalesced; got != 0 {
-		t.Fatalf("coalesced = %d, want 0", got)
+	if got := s.Counters().Executed - exec0; got != 0 {
+		t.Fatalf("abandoned job executed %d times, want 0", got)
 	}
 }
 

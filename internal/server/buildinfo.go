@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"natix"
+	"natix/internal/httpapi"
 	"natix/internal/store"
 )
 
@@ -48,10 +49,10 @@ func NewBuildInfo(role string, features BuildFeatures) BuildInfo {
 // handleBuildInfo serves GET /buildinfo.
 func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, errf(http.StatusMethodNotAllowed, CodeBadRequest, "GET only"))
+		httpapi.WriteError(w, httpapi.Errf(http.StatusMethodNotAllowed, httpapi.CodeBadRequest, "GET only"))
 		return
 	}
-	writeJSON(w, http.StatusOK, NewBuildInfo("shard", BuildFeatures{
+	httpapi.WriteJSON(w, http.StatusOK, NewBuildInfo("shard", BuildFeatures{
 		Batch:     true,
 		PathIndex: s.cfg.PathIndex,
 	}))

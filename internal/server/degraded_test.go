@@ -13,6 +13,7 @@ import (
 
 	"natix/internal/catalog"
 	"natix/internal/dom"
+	"natix/internal/httpapi"
 	"natix/internal/store"
 )
 
@@ -55,9 +56,6 @@ func TestDegradedShedsByCostClass(t *testing.T) {
 		DegradeFaults:      2,
 		EvalWindow:         time.Hour, // no recovery during this test
 		DefaultTimeout:     30 * time.Second,
-		// The queue-fill phase needs the two occupying queries to occupy a
-		// worker and a queue slot each, not coalesce into one flight.
-		DisableSingleflight: true,
 	})
 
 	shedHigh0 := mShed.Value(costHigh)
@@ -75,7 +73,7 @@ func TestDegradedShedsByCostClass(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("high-cost while degraded: %d %s", status, data)
 	}
-	if code, retry := retryEnvelope(t, data); code != CodeOverloaded || retry <= 0 {
+	if code, retry := retryEnvelope(t, data); code != httpapi.CodeOverloaded || retry <= 0 {
 		t.Fatalf("high-cost envelope: code=%s retry_after_ms=%d", code, retry)
 	}
 	if got := mShed.Value(costHigh) - shedHigh0; got != 1 {
@@ -89,11 +87,12 @@ func TestDegradedShedsByCostClass(t *testing.T) {
 	}
 
 	// Fill the worker and the shrunk queue with heavy low-cost queries, then
-	// the next low-cost query must be shed too.
+	// the next low-cost query must be shed too. The two differ semantically,
+	// so they occupy a worker and a queue slot each instead of coalescing.
 	release := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			st, _ := postQuery(t, ts, QueryRequest{Query: heavyQuery, Document: "d"})
+			st, _ := postQuery(t, ts, QueryRequest{Query: distinctHeavyQuery(i), Document: "d"})
 			release <- st
 		}()
 	}
@@ -108,7 +107,7 @@ func TestDegradedShedsByCostClass(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("low-cost over shrunk queue: %d %s", status, data)
 	}
-	if code, retry := retryEnvelope(t, data); code != CodeOverloaded || retry <= 0 {
+	if code, retry := retryEnvelope(t, data); code != httpapi.CodeOverloaded || retry <= 0 {
 		t.Fatalf("low-cost envelope: code=%s retry_after_ms=%d", code, retry)
 	}
 	if got := mShed.Value(costLow) - shedLow0; got < 1 {
@@ -243,7 +242,7 @@ func TestQuarantineEndToEnd(t *testing.T) {
 	// reaches a worker and fails against the faulting medium (500).
 	for i := 0; i < s.cfg.QuarantineAfter; i++ {
 		status, data := postQuery(t, ts, QueryRequest{Query: "//x[@n > 1]", Document: "d"})
-		if status != http.StatusInternalServerError || errCode(t, data) != CodeStoreFault {
+		if status != http.StatusInternalServerError || errCode(t, data) != httpapi.CodeStoreFault {
 			t.Fatalf("fault %d: %d %s", i, status, data)
 		}
 	}
@@ -255,7 +254,7 @@ func TestQuarantineEndToEnd(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("quarantined query: %d %s", status, data)
 	}
-	if code, retry := retryEnvelope(t, data); code != CodeStoreFault || retry <= 0 {
+	if code, retry := retryEnvelope(t, data); code != httpapi.CodeStoreFault || retry <= 0 {
 		t.Fatalf("quarantine envelope: code=%s retry_after_ms=%d", code, retry)
 	}
 	if mQuarHits.Value() == quarHits0 {
@@ -355,7 +354,7 @@ func TestDrainRetryContract(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error.Code != CodeShuttingDown || env.Error.RetryAfterMS <= 0 {
+	if env.Error.Code != httpapi.CodeShuttingDown || env.Error.RetryAfterMS <= 0 {
 		t.Fatalf("drain envelope: %+v", env.Error)
 	}
 	if s.State() != StateDraining {

@@ -36,7 +36,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -47,8 +46,11 @@ import (
 	"time"
 
 	"natix"
+	"natix/internal/canon"
 	"natix/internal/catalog"
 	"natix/internal/dom"
+	"natix/internal/flight"
+	"natix/internal/httpapi"
 	"natix/internal/metrics"
 	"natix/internal/plancache"
 	"natix/internal/xval"
@@ -66,6 +68,7 @@ var (
 	mShed      = metrics.Default.CounterVec("natix_serve_shed_total", "Queries shed while degraded, by cost class.", "class")
 	mQuarDocs  = metrics.Default.Gauge("natix_serve_quarantined_documents", "Documents currently quarantined after repeated store faults.")
 	mQuarHits  = metrics.Default.Counter("natix_serve_quarantine_rejects_total", "Queries answered by the quarantine fast-path (structured store_fault).")
+	mCoalesced = metrics.Default.Counter("natix_singleflight_coalesced_total", "Query requests served by joining an identical in-flight execution instead of running.")
 )
 
 // State is the server's serving state.
@@ -146,13 +149,6 @@ type Config struct {
 	// GET /buildinfo so cluster operators can verify shard homogeneity.
 	PathIndex bool
 
-	// DisableNormalization serves queries under their verbatim text instead
-	// of the canonical form: plan cache, singleflight and workload profile
-	// all key exact-text. Benchmark/ablation switch.
-	DisableNormalization bool
-	// DisableSingleflight executes every admitted request independently,
-	// concurrent duplicates included. Benchmark/ablation switch.
-	DisableSingleflight bool
 	// HighCostSeconds is the profiled EWMA run time at or above which a
 	// query is high-cost on history alone (default 250ms). Admission blends
 	// it with the static CostBytes threshold when both signals exist.
@@ -239,9 +235,10 @@ type Server struct {
 	docFaults   map[string]int
 	quarantined map[string]bool
 
-	// Adaptive serving: singleflight registry + canonicalization memo
-	// (singleflight.go) and the workload profile (profile.go).
-	flightState
+	// Adaptive serving: the singleflight registry, the canonicalization
+	// memo, and the workload profile (profile.go).
+	flights flight.Group[flightKey, *QueryResponse]
+	canon   canon.Memo
 	profile *profile
 
 	// Server-local execution accounting (the registry metrics aggregate
@@ -250,23 +247,29 @@ type Server struct {
 	coalesced atomic.Int64
 }
 
-// job is one admitted query request.
+// flightKey identifies one coalescable execution. Generation and epoch are
+// included so a flight never serves a result from a superseded document
+// state to a request that arrived after the reload.
+type flightKey struct {
+	query string // canonical text
+	opts  string // plancache.OptionsKey
+	doc   string
+	gen   uint64
+	epoch uint64
+}
+
+// job is one admitted query request: the leader's execution of its flight.
 type job struct {
 	req      *QueryRequest
-	ctx      context.Context
 	enqueued time.Time
-	done     chan struct{}
-	resp     *QueryResponse
-	err      *apiError
 
 	// canonQuery is the canonical query text the plan cache, profile and
 	// flight are keyed under; normalized reports it differs from req.Query.
 	canonQuery string
 	normalized bool
-	// flight, when non-nil, receives the job's outcome for every waiter;
-	// fkey is its registry key.
-	flight *flight
-	fkey   flightKey
+	// flight runs the job on its execution context and receives its outcome
+	// for every waiter.
+	flight *flight.Flight[flightKey, *QueryResponse]
 }
 
 // New builds a Server and starts its worker pool.
@@ -286,8 +289,6 @@ func New(cfg Config) *Server {
 		quarantined: map[string]bool{},
 		profile:     newProfile(),
 	}
-	s.flights = map[flightKey]*flight{}
-	s.canonMemo = map[string]canonResult{}
 	if cfg.ProfilePath != "" {
 		// A missing file is a first run; a corrupt one serves empty rather
 		// than refusing to start (the profile is an optimization, not state).
@@ -472,6 +473,9 @@ type QueryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// Target implements httpapi.Request.
+func (q *QueryRequest) Target() (query, document string) { return q.Query, q.Document }
+
 // QueryNode is one serialized result node.
 type QueryNode struct {
 	Kind  string `json:"kind"`
@@ -517,60 +521,31 @@ type QueryResponse struct {
 	Stats     QueryStats  `json:"stats"`
 }
 
-// Error codes of the structured error envelope.
-const (
-	CodeBadRequest   = "bad_request" // malformed JSON, missing fields
-	CodeParseError   = "parse_error" // the expression did not compile
-	CodeUnknownDoc   = "unknown_document"
-	CodeTimeout      = "timeout"        // deadline exceeded or client gone
-	CodeLimit        = "limit_exceeded" // a resource budget tripped
-	CodeOverloaded   = "overloaded"     // admission queue full
-	CodeShuttingDown = "shutting_down"  // drain in progress
-	CodeStoreFault   = "store_fault"    // document I/O or corruption
-	CodeInternal     = "internal"       // engine defect (InternalError)
-)
-
-// apiError is the structured error envelope every failure path returns.
-type apiError struct {
-	Status  int    `json:"-"`
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	// RetryAfterMS is the machine-readable retry hint accompanying every
-	// 429/503: clients should back off at least this long. The Retry-After
-	// header carries the same hint rounded up to whole seconds.
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-}
-
-func errf(status int, code, format string, args ...any) *apiError {
-	e := &apiError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		e.RetryAfterMS = defaultRetryAfterMS
+// catalogErr maps a catalog failure on a named document onto the envelope:
+// a name not registered is a 404, a registered document whose store would
+// not open or load a store fault.
+func catalogErr(err error) *httpapi.Error {
+	if errors.Is(err, catalog.ErrUnknown) {
+		return httpapi.Errf(http.StatusNotFound, httpapi.CodeUnknownDoc, "%v", err)
 	}
-	return e
+	return httpapi.Errf(http.StatusInternalServerError, httpapi.CodeStoreFault, "%v", err)
 }
-
-// defaultRetryAfterMS is the backpressure hint on 429/503 responses.
-const defaultRetryAfterMS = 250
-
-// isUnknownDoc reports whether an Acquire error means the name is not
-// registered (vs. a store fault opening a registered document).
-func isUnknownDoc(err error) bool { return errors.Is(err, catalog.ErrUnknown) }
 
 // classify maps an execution error onto the structured envelope,
 // distinguishing limit trips, timeouts, parse errors and store faults.
-func classify(err error) *apiError {
+func classify(err error) *httpapi.Error {
 	var le *natix.LimitError
 	if errors.As(err, &le) {
-		return errf(http.StatusUnprocessableEntity, CodeLimit, "%v", le)
+		return httpapi.Errf(http.StatusUnprocessableEntity, httpapi.CodeLimit, "%v", le)
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return errf(http.StatusGatewayTimeout, CodeTimeout, "query evaluation timed out")
+		return httpapi.Errf(http.StatusGatewayTimeout, httpapi.CodeTimeout, "query evaluation timed out")
 	}
 	var ie *natix.InternalError
 	if errors.As(err, &ie) {
-		return errf(http.StatusInternalServerError, CodeInternal, "engine error: %v", ie.Value)
+		return httpapi.Errf(http.StatusInternalServerError, httpapi.CodeInternal, "engine error: %v", ie.Value)
 	}
-	return errf(http.StatusInternalServerError, CodeStoreFault, "%v", err)
+	return httpapi.Errf(http.StatusInternalServerError, httpapi.CodeStoreFault, "%v", err)
 }
 
 // Handler returns the service's HTTP mux.
@@ -584,35 +559,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz/live", s.handleLive)
 	mux.HandleFunc("/healthz/ready", s.handleReady)
 	mux.HandleFunc("/buildinfo", s.handleBuildInfo)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		metrics.Default.WritePrometheus(w)
-	})
+	mux.HandleFunc("/metrics", metrics.ServePrometheus)
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, e *apiError) {
-	// Every backpressure status carries the retry contract both ways: the
-	// coarse whole-seconds Retry-After header (rounded up, minimum 1) and
-	// the precise retry_after_ms envelope field.
-	if e.RetryAfterMS > 0 {
-		secs := (e.RetryAfterMS + 999) / 1000
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	} else if e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, e.Status, map[string]*apiError{"error": e})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -623,7 +571,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	httpapi.WriteJSON(w, code, map[string]any{
 		"status":    status,
 		"state":     st.String(),
 		"uptime_ms": time.Since(s.start).Milliseconds(),
@@ -635,7 +583,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // at all, whatever the serving state — a degraded or draining server must
 // not be restarted by an orchestrator, only taken out of rotation.
 func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "alive",
 		"uptime_ms": time.Since(s.start).Milliseconds(),
 	})
@@ -651,7 +599,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, code, map[string]any{
+	httpapi.WriteJSON(w, code, map[string]any{
 		"status":    st.String(),
 		"uptime_ms": time.Since(s.start).Milliseconds(),
 	})
@@ -659,31 +607,22 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeErr(w, errf(http.StatusMethodNotAllowed, CodeBadRequest, "GET only"))
+		httpapi.WriteError(w, httpapi.Errf(http.StatusMethodNotAllowed, httpapi.CodeBadRequest, "GET only"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"documents": s.cfg.Catalog.List()})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"documents": s.cfg.Catalog.List()})
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, errf(http.StatusMethodNotAllowed, CodeBadRequest, "POST only"))
-		return
-	}
-	name := r.URL.Query().Get("document")
-	if name == "" {
-		writeErr(w, errf(http.StatusBadRequest, CodeBadRequest, "missing ?document="))
+	name, ok := httpapi.DocumentParam(w, r)
+	if !ok {
 		return
 	}
 	gen, err := s.cfg.Catalog.Reload(name)
 	if err != nil {
-		if isUnknownDoc(err) {
-			writeErr(w, errf(http.StatusNotFound, CodeUnknownDoc, "%v", err))
-		} else {
-			// A failed reload leaves the previous generation serving; the
-			// caller learns the attempt failed, queries keep working.
-			writeErr(w, errf(http.StatusInternalServerError, CodeStoreFault, "%v", err))
-		}
+		// A failed reload leaves the previous generation serving; the
+		// caller learns the attempt failed, queries keep working.
+		httpapi.WriteError(w, catalogErr(err))
 		return
 	}
 	invalidated := 0
@@ -696,7 +635,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// invalidation above is not a cold-cache cliff; the response reports
 	// the mitigation so operators can see it working.
 	warmed, warmElapsed := s.WarmDoc(name)
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"document":          name,
 		"generation":        gen,
 		"plans_invalidated": invalidated,
@@ -705,31 +644,25 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// drainErr is the drain verdict of /query: nil while serving, the
+// structured 503 (counted as a rejection) once Shutdown began.
+func (s *Server) drainErr() *httpapi.Error {
+	if !s.draining.Load() {
+		return nil
+	}
+	mRejected.Inc()
+	return httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeShuttingDown, "server is draining")
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, errf(http.StatusMethodNotAllowed, CodeBadRequest, "POST only"))
-		return
-	}
-	if s.draining.Load() {
-		mRejected.Inc()
-		writeErr(w, errf(http.StatusServiceUnavailable, CodeShuttingDown, "server is draining"))
-		return
-	}
 	var req QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, errf(http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err))
-		return
-	}
-	if req.Query == "" || req.Document == "" {
-		writeErr(w, errf(http.StatusBadRequest, CodeBadRequest, "query and document are required"))
+	if !httpapi.ReadQuery(w, r, s.drainErr, &req) {
 		return
 	}
 	switch req.Mode {
 	case "", "improved", "canonical":
 	default:
-		writeErr(w, errf(http.StatusBadRequest, CodeBadRequest, "unknown mode %q", req.Mode))
+		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBadRequest, "unknown mode %q", req.Mode))
 		return
 	}
 
@@ -738,158 +671,99 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// burning a worker on an I/O path known to fail.
 	if s.isQuarantined(req.Document) {
 		mQuarHits.Inc()
-		writeErr(w, errf(http.StatusServiceUnavailable, CodeStoreFault,
+		httpapi.WriteError(w, httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeStoreFault,
 			"document %q quarantined after repeated store faults; POST /reload?document=%s to restore",
 			req.Document, req.Document))
 		return
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
 	// ctx is this waiter's own deadline: it bounds how long the client
 	// waits, never how long a shared execution may run.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(),
+		httpapi.Timeout(req.TimeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
 	defer cancel()
 
-	canonQuery, normalized := s.canonicalize(req.Query)
-
 	// Singleflight: identical (canonical query, options, document
-	// generation, index epoch) requests share one execution. Joining
-	// precedes the degraded-mode shed — a join costs no worker, so shedding
-	// it would only lose the coalescing win. The leader registers before
-	// its own admission checks: a shed or queue-full verdict then fans out
-	// to everyone who coalesced behind it, which is exactly the admission
+	// generation, index epoch) requests share one execution, bounded by
+	// MaxTimeout and cancelled when its last waiter leaves. An unknown
+	// document keys generation 0, so its requests coalesce on one 404.
+	// Joining precedes the degraded-mode shed — a join costs no worker, so
+	// shedding it would only lose the coalescing win. The leader registers
+	// before its own admission checks: a shed or queue-full verdict then fans
+	// out to everyone who coalesced behind it, which is exactly the admission
 	// decision one execution of that query deserves.
-	var (
-		f      *flight
-		fk     flightKey
-		leader bool
-	)
-	jctx := ctx
-	if !s.cfg.DisableSingleflight {
-		if gen, err := s.cfg.Catalog.Generation(req.Document); err == nil {
-			epoch, _ := s.cfg.Catalog.IndexEpoch(req.Document)
-			fk = flightKey{query: canonQuery, opts: plancache.OptionsKey(s.compileOpts(&req)),
-				doc: req.Document, gen: gen, epoch: epoch}
-			// The execution context is detached from this request: the
-			// leader client cancelling is just one waiter leaving. The
-			// flight's refcount cancels execCtx when the last waiter leaves.
-			execCtx, execCancel := context.WithTimeout(context.Background(), timeout)
-			f, leader = s.joinOrLead(fk, execCancel)
-			if !leader {
-				execCancel() // joined: this request's exec context is unused
-				s.coalesced.Add(1)
-				mCoalesced.Inc()
-				select {
-				case <-f.done:
-					if f.err != nil {
-						writeErr(w, f.err)
-						return
-					}
-					// Shallow copy: waiters share result slices (read-only
-					// from here) but flag their own coalesced delivery.
-					cp := *f.resp
-					cp.Coalesced = true
-					writeJSON(w, http.StatusOK, &cp)
-				case <-ctx.Done():
-					// This waiter's deadline — leave without touching the
-					// flight; the leader finishes for whoever remains.
-					f.leave()
-					writeErr(w, errf(http.StatusGatewayTimeout, CodeTimeout,
-						"request expired awaiting a coalesced execution"))
-				}
-				return
-			}
-			jctx = execCtx
-			defer func() {
-				// Balance the leader's waiter reference on every return
-				// path after the flight completed or was abandoned; a
-				// cancel on a finished execution is a no-op.
-				f.leave()
-			}()
+	canonQuery, normalized := s.canon.Canonicalize(req.Query)
+	gen, _ := s.cfg.Catalog.Generation(req.Document)
+	epoch, _ := s.cfg.Catalog.IndexEpoch(req.Document)
+	f, leader := s.flights.Join(flightKey{query: canonQuery, opts: plancache.OptionsKey(s.compileOpts(&req)),
+		doc: req.Document, gen: gen, epoch: epoch}, s.cfg.MaxTimeout)
+	expired := "request expired while executing"
+	if leader {
+		if e := s.admit(&job{req: &req, canonQuery: canonQuery, normalized: normalized, flight: f}); e != nil {
+			f.Finish(nil, e)
 		}
+	} else {
+		s.coalesced.Add(1)
+		mCoalesced.Inc()
+		expired = "request expired awaiting a coalesced execution"
 	}
-
-	// reject finishes the flight (fanning the verdict to coalesced
-	// waiters) before answering the leader itself.
-	reject := func(e *apiError) {
-		if f != nil {
-			s.finishFlight(fk, f, nil, e)
-		}
-		writeErr(w, e)
+	resp, e, ok := f.Wait(ctx)
+	switch {
+	case !ok:
+		httpapi.WriteError(w, httpapi.Errf(http.StatusGatewayTimeout, httpapi.CodeTimeout, "%s", expired))
+	case e != nil:
+		httpapi.WriteError(w, e)
+	case leader:
+		httpapi.WriteJSON(w, http.StatusOK, resp)
+	default:
+		// Shallow copy: waiters share result slices (read-only from here)
+		// but flag their own coalesced delivery.
+		cp := *resp
+		cp.Coalesced = true
+		httpapi.WriteJSON(w, http.StatusOK, &cp)
 	}
+}
 
+// admit queues a leader's job, or returns the admission verdict against it.
+func (s *Server) admit(j *job) *httpapi.Error {
 	// Degraded mode sheds by cost class before touching the queue: the
 	// expensive queries go first, and what remains competes for a shrunk
 	// queue so the latency of admitted work stays bounded.
 	if s.State() == StateDegraded {
-		class := s.costClass(&req, canonQuery)
-		if class == costHigh {
+		if s.costClass(j.req, j.canonQuery) == costHigh {
 			mShed.With(costHigh).Inc()
 			mRejected.Inc()
-			reject(errf(http.StatusTooManyRequests, CodeOverloaded,
-				"degraded: shedding high-cost queries"))
-			return
+			return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
+				"degraded: shedding high-cost queries")
 		}
 		if s.queued.Load() >= int64(s.cfg.DegradedQueueDepth) {
 			mShed.With(costLow).Inc()
 			mRejected.Inc()
-			reject(errf(http.StatusTooManyRequests, CodeOverloaded,
-				"degraded: admission queue shrunk to %d", s.cfg.DegradedQueueDepth))
-			return
+			return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
+				"degraded: admission queue shrunk to %d", s.cfg.DegradedQueueDepth)
 		}
 	}
 
 	// Admission: the jobs channel is the queue; a full channel answers an
 	// immediate structured 429 rather than stalling the client.
-	j := &job{req: &req, ctx: jctx, enqueued: time.Now(), done: make(chan struct{}),
-		canonQuery: canonQuery, normalized: normalized, flight: f, fkey: fk}
+	j.enqueued = time.Now()
 	s.jobWG.Add(1)
-	if s.draining.Load() {
-		// Re-check after jobWG.Add so Shutdown's Wait cannot miss us.
+	// Re-check after jobWG.Add so Shutdown's Wait cannot miss us.
+	if e := s.drainErr(); e != nil {
 		s.jobWG.Done()
-		mRejected.Inc()
-		reject(errf(http.StatusServiceUnavailable, CodeShuttingDown, "server is draining"))
-		return
+		return e
 	}
 	select {
 	case s.jobs <- j:
 		s.queued.Add(1)
 		mInFlight.Add(1)
+		return nil
 	default:
 		s.jobWG.Done()
 		s.noteReject()
-		reject(errf(http.StatusTooManyRequests, CodeOverloaded,
-			"admission queue full (%d executing, %d queued)", s.cfg.Workers, s.cfg.QueueDepth))
-		return
+		return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
+			"admission queue full (%d executing, %d queued)", s.cfg.Workers, s.cfg.QueueDepth)
 	}
-	if f != nil {
-		// Leader: consume through the flight like any waiter, bounded by
-		// this request's own deadline, not the execution's.
-		select {
-		case <-f.done:
-			if f.err != nil {
-				writeErr(w, f.err)
-				return
-			}
-			writeJSON(w, http.StatusOK, f.resp)
-		case <-ctx.Done():
-			writeErr(w, errf(http.StatusGatewayTimeout, CodeTimeout,
-				"request expired while executing"))
-		}
-		return
-	}
-	<-j.done
-	if j.err != nil {
-		writeErr(w, j.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, j.resp)
 }
 
 // compileOpts builds the compile options for one request. costClass and
@@ -955,48 +829,41 @@ func (s *Server) costClass(req *QueryRequest, canonQuery string) string {
 	return costLow
 }
 
-// execute runs one admitted job on a worker goroutine. The deferred
-// publisher fans the outcome out: to the job's flight (every coalesced
-// waiter, the leader included) and to the job's own done channel.
+// execute runs one admitted job on a worker goroutine and publishes its
+// outcome to every waiter of the job's flight, the leader included.
 func (s *Server) execute(j *job) {
 	defer s.jobWG.Done()
-	defer func() {
-		if j.err != nil {
-			mErrors.Inc()
-		}
-		if j.flight != nil {
-			s.finishFlight(j.fkey, j.flight, j.resp, j.err)
-			// The execution context served its purpose; release its timer
-			// rather than waiting for the deadline or the last waiter.
-			j.flight.cancel()
-		}
-		close(j.done)
-		mInFlight.Add(-1)
-	}()
+	resp, err := s.run(j)
+	if err != nil {
+		mErrors.Inc()
+	}
+	j.flight.Finish(resp, err)
+	mInFlight.Add(-1)
+}
+
+// run evaluates one job on its flight's execution context.
+func (s *Server) run(j *job) (*QueryResponse, *httpapi.Error) {
+	ctx := j.flight.Context()
 	s.queued.Add(-1)
 	if metrics.Enabled() {
 		mRequests.Inc()
 		mQueueWait.ObserveDuration(time.Since(j.enqueued))
 		defer func() { mServeTime.ObserveDuration(time.Since(j.enqueued)) }()
 	}
-	// The request may have timed out or disconnected while queued (for a
-	// flight: every waiter left).
-	if err := j.ctx.Err(); err != nil {
-		j.err = errf(http.StatusGatewayTimeout, CodeTimeout, "request expired while queued")
-		return
+	// Every waiter may have left while the job queued.
+	if ctx.Err() != nil {
+		return nil, httpapi.Errf(http.StatusGatewayTimeout, httpapi.CodeTimeout, "request expired while queued")
 	}
 
 	h, err := s.cfg.Catalog.Acquire(j.req.Document)
 	if err != nil {
-		if isUnknownDoc(err) {
-			j.err = errf(http.StatusNotFound, CodeUnknownDoc, "%v", err)
-		} else {
-			// The document exists but its store would not open: a store
-			// fault, counted toward degradation and quarantine.
+		e := catalogErr(err)
+		if e.Code == httpapi.CodeStoreFault {
+			// The document exists but its store would not open: counted
+			// toward degradation and quarantine.
 			s.noteStoreFault(j.req.Document)
-			j.err = errf(http.StatusInternalServerError, CodeStoreFault, "%v", err)
 		}
-		return
+		return nil, e
 	}
 	defer h.Release()
 
@@ -1009,29 +876,28 @@ func (s *Server) execute(j *job) {
 		plan, err = natix.CompileWith(j.canonQuery, opt)
 	}
 	if err != nil {
-		j.err = errf(http.StatusBadRequest, CodeParseError, "%v", err)
-		return
+		return nil, httpapi.Errf(http.StatusBadRequest, httpapi.CodeParseError, "%v", err)
 	}
 
 	s.executed.Add(1)
 	runStart := time.Now()
-	res, err := plan.RunContext(j.ctx, natix.RootNode(h.Doc), nil)
+	res, err := plan.RunContext(ctx, natix.RootNode(h.Doc), nil)
 	runSecs := time.Since(runStart).Seconds()
 	if err != nil {
-		j.err = classify(err)
-		if j.err.Code == CodeStoreFault {
+		e := classify(err)
+		if e.Code == httpapi.CodeStoreFault {
 			s.noteStoreFault(j.req.Document)
-		} else if j.err.Code == CodeTimeout || j.err.Code == CodeLimit {
+		} else if e.Code == httpapi.CodeTimeout || e.Code == httpapi.CodeLimit {
 			// A run that blew its deadline or budget is the strongest
 			// possible expensive signal — fold the elapsed time in so
 			// admission reclassifies it.
 			s.observeRun(j, plan, runSecs)
 		}
-		return
+		return nil, e
 	}
 	s.noteStoreOK(j.req.Document)
 	s.observeRun(j, plan, runSecs)
-	j.resp = &QueryResponse{
+	return &QueryResponse{
 		Document:   h.Name,
 		Generation: h.Generation,
 		Cached:     cached,
@@ -1044,7 +910,7 @@ func (s *Server) execute(j *job) {
 			MemoHits:   res.Stats.MemoHits,
 			MemoMisses: res.Stats.MemoMisses,
 		},
-	}
+	}, nil
 }
 
 // observeRun folds one measured execution into the workload profile.
@@ -1103,25 +969,16 @@ func (s *Server) WarmDoc(name string) (warmed int, elapsed time.Duration) {
 // topology swap, when shards gain documents they have history for but no
 // compiled plans.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, errf(http.StatusMethodNotAllowed, CodeBadRequest, "POST only"))
-		return
-	}
-	name := r.URL.Query().Get("document")
-	if name == "" {
-		writeErr(w, errf(http.StatusBadRequest, CodeBadRequest, "missing ?document="))
+	name, ok := httpapi.DocumentParam(w, r)
+	if !ok {
 		return
 	}
 	if _, err := s.cfg.Catalog.Generation(name); err != nil {
-		if isUnknownDoc(err) {
-			writeErr(w, errf(http.StatusNotFound, CodeUnknownDoc, "%v", err))
-		} else {
-			writeErr(w, errf(http.StatusInternalServerError, CodeStoreFault, "%v", err))
-		}
+		httpapi.WriteError(w, catalogErr(err))
 		return
 	}
 	warmed, elapsed := s.WarmDoc(name)
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"document":        name,
 		"warmed":          warmed,
 		"warm_compile_us": elapsed.Microseconds(),

@@ -20,6 +20,7 @@ import (
 	"natix"
 	"natix/internal/catalog"
 	"natix/internal/dom"
+	"natix/internal/httpapi"
 	"natix/internal/metrics"
 	"natix/internal/plancache"
 	"natix/internal/store"
@@ -158,11 +159,11 @@ func TestQueryValidation(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"missing query", QueryRequest{Document: "d"}, http.StatusBadRequest, CodeBadRequest},
-		{"missing document", QueryRequest{Query: "/r"}, http.StatusBadRequest, CodeBadRequest},
-		{"unknown mode", QueryRequest{Query: "/r", Document: "d", Mode: "turbo"}, http.StatusBadRequest, CodeBadRequest},
-		{"unknown document", QueryRequest{Query: "/r", Document: "nope"}, http.StatusNotFound, CodeUnknownDoc},
-		{"parse error", QueryRequest{Query: "][", Document: "d"}, http.StatusBadRequest, CodeParseError},
+		{"missing query", QueryRequest{Document: "d"}, http.StatusBadRequest, httpapi.CodeBadRequest},
+		{"missing document", QueryRequest{Query: "/r"}, http.StatusBadRequest, httpapi.CodeBadRequest},
+		{"unknown mode", QueryRequest{Query: "/r", Document: "d", Mode: "turbo"}, http.StatusBadRequest, httpapi.CodeBadRequest},
+		{"unknown document", QueryRequest{Query: "/r", Document: "nope"}, http.StatusNotFound, httpapi.CodeUnknownDoc},
+		{"parse error", QueryRequest{Query: "][", Document: "d"}, http.StatusBadRequest, httpapi.CodeParseError},
 	}
 	for _, tc := range cases {
 		status, data := postQuery(t, ts, tc.req)
@@ -179,7 +180,7 @@ func TestQueryValidation(t *testing.T) {
 	}
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || errCode(t, data) != CodeBadRequest {
+	if resp.StatusCode != http.StatusBadRequest || errCode(t, data) != httpapi.CodeBadRequest {
 		t.Fatalf("unknown field: %d %s", resp.StatusCode, data)
 	}
 
@@ -208,7 +209,7 @@ func TestLimitErrorIsStructured(t *testing.T) {
 	_, ts := newTestService(t, Config{Catalog: cat, Limits: natix.Limits{MaxTuples: 10}})
 
 	status, data := postQuery(t, ts, QueryRequest{Query: "//x", Document: "d"})
-	if status != http.StatusUnprocessableEntity || errCode(t, data) != CodeLimit {
+	if status != http.StatusUnprocessableEntity || errCode(t, data) != httpapi.CodeLimit {
 		t.Fatalf("limit trip: %d %s", status, data)
 	}
 }
@@ -334,7 +335,7 @@ func TestReloadInvalidatesPlans(t *testing.T) {
 	}
 	data, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || errCode(t, data) != CodeUnknownDoc {
+	if resp.StatusCode != http.StatusNotFound || errCode(t, data) != httpapi.CodeUnknownDoc {
 		t.Fatalf("reload unknown: %d %s", resp.StatusCode, data)
 	}
 }
@@ -353,6 +354,12 @@ func heavyDoc(n int) string {
 
 const heavyQuery = "//x[count(preceding-sibling::x) >= 0]"
 
+// distinctHeavyQuery is heavyQuery's cost under a different canonical form
+// per i, so concurrent copies never coalesce into one execution.
+func distinctHeavyQuery(i int) string {
+	return fmt.Sprintf("//x[count(preceding-sibling::x) >= -%d]", i)
+}
+
 func TestAdmissionControl(t *testing.T) {
 	cat := catalog.New()
 	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(1500))); err != nil {
@@ -363,15 +370,13 @@ func TestAdmissionControl(t *testing.T) {
 		Workers:        1,
 		QueueDepth:     1,
 		DefaultTimeout: 30 * time.Second,
-		// This test proves the queue rejects overflow; identical concurrent
-		// queries would otherwise coalesce into one execution and never
-		// fill it (TestSingleflightCoalesces covers that path).
-		DisableSingleflight: true,
 	})
 
 	// Capacity is 1 executing + 1 queued. 12 simultaneous heavy queries must
 	// see structured 429s for the overflow, and 200s for the admitted ones —
-	// never a mid-execution failure.
+	// never a mid-execution failure. The queries are distinct: identical
+	// ones would coalesce into one execution and never fill the queue
+	// (TestSingleflightCoalesces covers that path).
 	const clients = 12
 	var ok, rejected, other atomic.Int64
 	var wg sync.WaitGroup
@@ -379,12 +384,12 @@ func TestAdmissionControl(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, data := postQuery(t, ts, QueryRequest{Query: heavyQuery, Document: "d"})
+			status, data := postQuery(t, ts, QueryRequest{Query: distinctHeavyQuery(i), Document: "d"})
 			switch status {
 			case http.StatusOK:
 				ok.Add(1)
 			case http.StatusTooManyRequests:
-				if errCode(t, data) != CodeOverloaded {
+				if errCode(t, data) != httpapi.CodeOverloaded {
 					t.Errorf("429 code = %s", data)
 				}
 				rejected.Add(1)
@@ -435,7 +440,7 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	// New queries during/after the drain get a structured 503.
 	status, data := postQuery(t, ts, QueryRequest{Query: "/r", Document: "d"})
-	if status != http.StatusServiceUnavailable || errCode(t, data) != CodeShuttingDown {
+	if status != http.StatusServiceUnavailable || errCode(t, data) != httpapi.CodeShuttingDown {
 		t.Fatalf("post-drain query: %d %s", status, data)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
@@ -506,62 +511,68 @@ func TestLoadConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := plancache.New(64, 0)
+	const clients = 64
+	const perClient = 25
+	cache := plancache.New(1024, 0)
 	_, ts := newTestService(t, Config{
 		Catalog:    cat,
 		Cache:      cache,
 		Workers:    8,
 		QueueDepth: 4096, // never reject: this test measures the hot path
-		// Coalesced requests never touch the plan cache; this test measures
-		// cache behavior, so every request must look up.
-		DisableSingleflight: true,
 	})
 
-	queries := []string{
-		"//person/name",
-		"count(//person)",
-		"/site/people/person[position() = last()]",
-		"//person[age > 5]/name",
-		"string(//person[1]/name)",
-		"sum(//age)",
+	// Coalesced requests never touch the plan cache, and this test measures
+	// cache behavior, so every request must look up: each client draws from
+	// its own queries, semantically distinct from every other client's.
+	templates := []string{
+		"//person[%d >= 0]/name",
+		"count(//person) + %d",
+		"/site/people/person[position() = last()][%d >= 0]",
+		"//person[age > 5][%d >= 0]/name",
+		"concat(string(//person[1]/name), %d)",
+		"sum(//age) + %d",
 	}
 	docs := []string{"mem", "disk"}
+	query := func(c, r int) QueryRequest {
+		return QueryRequest{Query: fmt.Sprintf(templates[r%len(templates)], c), Document: docs[r/len(templates)%len(docs)]}
+	}
 
-	// Warm the cache: each (query, document) pair compiles exactly once.
-	for _, d := range docs {
-		for _, q := range queries {
-			if status, data := postQuery(t, ts, QueryRequest{Query: q, Document: d}); status != http.StatusOK {
-				t.Fatalf("warmup %q on %s: %d %s", q, d, status, data)
+	// Warm the cache: each client's (query, document) pairs compile once.
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < len(templates)*len(docs); r++ {
+				if status, data := postQuery(t, ts, query(c, r)); status != http.StatusOK {
+					t.Errorf("warmup %+v: %d %s", query(c, r), status, data)
+				}
 			}
-		}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 	hits0 := scrapeCounter(t, ts, "natix_plancache_hits_total")
 	misses0 := scrapeCounter(t, ts, "natix_plancache_misses_total")
 
-	const clients = 64
-	const perClient = 25
-	var wg sync.WaitGroup
 	var failures atomic.Int64
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
 			for r := 0; r < perClient; r++ {
-				q := queries[(c+r)%len(queries)]
-				d := docs[(c+r)%len(docs)]
-				status, data := postQuery(t, ts, QueryRequest{Query: q, Document: d})
+				req := query(c, c+r)
+				status, data := postQuery(t, ts, req)
 				if status != http.StatusOK {
-					t.Errorf("client %d: %q on %s: %d %s", c, q, d, status, data)
+					t.Errorf("client %d: %+v: %d %s", c, req, status, data)
 					failures.Add(1)
 					return
 				}
-				if qr := decodeQuery(t, data); !qr.Cached {
-					// Misses are tolerated (the cache is shared and bounded)
-					// but counted below via the hit-rate assertion.
-					_ = qr
-				}
+				decodeQuery(t, data)
 			}
-		}(c)
+		}()
 	}
 	wg.Wait()
 	if failures.Load() != 0 {

@@ -67,14 +67,6 @@ go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|T
 # where the index-enabled difftest twins above still prove correctness.
 NATIX_PERF_GUARD=1 go test -run TestIndexSpeedupGuard -timeout 20m .
 
-# Adaptive serving guard: under a 64-client Zipf workload of duplicate-heavy
-# queries, coalescing identical in-flight executions must cut p99 latency by
-# at least 2x against the same workload with singleflight off, and every
-# request must either lead its flight or join one (duplicates execute once).
-# Writes BENCH_PR10.json; self-skips below 4 cores, where the singleflight
-# edge-case tests in the -race suite above still prove correctness.
-NATIX_PERF_GUARD=1 go test -run TestAdaptiveServeGuard -timeout 20m -count=1 .
-
 # Plan-cache guard: a cache hit must return the identical compiled artifact
 # (pointer identity — no parse/translate/codegen on the hit path), and the
 # benchmark pair quantifies the cold/hot gap.
@@ -113,7 +105,12 @@ grep -q 'drained' "$SMOKE_DIR/serve.err"
 # 4-shard coordinator must be byte-identical to single-node answers, and 64
 # concurrent clients mixing wildcard/list/single queries against racing
 # probes and a topology re-install must always see global document order.
-go test -race -run 'TestCoordinatorConformanceParity|TestCoordinatorConcurrentOrdering|TestReloadGenerationRetirementRace' -timeout 5m -count=1 ./internal/cluster/ ./internal/server/
+# The one singleflight both tiers share rides along: its protocol edge
+# cases (three rounds, for the interleavings), a coordinator leader whose
+# client hangs up stopping its fan-out, and joiners outliving a leader's
+# shorter deadline on both tiers.
+go test -race -run 'TestCoordinatorConformanceParity|TestCoordinatorConcurrentOrdering|TestReloadGenerationRetirementRace|TestCoordLeaderClientLeaves|OutlivesShortLeader|TestGroup' -timeout 5m -count=1 ./internal/cluster/ ./internal/server/ ./internal/flight/
+go test -race -count=3 ./internal/flight/
 
 # Cluster gate, part 2 (process-level): spawn 4 shard processes and a
 # coordinator on loopback ports, lay an 8-document corpus across the
