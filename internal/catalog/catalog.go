@@ -71,24 +71,31 @@ type generation struct {
 
 	mem *dom.MemDoc
 
-	path    string
-	opt     store.Options
-	pool    []*store.Doc // idle store handles, ready to check out
+	path string
+	opt  store.Options
+	// src is the store handle opened when the generation loaded. It owns
+	// the generation's open file, and pool misses clone it, so every handle
+	// of the generation reads the file it loaded: never the path, which a
+	// rename may already point at the next generation's image. The file
+	// closes when the generation retires.
+	src     *store.Doc
+	pool    []*store.Doc // idle store handles (src and clones), ready to check out
 	retired bool         // superseded by a reload; close when refs == 0
 
 	nodes int // node count, captured at load for listings
 }
 
-// closeAll closes every pooled handle. Caller holds the entry lock.
+// closeAll drops the idle handles and closes the generation's file (only
+// src owns it; clones close nothing). Caller holds the entry lock.
 func (g *generation) closeAll() {
-	for _, d := range g.pool {
-		d.Close()
+	if g.src != nil {
+		g.src.Close()
 	}
 	g.pool = nil
 }
 
-// retire releases everything a fully drained generation owns: pooled store
-// handles and, for in-memory documents, the process-wide path-index cache
+// retire releases everything a fully drained generation owns: its store
+// file and, for in-memory documents, the process-wide path-index cache
 // entry (the registry is keyed by DocID, so a retired generation's index
 // would otherwise linger for the process lifetime). Caller holds the entry
 // lock.
@@ -143,9 +150,10 @@ type Catalog struct {
 	// serving with balanced refcounts. Set before serving traffic.
 	ReloadHook func(name string, point ReloadPoint) error
 
-	// OpenHook, when non-nil, replaces store.Open for store-backed handles
-	// (initial open, pool misses and reloads) — chaos tests wrap the file
-	// in a store.FaultReader. Set before serving traffic.
+	// OpenHook, when non-nil, replaces store.Open for store-backed
+	// documents (initial open and reloads; pool misses clone the handle it
+	// returned, so they read through the same wrapper) — chaos tests wrap
+	// the file in a store.FaultReader. Set before serving traffic.
 	OpenHook func(path string, opt store.Options) (*store.Doc, error)
 }
 
@@ -193,8 +201,8 @@ type Handle struct {
 }
 
 // Release unpins the handle. Store handles return to the generation's pool
-// (or are closed if the generation was retired); the last release of a
-// retired generation closes it. Release is idempotent.
+// (or are dropped if the generation was retired); the last release of a
+// retired generation closes its file. Release is idempotent.
 func (h *Handle) Release() {
 	h.once.Do(func() {
 		h.e.mu.Lock()
@@ -205,9 +213,7 @@ func (h *Handle) Release() {
 			// Drop the record cache's pinned page before parking the
 			// handle: an idle handle must hold no buffer pins.
 			h.sd.ReleaseRecordCache()
-			if g.retired {
-				h.sd.Close()
-			} else {
+			if !g.retired {
 				g.pool = append(g.pool, h.sd)
 			}
 		}
@@ -268,15 +274,15 @@ func (c *Catalog) OpenMemDoc(name string, d *dom.MemDoc) error {
 }
 
 // OpenStore opens the store file at path and registers it under name. One
-// handle is opened eagerly to validate the file; further handles open on
-// demand as concurrent queries check them out.
+// handle is opened eagerly to validate the file; further handles are
+// cloned from it on demand as concurrent queries check them out.
 func (c *Catalog) OpenStore(name, path string, opt store.Options) error {
 	sd, err := c.openStore(path, opt)
 	if err != nil {
 		return err
 	}
 	mHandleOpens.Inc()
-	g := &generation{path: path, opt: opt, pool: []*store.Doc{sd}, nodes: sd.NodeCount()}
+	g := &generation{path: path, opt: opt, src: sd, pool: []*store.Doc{sd}, nodes: sd.NodeCount()}
 	if err := c.register(name, Store, g); err != nil {
 		sd.Close()
 		return err
@@ -318,12 +324,8 @@ func (c *Catalog) Acquire(name string) (*Handle, error) {
 			h.sd = g.pool[n-1]
 			g.pool = g.pool[:n-1]
 		} else {
-			sd, err := c.openStore(g.path, g.opt)
-			if err != nil {
-				return nil, err
-			}
+			h.sd = g.src.Clone()
 			mHandleOpens.Inc()
-			h.sd = sd
 		}
 		h.Doc = h.sd
 	}
@@ -403,7 +405,7 @@ func (c *Catalog) Reload(name string) (uint64, error) {
 			return 0, fmt.Errorf("catalog: reload %q: %w", name, err)
 		}
 		mHandleOpens.Inc()
-		next.pool = []*store.Doc{sd}
+		next.src, next.pool = sd, []*store.Doc{sd}
 		next.nodes = sd.NodeCount()
 	}
 	if err := c.reloadAt(name, ReloadLoad); err != nil {

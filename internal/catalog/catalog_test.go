@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"natix/internal/dom"
@@ -159,6 +160,97 @@ func TestReloadDefersCloseUntilDrain(t *testing.T) {
 		t.Fatalf("retired generation not collected: %+v", infos)
 	}
 	h2.Release()
+}
+
+// renameOver replaces the file at path atomically with a store image of
+// xml: the documented way to publish a document's next generation.
+func renameOver(t *testing.T, path, xml string) {
+	t.Helper()
+	mem, err := dom.ParseString(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := path + ".next"
+	if err := store.Write(next, mem); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(next, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// firstText reads the string value of the root element's first child.
+func firstText(d dom.Document) string {
+	return d.StringValue(d.FirstChild(d.FirstChild(d.Root())))
+}
+
+// TestPoolMissReadsItsGeneration: between the rename of a new image over the
+// path and the reload that installs it, a pool miss must still read the
+// generation it is labelled with, never the file the path now names. The
+// clone shares the generation's open file, which stays open until the last
+// handle of the generation is released, whichever handle that is.
+func TestPoolMissReadsItsGeneration(t *testing.T) {
+	path := writeStoreFile(t, "<r><x>one</x></r>")
+	var reads atomic.Int64
+	c := New()
+	c.OpenHook = func(p string, opt store.Options) (*store.Doc, error) {
+		d, _, err := store.OpenFaulty(p, opt, func(int64, int) error {
+			reads.Add(1)
+			return nil
+		})
+		return d, err
+	}
+	if err := c.OpenStore("s", path, store.Options{BufferPages: 4}); err != nil {
+		t.Fatal(err)
+	}
+	h1, err := c.Acquire("s") // the pooled handle
+	if err != nil {
+		t.Fatal(err)
+	}
+	renameOver(t, path, "<r><x>two</x></r>")
+	h2, err := c.Acquire("s") // a pool miss
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1.Doc == h2.Doc {
+		t.Fatal("the pool miss shared the checked-out handle")
+	}
+	if h1.Generation != 1 || h2.Generation != 1 {
+		t.Fatalf("generations = %d, %d, want 1", h1.Generation, h2.Generation)
+	}
+	if got := firstText(h1.Doc); got != "one" {
+		t.Fatalf("pooled handle read %q, want %q", got, "one")
+	}
+
+	// Reload, then release the handle that owns the file first. The clone
+	// has read nothing yet, so every page it reads now comes from the
+	// generation's file, through the OpenHook's reader.
+	if _, err := c.Reload("s"); err != nil {
+		t.Fatal(err)
+	}
+	h1.Release()
+	before := reads.Load()
+	if got := firstText(h2.Doc); got != "one" {
+		t.Fatalf("pool miss read %q, want generation 1's %q", got, "one")
+	}
+	if err := h2.Doc.(*store.Doc).Err(); err != nil {
+		t.Fatalf("pool miss faulted: %v", err)
+	}
+	if reads.Load() == before {
+		t.Fatal("the pool miss bypassed the OpenHook's reader")
+	}
+	h2.Release()
+	h3, err := c.Acquire("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h3.Release()
+	if h3.Generation != 2 || firstText(h3.Doc) != "two" {
+		t.Fatalf("generation %d read %q", h3.Generation, firstText(h3.Doc))
+	}
+	if infos := c.List(); infos[0].Retired != 0 {
+		t.Fatalf("generation 1 not retired: %+v", infos)
+	}
 }
 
 func TestReloadMemFile(t *testing.T) {

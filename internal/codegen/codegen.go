@@ -162,6 +162,8 @@ func (p *Plan) run(stdctx context.Context, limits guard.Limits, ctx dom.Node, va
 		Gov:         gov,
 	}
 	ex := &physical.Exec{M: m, IDs: p.ids, CtxDoc: ctx.Doc, Gov: gov, WrapIter: p.WrapIter, BatchSize: p.BatchSize}
+	ex.TakeScratch()
+	defer ex.ReturnScratch()
 	if prof != nil {
 		m.Prof = prof.Progs
 		ex.Prof = prof
@@ -187,49 +189,10 @@ func (p *Plan) run(stdctx context.Context, limits guard.Limits, ctx dom.Node, va
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
-	var nodes []dom.Node
-	if bi, ok := it.(physical.BatchIter); ok && bi.Batched() {
-		// Batched drain: the root pipeline delivers node columns directly,
-		// so the per-tuple register read disappears and byte-budget
-		// charging amortizes across the batch.
-		buf := ex.GetNodeBuf()
-		for {
-			k, err := bi.NextBatch(buf)
-			if err != nil {
-				ex.PutNodeBuf(buf)
-				it.Close()
-				return nil, err
-			}
-			if k == 0 {
-				break
-			}
-			if metrics.Enabled() {
-				mBatchFill.Observe(float64(k) / float64(len(buf)))
-			}
-			if err := gov.Grow(int64(k) * resultNodeBytes); err != nil {
-				ex.PutNodeBuf(buf)
-				it.Close()
-				return nil, err
-			}
-			nodes = append(nodes, buf[:k]...)
-		}
-		ex.PutNodeBuf(buf)
-	} else {
-		for {
-			ok, err := it.Next()
-			if err != nil {
-				it.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			if err := gov.Grow(resultNodeBytes); err != nil {
-				it.Close()
-				return nil, err
-			}
-			nodes = append(nodes, m.Regs[p.rootAttrReg].Node())
-		}
+	nodes, err := p.drain(ex, it)
+	if err != nil {
+		it.Close()
+		return nil, err
 	}
 	if err := it.Close(); err != nil {
 		return nil, err
@@ -240,6 +203,60 @@ func (p *Plan) run(stdctx context.Context, limits guard.Limits, ctx dom.Node, va
 		return nil, err
 	}
 	return &Result{Value: xval.NodeSet(nodes), Stats: ex.Stats}, nil
+}
+
+// drain pulls the opened root pipeline dry. The nodes gather in a column
+// borrowed from the run's scratch and are copied out once, at their exact
+// length, so the result is the only allocation the gather leaves behind;
+// an empty result stays nil. The caller closes the pipeline.
+func (p *Plan) drain(ex *physical.Exec, it physical.Iter) ([]dom.Node, error) {
+	col := ex.GetColumn()
+	defer func() { ex.PutColumn(col) }()
+	gov := ex.Gov
+	if bi, ok := it.(physical.BatchIter); ok && bi.Batched() {
+		// Batched drain: the root pipeline delivers node columns directly,
+		// so the per-tuple register read disappears and byte-budget
+		// charging amortizes across the batch.
+		buf := ex.GetNodeBuf()
+		defer ex.PutNodeBuf(buf)
+		for {
+			k, err := bi.NextBatch(buf)
+			if err != nil {
+				return nil, err
+			}
+			if k == 0 {
+				break
+			}
+			if metrics.Enabled() {
+				mBatchFill.Observe(float64(k) / float64(len(buf)))
+			}
+			if err := gov.Grow(int64(k) * resultNodeBytes); err != nil {
+				return nil, err
+			}
+			col = append(col, buf[:k]...)
+		}
+	} else {
+		regs := ex.M.Regs
+		for {
+			ok, err := it.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			if err := gov.Grow(resultNodeBytes); err != nil {
+				return nil, err
+			}
+			col = append(col, regs[p.rootAttrReg].Node())
+		}
+	}
+	if len(col) == 0 {
+		return nil, nil
+	}
+	nodes := make([]dom.Node, len(col))
+	copy(nodes, col)
+	return nodes, nil
 }
 
 // resultNodeBytes is the byte-budget charge per node of the materialized

@@ -215,6 +215,14 @@ func (s *Stepper) NextBatch(buf []NodeID) int {
 	return n
 }
 
+// Detach drops the stepper's document, visited set and namespace prefixes,
+// so an idle stepper kept for reuse pins no document. The stepper reads as
+// exhausted until the next Reset.
+func (s *Stepper) Detach() {
+	s.doc, s.vis, s.done = nil, nil, true
+	clear(s.nsSeen)
+}
+
 // Next returns the next node on the axis, or false when exhausted.
 func (s *Stepper) Next() (NodeID, bool) {
 	if s.done {

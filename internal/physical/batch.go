@@ -12,7 +12,6 @@ package physical
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"natix/internal/dom"
 	"natix/internal/nvm"
@@ -116,109 +115,6 @@ func (ex *Exec) batchLen() int {
 		return ex.BatchSize
 	}
 	return DefaultBatchSize
-}
-
-// poolAudit counts every free-list Get and Put while enabled. The leak
-// harness turns it on around a run and asserts the totals balance, catching
-// error and early-Close paths that strand a pooled buffer or return one
-// twice.
-// Atomics, because concurrent runs on other goroutines share the counters;
-// a disabled audit costs one atomic load per call, paid only in builds
-// that run the harness (the flag is never set in production).
-var poolAudit struct {
-	enabled atomic.Bool
-	gets    atomic.Int64
-	puts    atomic.Int64
-}
-
-// PoolAuditStart resets the pool Get/Put counters and enables counting.
-// Test harnesses only; not safe to overlap with another audited run.
-func PoolAuditStart() {
-	poolAudit.gets.Store(0)
-	poolAudit.puts.Store(0)
-	poolAudit.enabled.Store(true)
-}
-
-// PoolAuditStop disables counting and returns the Get and Put totals
-// observed since PoolAuditStart. Equal totals mean every pooled buffer and
-// stepper taken during the audited window was returned exactly once.
-func PoolAuditStop() (gets, puts int64) {
-	poolAudit.enabled.Store(false)
-	return poolAudit.gets.Load(), poolAudit.puts.Load()
-}
-
-// take pops the most recently returned entry of one of the Exec's free
-// lists.
-func take[T any](list *[]T) (v T, ok bool) {
-	if n := len(*list); n > 0 {
-		v, ok = (*list)[n-1], true
-		*list = (*list)[:n-1]
-	}
-	return v, ok
-}
-
-// GetNodeBuf returns a batch-sized node buffer from the execution's free
-// list.
-func (ex *Exec) GetNodeBuf() []dom.Node {
-	if poolAudit.enabled.Load() {
-		poolAudit.gets.Add(1)
-	}
-	if b, ok := take(&ex.nodeBufs); ok {
-		return b
-	}
-	return make([]dom.Node, ex.batchLen())
-}
-
-// PutNodeBuf returns a buffer obtained from GetNodeBuf to the free list.
-func (ex *Exec) PutNodeBuf(b []dom.Node) {
-	if poolAudit.enabled.Load() {
-		poolAudit.puts.Add(1)
-	}
-	if len(b) == ex.batchLen() {
-		ex.nodeBufs = append(ex.nodeBufs, b)
-	}
-}
-
-// GetIDBuf returns a batch-sized NodeID scratch buffer from the free list.
-func (ex *Exec) GetIDBuf() []dom.NodeID {
-	if poolAudit.enabled.Load() {
-		poolAudit.gets.Add(1)
-	}
-	if b, ok := take(&ex.idBufs); ok {
-		return b
-	}
-	return make([]dom.NodeID, ex.batchLen())
-}
-
-// PutIDBuf returns a buffer obtained from GetIDBuf to the free list.
-func (ex *Exec) PutIDBuf(b []dom.NodeID) {
-	if poolAudit.enabled.Load() {
-		poolAudit.puts.Add(1)
-	}
-	if len(b) == ex.batchLen() {
-		ex.idBufs = append(ex.idBufs, b)
-	}
-}
-
-// GetStepper returns an axis stepper from the execution's per-axis free
-// list.
-func (ex *Exec) GetStepper(a dom.Axis) *dom.Stepper {
-	if poolAudit.enabled.Load() {
-		poolAudit.gets.Add(1)
-	}
-	if s, ok := take(&ex.steppers[a]); ok {
-		return s
-	}
-	return dom.NewStepper(a)
-}
-
-// PutStepper returns a stepper obtained from GetStepper to its free list.
-func (ex *Exec) PutStepper(s *dom.Stepper) {
-	if poolAudit.enabled.Load() {
-		poolAudit.puts.Add(1)
-	}
-	a := s.Axis()
-	ex.steppers[a] = append(ex.steppers[a], s)
 }
 
 // Batched implements BatchIter. Every operator's Batched guards against a
@@ -434,9 +330,17 @@ func (c *Concat) NextBatch(out []dom.Node) (int, error) {
 func (s *SortIter) Batched() bool { return s.Batch && s.Ex != nil && s.Ex.BatchSize > 0 }
 
 // openBatched materializes only the node column — downstream provably reads
-// nothing else — and sorts it in document order. Error handling mirrors the
-// scalar Open (self-cleaning on failure).
-func (s *SortIter) openBatched() error {
+// nothing else — into a column borrowed from the run's scratch, and sorts
+// it in place in document order. The column goes back at Close, or here
+// on failure: error handling mirrors the scalar Open (self-cleaning).
+func (s *SortIter) openBatched() (err error) {
+	s.putColumn() // re-opened without a Close
+	s.nodes, s.held = s.Ex.GetColumn(), true
+	defer func() {
+		if err != nil {
+			s.putColumn()
+		}
+	}()
 	bin := batchInput(s.In, s.Ex, s.AttrReg)
 	buf := s.Ex.GetNodeBuf()
 	defer s.Ex.PutNodeBuf(buf)
@@ -467,6 +371,14 @@ func (s *SortIter) openBatched() error {
 	})
 	s.Ex.Stats.Sorted += int64(len(s.nodes))
 	return nil
+}
+
+// putColumn returns the column the batched variant holds, if any.
+func (s *SortIter) putColumn() {
+	if s.held {
+		s.Ex.PutColumn(s.nodes)
+		s.nodes, s.held = nil, false
+	}
 }
 
 // NextBatch implements BatchIter, draining the sorted column.

@@ -70,15 +70,10 @@ type Exec struct {
 	// generator marked batch-capable serve NextBatch when it is positive.
 	BatchSize int
 
-	// Free lists for batch buffers and axis steppers. They live exactly as
-	// long as the Exec, which is one run on one goroutine, and recycle the
-	// allocations of operators that re-open under d-joins, memoized
-	// subtrees and unions. Plain slices rather than runtime pools: a pool
-	// registers in the runtime's global pool list on its first Put and is
-	// swept at every GC, which a list that dies with its run does not need.
-	nodeBufs [][]dom.Node
-	idBufs   [][]dom.NodeID
-	steppers [dom.AxisCount][]*dom.Stepper
+	// sc holds the free lists for batch buffers, axis steppers and node
+	// columns (scratch.go): taken from the process-wide pool for one run by
+	// TakeScratch, or private to a hand-built Exec.
+	sc *runScratch
 }
 
 // Materialization cost estimates for the byte budget: a register snapshot
@@ -1006,7 +1001,10 @@ type SortIter struct {
 	idx     int
 	charged int64
 
+	// nodes is the batched variant's column, borrowed from the run's
+	// scratch from Open to Close while held is set.
 	nodes []dom.Node
+	held  bool
 }
 
 // Open implements Iter. The input is fully materialized here; on any error
@@ -1016,7 +1014,6 @@ func (s *SortIter) Open() error {
 	s.Ex.Gov.Release(s.charged)
 	s.charged = 0
 	s.rows = s.rows[:0]
-	s.nodes = s.nodes[:0]
 	s.idx = 0
 	if s.Batched() {
 		return s.openBatched()
@@ -1069,8 +1066,11 @@ func (s *SortIter) Next() (bool, error) {
 	return true, nil
 }
 
-// Close implements Iter.
-func (s *SortIter) Close() error { return nil }
+// Close implements Iter, returning the batched variant's column.
+func (s *SortIter) Close() error {
+	s.putColumn()
+	return nil
+}
 
 // TokenizeIter splits the string value of a program into whitespace tokens,
 // one tuple per token (id() input conversion).

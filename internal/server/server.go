@@ -1010,6 +1010,9 @@ func (s *Server) serialize(res *natix.Result) QueryResult {
 	nodes, _ := res.SortedNodeSet()
 	out := QueryResult{Kind: "node-set", Count: len(nodes)}
 	truncAt := s.cfg.MaxResultNodes
+	if len(nodes) > 0 {
+		out.Nodes = make([]QueryNode, 0, min(len(nodes), truncAt))
+	}
 	for i, n := range nodes {
 		if i == truncAt {
 			out.Truncated = true

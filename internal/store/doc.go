@@ -118,6 +118,24 @@ func OpenReaderAt(r io.ReaderAt, opt Options) (*Doc, error) {
 	return d, nil
 }
 
+// Clone returns another handle on the same image: it reads through d's
+// reader, so it sees the file d opened even after a rename replaced the
+// path, but it has its own page buffer, record cache, path index and sticky
+// fault, so it can serve another goroutine. The clone does not own the
+// file: closing it closes nothing, and d must stay open while any clone is
+// in use. Clone reads only what Open fixed (header, name table, reader), so
+// it may run while d serves another goroutine.
+func (d *Doc) Clone() *Doc {
+	b := d.buf
+	return &Doc{
+		docID:        dom.NextDocID(),
+		h:            d.h,
+		buf:          newBuffer(b.file, b.pageSize, b.usable, b.capacity, b.verify),
+		names:        d.names,
+		nodesPerPage: d.nodesPerPage,
+	}
+}
+
 // Err returns the sticky fault: the first I/O or corruption error any
 // navigation hit since open, nil if none. Callers that consumed navigation
 // results must check it before trusting them.

@@ -53,12 +53,17 @@ go test -short -run TestMatrix ./internal/difftest/
 NATIX_PERF_GUARD=1 go test -run TestBatchSpeedupGuard -timeout 20m .
 
 # Shared-plan gate: goroutines sharing Prepared plans must stay race-free on
-# the batched protocol, every run must return each free-list buffer and
-# stepper it took, however it ends, and cold lookups in the process-wide
+# the batched protocol, every run must return each free-list buffer,
+# stepper and column it took, however it ends, and cold lookups in the process-wide
 # path-index registry must build each document's index exactly once. The
 # visited-set steps ride along: every axis's walk against the dedup of plain
 # walks, and the Fig. 5 counters pinned on both protocols and under analyze.
-go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps' -count=1 . ./internal/dom/ ./internal/codegen/
+# The process-wide run-scratch pool rides along too: each run takes and
+# returns exactly one scratch, a pooled scratch pins no dropped document, a
+# kept result survives a thousand concurrent runs recycling the pool, and a
+# warm Fig. 5 q1 run allocates little beyond its result. Three rounds, for
+# the interleavings.
+go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage' -count=3 . ./internal/dom/ ./internal/codegen/
 
 # Index guard: the path-index access path must hit at least 5x over
 # navigation on the selective //name probes of the skewed corpus at 8000
