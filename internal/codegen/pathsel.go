@@ -28,9 +28,11 @@ import (
 )
 
 // pathCand is one candidate chain, keyed by its top operator in
-// Plan.pathCand.
+// Plan.pathCand. key is the chain's pathindex.ChainKey, under which every
+// run finds the index's memoized match; pattern is its display form only.
 type pathCand struct {
 	steps   []pathindex.Step
+	key     string
 	pattern string
 	outReg  int
 	batch   bool
@@ -156,6 +158,7 @@ func (p *Plan) matchChain(op algebra.Op) *pathCand {
 			_, batch := p.batchCol[op]
 			return &pathCand{
 				steps:   steps,
+				key:     pathindex.ChainKey(steps),
 				pattern: pathindex.FormatSteps(steps),
 				outReg:  outReg,
 				batch:   batch,
@@ -278,35 +281,48 @@ const storeWalkUnit = 4
 // buildPathScan makes the instantiation-time access-path decision for a
 // candidate. It returns the PathIndexScan iterator, or nil to fall back to
 // the untouched builder. On instrumented executions the decision — either
-// way — is recorded under the top operator's slot.
+// way — is recorded under the top operator's slot; only they allocate the
+// record.
 func (p *Plan) buildPathScan(ex *physical.Exec, pc *pathCand, slot int) physical.Iter {
-	record := func(ap *physical.AccessPath) {
-		if ex.Prof == nil {
-			return
-		}
+	ap, m := decideAccess(ex, pc)
+	if ex.Prof != nil {
 		if ex.Prof.Access == nil {
 			ex.Prof.Access = map[int]*physical.AccessPath{}
 		}
-		ex.Prof.Access[slot] = ap
+		rec := ap
+		ex.Prof.Access[slot] = &rec
 	}
+	if !ap.Chosen {
+		return nil
+	}
+	return &physical.PathIndexScan{Ex: ex, OutReg: pc.outReg, IDs: m.Nodes(), Batch: pc.batch}
+}
+
+// decideAccess prices a candidate against the execution's document. The
+// summary match comes from the index's memo, so only the first run of a
+// chain on a document walks the summary; the cost comparison runs every
+// time. The match is nil unless the summary answers the chain.
+func decideAccess(ex *physical.Exec, pc *pathCand) (physical.AccessPath, *pathindex.Match) {
+	ap := physical.AccessPath{Pattern: pc.pattern}
 	ix := pathindex.For(ex.CtxDoc)
 	if ix == nil {
-		record(&physical.AccessPath{Pattern: pc.pattern, Reason: "no-index"})
-		return nil
+		ap.Reason = "no-index"
+		return ap, nil
 	}
-	m, ok := ix.MatchSteps(pc.steps)
+	m, ok := ix.Match(pc.key, pc.steps)
 	if !ok {
-		record(&physical.AccessPath{Pattern: pc.pattern, Reason: "no-match"})
-		return nil
+		ap.Reason = "no-match"
+		return ap, nil
 	}
+	ap.Est, ap.WalkEst = m.Count, m.Walk
 	walkUnit := int64(1)
 	if _, owned := ex.CtxDoc.(pathindex.Provider); owned {
 		walkUnit = storeWalkUnit
 	}
 	if pathScanSetup+m.Count >= m.Walk*walkUnit {
-		record(&physical.AccessPath{Pattern: pc.pattern, Reason: "cost", Est: m.Count, WalkEst: m.Walk})
-		return nil
+		ap.Reason = "cost"
+	} else {
+		ap.Chosen = true
 	}
-	record(&physical.AccessPath{Pattern: pc.pattern, Chosen: true, Est: m.Count, WalkEst: m.Walk})
-	return &physical.PathIndexScan{Ex: ex, OutReg: pc.outReg, IDs: m.Nodes(), Batch: pc.batch}
+	return ap, m
 }

@@ -102,7 +102,6 @@ func Decode(blob []byte, nodeCount int) (*Index, error) {
 		post:      make([]uint32, n+1),
 		level:     make([]uint16, n+1),
 		paths:     make([]Path, 0, pathCount),
-		merged:    map[string][]dom.NodeID{},
 	}
 	for i := 1; i <= n; i++ {
 		ix.post[i] = r.u32()

@@ -17,9 +17,10 @@
 package pathindex
 
 import (
-	"sort"
-	"strconv"
+	"encoding/binary"
+	"slices"
 	"strings"
+	"sync"
 
 	"natix/internal/dom"
 )
@@ -46,11 +47,16 @@ func FormatSteps(steps []Step) string {
 
 // Match is the result of matching a step chain against the summary: the
 // matched final paths with the exact result cardinality and the estimated
-// enumeration cost of the axis walk the chain replaces.
+// enumeration cost of the axis walk the chain replaces. A Match is safe for
+// concurrent use.
 type Match struct {
 	ix    *Index
 	paths []int32
-	key   string
+
+	// merge builds nodes, the document-order merge of a multi-path match,
+	// at most once.
+	merge sync.Once
+	nodes []dom.NodeID
 
 	// Count is the exact number of result nodes (the sum of the matched
 	// paths' cardinalities).
@@ -87,12 +93,53 @@ func (ix *Index) MatchSteps(steps []Step) (*Match, bool) {
 	for _, p := range ctx {
 		m.Count += int64(len(ix.paths[p].Nodes))
 	}
-	parts := make([]string, len(ctx))
-	for i, p := range ctx {
-		parts[i] = strconv.Itoa(int(p))
-	}
-	m.key = strings.Join(parts, ",")
 	return m, true
+}
+
+// memoCap bounds the match memo of one index. A server takes arbitrary
+// queries, so the memo may not grow with them; when it is full it is
+// cleared and refills with the chains still in use.
+const memoCap = 256
+
+// ChainKey encodes a step chain as its Match memo key. The encoding is
+// injective: per step the axis and test kind bytes, then the test's URI,
+// local name and PI target, each length-prefixed. Rendered XPath would not
+// do: a namespace URI may contain "}" or "/", so the two-step chain
+// descendant::{a}b/child::{x}* renders exactly like the one descendant step
+// whose prefix:* test names the URI "a}b/child::{x".
+func ChainKey(steps []Step) string {
+	var b []byte
+	for _, s := range steps {
+		b = append(b, byte(s.Axis), byte(s.Test.Kind))
+		for _, f := range [...]string{s.Test.URI, s.Test.Local, s.Test.Target} {
+			b = binary.AppendUvarint(b, uint64(len(f)))
+			b = append(b, f...)
+		}
+	}
+	return string(b)
+}
+
+// Match is MatchSteps memoized on the index: the summary walk runs once per
+// index and chain, not once per call. key must be ChainKey(steps); callers
+// compute it once per chain. Refusals are memoized too. The returned Match
+// is shared by every caller of the same chain and must be treated as
+// read-only.
+func (ix *Index) Match(key string, steps []Step) (*Match, bool) {
+	ix.mu.Lock()
+	m, hit := ix.memo[key]
+	ix.mu.Unlock()
+	if !hit {
+		// Walk unlocked. Callers racing on one chain each store an equal
+		// match; the last store wins, and every returned match is valid.
+		m, _ = ix.MatchSteps(steps) // nil on refusal
+		ix.mu.Lock()
+		if ix.memo == nil || len(ix.memo) >= memoCap {
+			ix.memo = make(map[string]*Match)
+		}
+		ix.memo[key] = m
+		ix.mu.Unlock()
+	}
+	return m, m != nil
 }
 
 // stepPaths advances a context path-set through one step, returning the
@@ -199,30 +246,23 @@ func (ix *Index) prefixFree(set []int32) bool {
 }
 
 // Nodes returns the matched nodes in document order, duplicate-free: the
-// merge of the matched paths' node lists. The merge is memoized on the
-// index keyed by the matched path set; callers must treat the slice as
+// merge of the matched paths' node lists. A multi-path merge is built on
+// the first call and kept with the Match; callers must treat the slice as
 // read-only.
 func (m *Match) Nodes() []dom.NodeID {
-	if len(m.paths) == 0 {
+	switch len(m.paths) {
+	case 0:
 		return nil
-	}
-	if len(m.paths) == 1 {
+	case 1:
 		return m.ix.paths[m.paths[0]].Nodes
 	}
-	ix := m.ix
-	ix.mu.Lock()
-	if ids, ok := ix.merged[m.key]; ok {
-		ix.mu.Unlock()
-		return ids
-	}
-	ix.mu.Unlock()
-	ids := make([]dom.NodeID, 0, m.Count)
-	for _, p := range m.paths {
-		ids = append(ids, ix.paths[p].Nodes...)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ix.mu.Lock()
-	ix.merged[m.key] = ids
-	ix.mu.Unlock()
-	return ids
+	m.merge.Do(func() {
+		ids := make([]dom.NodeID, 0, m.Count)
+		for _, p := range m.paths {
+			ids = append(ids, m.ix.paths[p].Nodes...)
+		}
+		slices.Sort(ids)
+		m.nodes = ids
+	})
+	return m.nodes
 }

@@ -44,7 +44,7 @@ type Path struct {
 }
 
 // Index is the structural index of one document. It is immutable after
-// Build/Decode except for the memoized merge cache, which is internally
+// Build/Decode except for the match memo (Match), which is internally
 // synchronized, so an Index may be shared across concurrent executions.
 type Index struct {
 	nodeCount int
@@ -59,10 +59,10 @@ type Index struct {
 	subCount []int64
 	subOther []int64
 
-	// merged memoizes document-order merges of matched path node lists,
-	// keyed by the canonical matched-path-set string.
-	mu     sync.Mutex
-	merged map[string][]dom.NodeID
+	// memo caches Match results, refusals included (nil), keyed by
+	// ChainKey; at most memoCap entries. mu guards it.
+	mu   sync.Mutex
+	memo map[string]*Match
 }
 
 // maxLevel saturates the stored level; documents nested deeper than 65535
@@ -80,7 +80,6 @@ func Build(d dom.Document) *Index {
 		nodeCount: n,
 		post:      make([]uint32, n+1),
 		level:     make([]uint16, n+1),
-		merged:    map[string][]dom.NodeID{},
 	}
 	childPath := map[childKey]int32{}
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 
 	"natix/internal/dom"
 	"natix/internal/pathindex"
@@ -54,12 +55,24 @@ type Doc struct {
 	// links, never a wrong answer presented as a correct one.
 	err error
 
-	// pathIx is the lazily resolved structural index: decoded from the
-	// persisted v3 index pages, or rebuilt by traversal for older formats
-	// and on any validation failure. pathIxDone makes the resolution
-	// once-only (Doc is single-goroutine).
+	// persisted is the index decoded from the v3 index pages, shared by
+	// the handle that opened the image and all its clones. pathIx is this
+	// handle's lazily resolved structural index: the persisted one, or a
+	// rebuild by traversal for older formats and on any validation
+	// failure. pathIxDone makes the resolution once-only (Doc is
+	// single-goroutine).
+	persisted  *persistedIndex
 	pathIx     *pathindex.Index
 	pathIxDone bool
+}
+
+// persistedIndex is the decoded index pages of one image. The first handle
+// to ask decodes them, through its own buffer; the others, possibly on
+// other goroutines, wait for it and share the result, and with it the
+// index's match memo.
+type persistedIndex struct {
+	once sync.Once
+	ix   *pathindex.Index // nil: no index pages, or unreadable or invalid
 }
 
 var (
@@ -102,6 +115,7 @@ func OpenReaderAt(r io.ReaderAt, opt Options) (*Doc, error) {
 		h:            h,
 		buf:          newBuffer(r, int(h.pageSize), h.usable(), cap, verify),
 		nodesPerPage: uint32(h.usable() / recordSize),
+		persisted:    &persistedIndex{},
 	}
 	if verify {
 		// The header was read raw above; verify its page now that the
@@ -120,11 +134,13 @@ func OpenReaderAt(r io.ReaderAt, opt Options) (*Doc, error) {
 
 // Clone returns another handle on the same image: it reads through d's
 // reader, so it sees the file d opened even after a rename replaced the
-// path, but it has its own page buffer, record cache, path index and sticky
-// fault, so it can serve another goroutine. The clone does not own the
-// file: closing it closes nothing, and d must stay open while any clone is
-// in use. Clone reads only what Open fixed (header, name table, reader), so
-// it may run while d serves another goroutine.
+// path, but it has its own page buffer, record cache and sticky fault, so
+// it can serve another goroutine. It shares d's decoded index pages (and
+// decodes them for every handle of the image if it asks first); only a
+// rebuild by traversal is per handle. The clone does not own the file: closing it closes nothing,
+// and d must stay open while any clone is in use. Clone reads only what
+// Open fixed (header, name table, reader, the shared index), so it may run
+// while d serves another goroutine.
 func (d *Doc) Clone() *Doc {
 	b := d.buf
 	return &Doc{
@@ -133,6 +149,7 @@ func (d *Doc) Clone() *Doc {
 		buf:          newBuffer(b.file, b.pageSize, b.usable, b.capacity, b.verify),
 		names:        d.names,
 		nodesPerPage: d.nodesPerPage,
+		persisted:    d.persisted,
 	}
 }
 
@@ -174,25 +191,21 @@ func (d *Doc) Close() error {
 // structural index, decoding the persisted index pages of a version-3 file
 // (CRC-checked; any mismatch — corruption, version skew, node-count drift —
 // falls back to a rebuild by traversal, like opening an older format). The
-// result is cached for the life of the handle. A traversal rebuild on a
-// faulted document may return nil; callers then keep axis navigation, and
-// the sticky fault fails the run through the usual channel.
+// result is cached for the life of the handle; a decoded index is shared
+// with every clone of the image. A traversal rebuild on a faulted document
+// may return nil; callers then keep axis navigation, and the sticky fault
+// fails the run through the usual channel.
 func (d *Doc) PathIndex() *pathindex.Index {
 	if d.pathIxDone {
 		return d.pathIx
 	}
 	d.pathIxDone = true
-	if d.h.version >= 3 && d.h.indexBytes > 0 {
-		blob, err := d.buf.readStream(d.h.indexStart, 0, int(d.h.indexBytes))
-		if err == nil {
-			if ix, derr := pathindex.Decode(blob, d.NodeCount()); derr == nil {
-				d.pathIx = ix
-				return d.pathIx
-			}
-		}
-		// Unreadable or invalid index pages: the document data itself may
-		// be fine, so rebuild below instead of surfacing a fault here.
+	if ix := d.decodePersisted(); ix != nil {
+		d.pathIx = ix
+		return d.pathIx
 	}
+	// No index pages, or unreadable or invalid ones: the document data
+	// itself may be fine, so rebuild instead of surfacing a fault here.
 	if d.err != nil {
 		// Already-faulted document: a traversal would silently produce a
 		// partial index from nil links. Leave the index absent.
@@ -206,6 +219,25 @@ func (d *Doc) PathIndex() *pathindex.Index {
 	}
 	d.pathIx = ix
 	return d.pathIx
+}
+
+// decodePersisted returns the image's decoded index pages, decoding them
+// through d's buffer if no handle of the image has yet.
+func (d *Doc) decodePersisted() *pathindex.Index {
+	p := d.persisted
+	p.once.Do(func() {
+		if d.h.version < 3 || d.h.indexBytes == 0 {
+			return
+		}
+		blob, err := d.buf.readStream(d.h.indexStart, 0, int(d.h.indexBytes))
+		if err != nil {
+			return
+		}
+		if ix, err := pathindex.Decode(blob, d.NodeCount()); err == nil {
+			p.ix = ix
+		}
+	})
+	return p.ix
 }
 
 var _ pathindex.Provider = (*Doc)(nil)

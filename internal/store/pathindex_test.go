@@ -155,3 +155,46 @@ func TestPathIndexSurvivesUpdateReopen(t *testing.T) {
 		t.Fatal("index content changed across a value update")
 	}
 }
+
+// TestCloneSharesPersistedIndex: clones of an image share its decoded index
+// pages, and with them the match memo, whichever handle asks first; they
+// never decode the pages again.
+func TestCloneSharesPersistedIndex(t *testing.T) {
+	mem, err := dom.ParseString(storeSample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTo(&buf, mem); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenReaderAt(bytes.NewReader(buf.Bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := d.Clone() // exists before any handle resolved the index
+	ix := d.PathIndex()
+	if ix == nil {
+		t.Fatal("PathIndex() = nil on a clean v3 file")
+	}
+	late := d.Clone()
+	for name, c := range map[string]*Doc{"early clone": early, "late clone": late} {
+		misses := c.BufferStats().Misses
+		if got := c.PathIndex(); got != ix {
+			t.Errorf("%s: PathIndex() = %p, original's is %p", name, got, ix)
+		}
+		if c.BufferStats().Misses != misses {
+			t.Errorf("%s re-read the index pages", name)
+		}
+	}
+
+	// The first handle to ask decodes for all of them.
+	d2, err := OpenReaderAt(bytes.NewReader(buf.Bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := d2.Clone()
+	if ix2 := c2.PathIndex(); ix2 == nil || d2.PathIndex() != ix2 || ix2 == ix {
+		t.Fatal("a clone's decode is not shared with its original alone")
+	}
+}

@@ -61,9 +61,12 @@ NATIX_PERF_GUARD=1 go test -run TestBatchSpeedupGuard -timeout 20m .
 # The process-wide run-scratch pool rides along too: each run takes and
 # returns exactly one scratch, a pooled scratch pins no dropped document, a
 # kept result survives a thousand concurrent runs recycling the pool, and a
-# warm Fig. 5 q1 run allocates little beyond its result. Three rounds, for
-# the interleavings.
-go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage' -count=3 . ./internal/dom/ ./internal/codegen/
+# warm Fig. 5 q1 run allocates little beyond its result. So does the path
+# index's match memo: shared plans racing to decode one cold index and fill
+# its memo, one chain's or one document's match never served to another,
+# the memo's cap, clones sharing the decoded index pages, and a warm indexed
+# run that allocates no summary walk. Three rounds, for the interleavings.
+go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage|TestPathIndexMemo|TestPathIndexWarmRunAllocs|TestMatchMemo|TestCloneSharesPersistedIndex' -count=3 . ./internal/dom/ ./internal/codegen/ ./internal/pathindex/ ./internal/store/
 
 # Index guard: the path-index access path must hit at least 5x over
 # navigation on the selective //name probes of the skewed corpus at 8000
