@@ -12,8 +12,9 @@
 // Documents whose path ends in .natix are served from the paged store
 // (handles are pooled per generation); anything else is parsed into memory
 // once and shared by all queries. POST /reload?document=name re-reads a
-// document's backing file as a new generation and invalidates its cached
-// plans; in-flight queries finish on the old generation.
+// document's backing file as a new generation; in-flight queries finish on
+// the old generation, and cached plans, which hold nothing per document,
+// serve the new one. The plan cache is bounded by -cache-bytes alone.
 //
 // # Coordinator mode
 //
@@ -95,23 +96,19 @@ func openAll(cat *catalog.Catalog, specs []docSpec, bufPages int) error {
 // options collects every flag; run consumes it so tests can drive the full
 // startup path without a process.
 type options struct {
-	addr         string
-	workers      int
-	queue        int
-	timeout      time.Duration
-	maxTimeout   time.Duration
-	limits       natix.Limits
-	cacheEntries int
-	cacheBytes   int64
-	maxNodes     int
-	bufPages     int
-	pathIndex    bool
-	metrics      bool
-	debugAddr    string
-	chaosSpec    string
-
-	profilePath string
-	warmTopK    int
+	addr       string
+	workers    int
+	queue      int
+	timeout    time.Duration
+	maxTimeout time.Duration
+	limits     natix.Limits
+	cacheBytes int64
+	maxNodes   int
+	bufPages   int
+	pathIndex  bool
+	metrics    bool
+	debugAddr  string
+	chaosSpec  string
 
 	coordinator   bool
 	topologyPath  string
@@ -132,13 +129,10 @@ func main() {
 	flag.Int64Var(&o.limits.MaxBytes, "max-mem", 0, "per-query materialization budget in bytes (0 = unlimited)")
 	flag.Int64Var(&o.limits.MaxTuples, "max-tuples", 0, "per-query tuple budget (0 = unlimited)")
 	flag.Int64Var(&o.limits.MaxSteps, "max-steps", 0, "per-query axis-step budget (0 = unlimited)")
-	flag.IntVar(&o.cacheEntries, "cache-entries", 256, "plan cache entry budget (0 = no entry bound)")
-	flag.Int64Var(&o.cacheBytes, "cache-bytes", 16<<20, "plan cache byte budget (0 = no byte bound)")
+	flag.Int64Var(&o.cacheBytes, "cache-bytes", 16<<20, "plan cache byte budget, its one bound (0 = unbounded)")
 	flag.IntVar(&o.maxNodes, "max-result-nodes", 0, "serialized nodes per response before truncation (0 = default 10000)")
 	flag.IntVar(&o.bufPages, "buffer", 0, "store buffer capacity in pages per handle (0 = default)")
 	flag.BoolVar(&o.pathIndex, "path-index", false, "enable cost-based path-index access-path selection in served plans")
-	flag.StringVar(&o.profilePath, "profile", "", "workload profile file: loaded at startup, top-K entries per document saved at shutdown (empty = in-memory only)")
-	flag.IntVar(&o.warmTopK, "warm-topk", 0, "hottest profiled queries recompiled per document on reload and /warm (0 = default 8, negative disables warming)")
 	flag.BoolVar(&o.metrics, "metrics", true, "collect engine metrics (served at /metrics either way)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "also serve /metrics and /debug/pprof on this address")
 	flag.StringVar(&o.chaosSpec, "chaos", "", "fault-injection plan for soak runs, e.g. seed=42,http_latency=0.2:5ms,http_drop=0.05,http_503=0.05,read=0.02,reload_open=0.1 (NEVER in production)")
@@ -212,7 +206,7 @@ func runShard(o options, plan *chaos.Plan) error {
 
 	svc := server.New(server.Config{
 		Catalog:        cat,
-		Cache:          plancache.New(o.cacheEntries, o.cacheBytes),
+		Cache:          plancache.New(0, o.cacheBytes),
 		Workers:        o.workers,
 		QueueDepth:     o.queue,
 		DefaultTimeout: o.timeout,
@@ -220,9 +214,6 @@ func runShard(o options, plan *chaos.Plan) error {
 		Limits:         o.limits,
 		MaxResultNodes: o.maxNodes,
 		PathIndex:      o.pathIndex,
-
-		ProfilePath: o.profilePath,
-		WarmTopK:    o.warmTopK,
 	})
 
 	handler := svc.Handler()

@@ -44,9 +44,9 @@ func TestRunRejectsBadChaosSpec(t *testing.T) {
 	err := run(options{
 		addr: "127.0.0.1:0", workers: 1, queue: 1,
 		timeout: time.Second, maxTimeout: time.Second,
-		cacheEntries: 8, cacheBytes: 1 << 20,
-		chaosSpec: "http_latncy=0.2",
-		args:      []string{"d=" + xmlPath},
+		cacheBytes: 1 << 20,
+		chaosSpec:  "http_latncy=0.2",
+		args:       []string{"d=" + xmlPath},
 	})
 	if err == nil {
 		t.Fatal("bad chaos spec accepted")

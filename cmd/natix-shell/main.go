@@ -146,10 +146,10 @@ func newShell(doc dom.Document, out io.Writer) *shell {
 // naturally recompile.
 func (s *shell) compile(expr string) (*natix.Prepared, error) {
 	if s.canon {
-		p, _, _, err := s.plans.GetOrCompileCanonical(expr, s.options(), "shell", 1, 1)
+		p, _, _, err := s.plans.GetOrCompileCanonical(expr, s.options(), "", 0, 0)
 		return p, err
 	}
-	p, _, err := s.plans.GetOrCompile(expr, s.options(), "shell", 1, 1)
+	p, _, err := s.plans.GetOrCompile(expr, s.options())
 	return p, err
 }
 

@@ -59,8 +59,6 @@ type Info struct {
 	Refs int `json:"refs"`
 	// Retired counts superseded generations still pinned by queries.
 	Retired int `json:"retired_generations,omitempty"`
-	// IndexEpoch is the document's path-index epoch (bumped on reload).
-	IndexEpoch uint64 `json:"index_epoch"`
 }
 
 // generation is one loaded incarnation of a document. Exactly one of mem /
@@ -114,12 +112,6 @@ type entry struct {
 	backend Backend
 	live    *generation
 	old     []*generation
-
-	// indexEpoch counts path-index state changes of this document: it
-	// starts at 1 and bumps on every reload (which swaps the document the
-	// index describes). Plan caches key on it so a plan compiled against
-	// one index state is never served after the state changed.
-	indexEpoch uint64
 }
 
 // ReloadPoint names one step of Reload, for fault injection.
@@ -188,11 +180,8 @@ type Handle struct {
 	Doc dom.Document
 	// Name is the catalog name the handle was acquired under.
 	Name string
-	// Generation identifies the loaded incarnation; plan caches key on it.
+	// Generation identifies the loaded incarnation; results depend on it.
 	Generation uint64
-	// IndexEpoch is the document's path-index epoch at acquisition; plan
-	// caches key on it alongside Generation.
-	IndexEpoch uint64
 
 	e    *entry
 	g    *generation
@@ -238,7 +227,7 @@ func (c *Catalog) register(name string, backend Backend, g *generation) error {
 		return fmt.Errorf("catalog: document %q already open", name)
 	}
 	g.gen = 1
-	c.docs[name] = &entry{name: name, backend: backend, live: g, indexEpoch: 1}
+	c.docs[name] = &entry{name: name, backend: backend, live: g}
 	mDocs.Add(1)
 	return nil
 }
@@ -316,7 +305,7 @@ func (c *Catalog) Acquire(name string) (*Handle, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	g := e.live
-	h := &Handle{Name: name, Generation: g.gen, IndexEpoch: e.indexEpoch, e: e, g: g}
+	h := &Handle{Name: name, Generation: g.gen, e: e, g: g}
 	if e.backend == Mem {
 		h.Doc = g.mem
 	} else {
@@ -345,17 +334,6 @@ func (c *Catalog) Generation(name string) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.live.gen, nil
-}
-
-// IndexEpoch returns the current path-index epoch of name.
-func (c *Catalog) IndexEpoch(name string) (uint64, error) {
-	e, err := c.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.indexEpoch, nil
 }
 
 // Reload replaces the live generation of name by re-reading its source (the
@@ -427,7 +405,6 @@ func (c *Catalog) Reload(name string) (uint64, error) {
 	old := e.live
 	next.gen = old.gen + 1
 	e.live = next
-	e.indexEpoch++
 	old.retired = true
 	if old.refs == 0 {
 		old.retire()
@@ -497,7 +474,6 @@ func (c *Catalog) List() []Info {
 			Refs:       e.live.refs,
 			Retired:    len(e.old),
 			Nodes:      e.live.nodes,
-			IndexEpoch: e.indexEpoch,
 		}
 		e.mu.Unlock()
 		infos = append(infos, info)

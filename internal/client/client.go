@@ -326,9 +326,6 @@ type DocumentInfo struct {
 	Nodes      int    `json:"nodes"`
 	Refs       int    `json:"refs"`
 	Retired    int    `json:"retired_generations,omitempty"`
-	// IndexEpoch is the document's path-index epoch; cluster coordinators
-	// record it per shard to verify index homogeneity.
-	IndexEpoch uint64 `json:"index_epoch,omitempty"`
 }
 
 // Health is a liveness/readiness probe answer.
@@ -360,15 +357,10 @@ func (c *Client) Ready(ctx context.Context) (*Health, error) {
 	return &h, nil
 }
 
-// ReloadResult reports a successful reload, including the cache pre-warm
-// status: how many of the document's hottest profiled plans were recompiled
-// against the new generation, and the compile time spent doing it.
+// ReloadResult reports a successful reload: the generation now serving.
 type ReloadResult struct {
-	Document         string `json:"document"`
-	Generation       uint64 `json:"generation"`
-	PlansInvalidated int    `json:"plans_invalidated"`
-	Warmed           int    `json:"warmed"`
-	WarmCompileUS    int64  `json:"warm_compile_us"`
+	Document   string `json:"document"`
+	Generation uint64 `json:"generation"`
 }
 
 // Reload reloads a document. It never retries: reload mutates serving
@@ -379,28 +371,6 @@ func (c *Client) Reload(ctx context.Context, document string) (*ReloadResult, er
 	var r ReloadResult
 	path := "/reload?document=" + url.QueryEscape(document)
 	if err := c.do(ctx, http.MethodPost, path, nil, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// WarmResult reports one cache pre-warm pass.
-type WarmResult struct {
-	Document      string `json:"document"`
-	Warmed        int    `json:"warmed"`
-	WarmCompileUS int64  `json:"warm_compile_us"`
-}
-
-// Warm pre-warms a document's plan cache from its workload profile without
-// reloading it. Warming is idempotent (recompiling an already-cached plan
-// just refreshes it), so transient failures retry.
-func (c *Client) Warm(ctx context.Context, document string) (*WarmResult, error) {
-	var r WarmResult
-	path := "/warm?document=" + url.QueryEscape(document)
-	if err := c.retry(ctx, func() error {
-		r = WarmResult{}
-		return c.do(ctx, http.MethodPost, path, nil, &r)
-	}); err != nil {
 		return nil, err
 	}
 	return &r, nil

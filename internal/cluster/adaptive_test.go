@@ -1,8 +1,7 @@
 package cluster
 
 // Coordinator-level adaptive serving: singleflight coalescing of identical
-// in-flight fan-outs, the /reload fan-out with per-shard warm aggregation,
-// and cache pre-warming after a topology swap.
+// in-flight fan-outs and the /reload fan-out with per-shard aggregation.
 
 import (
 	"bytes"
@@ -390,23 +389,15 @@ func startFileCluster(t *testing.T, placement []map[string]string, cfg Config) *
 	return coord
 }
 
-func TestCoordReloadFanOutAggregatesWarm(t *testing.T) {
+// TestCoordReloadFanOutAggregates: POST /reload?document=* reaches every
+// document's owning shard once, reports each document's new generation,
+// and aggregates the rows per shard.
+func TestCoordReloadFanOutAggregates(t *testing.T) {
 	coord := startFileCluster(t, []map[string]string{
 		{"a": smallDoc(3)},
-		{"b": smallDoc(5)},
+		{"b": smallDoc(5), "c": smallDoc(2)},
 	}, Config{})
 	h := coord.Handler()
-
-	// Populate each shard's workload profile so the reload has something
-	// to warm.
-	for _, doc := range []string{"a", "b"} {
-		st, data := postCoord(t, h, QueryRequest{QueryRequest: server.QueryRequest{
-			Query: "count(//x)", Document: doc,
-		}})
-		if st != http.StatusOK {
-			t.Fatalf("seed query %s: status %d (%s)", doc, st, data)
-		}
-	}
 
 	r := httptest.NewRequest(http.MethodPost, "/reload?document=*", nil)
 	w := httptest.NewRecorder()
@@ -417,7 +408,6 @@ func TestCoordReloadFanOutAggregatesWarm(t *testing.T) {
 	var resp struct {
 		Documents []ReloadDocStatus   `json:"documents"`
 		Shards    []ReloadShardStatus `json:"shards"`
-		Warmed    int                 `json:"warmed"`
 		Errors    int                 `json:"errors"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
@@ -426,63 +416,30 @@ func TestCoordReloadFanOutAggregatesWarm(t *testing.T) {
 	if resp.Errors != 0 {
 		t.Fatalf("reload errors: %+v", resp.Documents)
 	}
-	if len(resp.Documents) != 2 || len(resp.Shards) != 2 {
-		t.Fatalf("documents/shards = %d/%d, want 2/2", len(resp.Documents), len(resp.Shards))
+	if len(resp.Documents) != 3 || len(resp.Shards) != 2 {
+		t.Fatalf("documents/shards = %d/%d, want 3/2", len(resp.Documents), len(resp.Shards))
 	}
+	owner := map[string]string{}
 	for _, d := range resp.Documents {
-		if d.Generation != 2 {
-			t.Fatalf("doc %s: generation %d, want 2", d.Document, d.Generation)
+		if d.Generation != 2 || d.Error != "" {
+			t.Fatalf("doc %s: generation %d, error %q; want 2 and none", d.Document, d.Generation, d.Error)
 		}
-		if d.Warmed != 1 {
-			t.Fatalf("doc %s: warmed %d, want 1", d.Document, d.Warmed)
-		}
+		owner[d.Document] = d.Shard
 	}
+	if owner["b"] != owner["c"] || owner["a"] == owner["b"] {
+		t.Fatalf("owners = %v, want b and c on one shard, a on the other", owner)
+	}
+	want := map[string]int{owner["a"]: 1, owner["b"]: 2}
 	for _, s := range resp.Shards {
-		if s.Documents != 1 || s.Warmed != 1 {
-			t.Fatalf("shard %s: documents=%d warmed=%d, want 1/1", s.Shard, s.Documents, s.Warmed)
+		if s.Documents != want[s.Shard] || s.Errors != 0 {
+			t.Fatalf("shard %s: documents=%d errors=%d, want %d/0", s.Shard, s.Documents, s.Errors, want[s.Shard])
 		}
 	}
-	if resp.Warmed != 2 {
-		t.Fatalf("total warmed = %d, want 2", resp.Warmed)
-	}
-}
-
-func TestCoordTopologySwapWarms(t *testing.T) {
-	coord := startFileCluster(t, []map[string]string{
-		{"a": smallDoc(3)},
-		{"b": smallDoc(5)},
-	}, Config{})
-	h := coord.Handler()
-
-	for _, doc := range []string{"a", "b"} {
-		if st, data := postCoord(t, h, QueryRequest{QueryRequest: server.QueryRequest{
-			Query: "count(//x)", Document: doc,
-		}}); st != http.StatusOK {
-			t.Fatalf("seed query %s: status %d (%s)", doc, st, data)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	sum := coord.warmAll(ctx)
-	if sum.Documents != 2 || sum.Warmed != 2 || sum.Errors != 0 {
-		t.Fatalf("warm summary = %+v, want 2 documents, 2 warmed, 0 errors", sum)
-	}
-	if len(sum.Shards) != 2 {
-		t.Fatalf("warm shards = %d, want 2", len(sum.Shards))
-	}
-
-	// The pass is retained and reported on GET /topology.
-	r := httptest.NewRequest(http.MethodGet, "/topology", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, r)
-	var topo struct {
-		LastWarm *WarmSummary `json:"last_warm"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &topo); err != nil {
+	var raw map[string]any
+	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	if topo.LastWarm == nil || topo.LastWarm.Warmed != 2 {
-		t.Fatalf("last_warm = %+v, want warmed 2", topo.LastWarm)
+	if len(raw) != 3 {
+		t.Fatalf("reload answer keys = %v, want documents, shards, errors", raw)
 	}
 }

@@ -35,7 +35,6 @@ var (
 	mShardsHealthy  = metrics.Default.Gauge("natix_coord_healthy_shards", "Shards currently considered healthy by the prober.")
 	mTopoReloads    = metrics.Default.Counter("natix_coord_topology_reloads_total", "Topology reloads installed.")
 	mProbes         = metrics.Default.Counter("natix_coord_probes_total", "Health-probe rounds completed.")
-	mCoordWarmed    = metrics.Default.Counter("natix_coord_warmed_plans_total", "Shard plans pre-warmed by coordinator reload fan-outs and topology swaps.")
 	mCoordCoalesced = metrics.Default.Counter("natix_coord_coalesced_total", "Coordinator queries served by joining an identical in-flight fan-out instead of calling shards.")
 )
 
@@ -125,12 +124,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// docMeta is what the prober learned about one document on one shard.
-type docMeta struct {
-	Generation uint64
-	IndexEpoch uint64
-}
-
 // shardState is the coordinator's live view of one shard: clients, health
 // hysteresis, and the observed document placement.
 type shardState struct {
@@ -147,7 +140,7 @@ type shardState struct {
 	consecFail int
 	lastErr    string
 	lastProbe  time.Time
-	docs       map[string]docMeta
+	docs       map[string]uint64 // document → generation, as last probed
 }
 
 // client returns the shard's retrying client on the preferred endpoint.
@@ -269,9 +262,6 @@ type Coordinator struct {
 	draining atomic.Bool
 	start    time.Time
 
-	warmMu   sync.Mutex
-	lastWarm *WarmSummary
-
 	reloadMu sync.Mutex // serializes topology installs
 	stop     chan struct{}
 	done     chan struct{}
@@ -308,7 +298,7 @@ func New(cfg Config) (*Coordinator, error) {
 
 // newShardState builds the per-shard clients (shared transport).
 func (c *Coordinator) newShardState(sh ShardSpec, seq int) *shardState {
-	st := &shardState{id: sh.ID, endpoints: sh.Endpoints, docs: map[string]docMeta{}}
+	st := &shardState{id: sh.ID, endpoints: sh.Endpoints, docs: map[string]uint64{}}
 	for i, ep := range sh.Endpoints {
 		cl := client.New(ep, c.cfg.ClientSeed+int64(seq*16+i))
 		cl.HTTPClient = c.httpc
@@ -763,29 +753,24 @@ func shardTimings(outcomes []docOutcome) []ShardTiming {
 }
 
 // ReloadDocStatus is one document's row of the coordinator's /reload
-// answer: the owning shard's reload report, warm-up status included.
+// answer: the owning shard's reload report.
 type ReloadDocStatus struct {
-	Document         string `json:"document"`
-	Shard            string `json:"shard"`
-	Generation       uint64 `json:"generation,omitempty"`
-	PlansInvalidated int    `json:"plans_invalidated"`
-	Warmed           int    `json:"warmed"`
-	WarmCompileUS    int64  `json:"warm_compile_us"`
-	Error            string `json:"error,omitempty"`
+	Document   string `json:"document"`
+	Shard      string `json:"shard"`
+	Generation uint64 `json:"generation,omitempty"`
+	Error      string `json:"error,omitempty"`
 }
 
 // ReloadShardStatus aggregates one shard's slice of a reload fan-out.
 type ReloadShardStatus struct {
-	Shard         string `json:"shard"`
-	Documents     int    `json:"documents"`
-	Warmed        int    `json:"warmed"`
-	WarmCompileUS int64  `json:"warm_compile_us"`
-	Errors        int    `json:"errors,omitempty"`
+	Shard     string `json:"shard"`
+	Documents int    `json:"documents"`
+	Errors    int    `json:"errors,omitempty"`
 }
 
 // handleReload fans POST /reload?document= out to the shards serving the
 // named documents — a single name, a comma list, or "*" for every observed
-// document — and aggregates each shard's reload and cache warm-up report.
+// document — and aggregates the reports per shard.
 // Failures are per-document and explicit, never silently dropped: the
 // answer is the cluster-level analogue of a shard's own reload response.
 func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -834,15 +819,12 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			out.Generation = res.Generation
-			out.PlansInvalidated = res.PlansInvalidated
-			out.Warmed = res.Warmed
-			out.WarmCompileUS = res.WarmCompileUS
 		}(&out[i], doc, sh)
 	}
 	wg.Wait()
 
 	agg := map[string]*ReloadShardStatus{}
-	warmed, failures := 0, 0
+	failures := 0
 	for i := range out {
 		o := &out[i]
 		t, ok := agg[o.Shard]
@@ -851,9 +833,6 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 			agg[o.Shard] = t
 		}
 		t.Documents++
-		t.Warmed += o.Warmed
-		t.WarmCompileUS += o.WarmCompileUS
-		warmed += o.Warmed
 		if o.Error != "" {
 			t.Errors++
 			failures++
@@ -864,104 +843,11 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 		shards = append(shards, *t)
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
-	if warmed > 0 && metrics.Enabled() {
-		mCoordWarmed.Add(int64(warmed))
-	}
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"documents": out,
 		"shards":    shards,
-		"warmed":    warmed,
 		"errors":    failures,
 	})
-}
-
-// ShardWarm is one shard's slice of a cluster-wide pre-warm pass.
-type ShardWarm struct {
-	Shard         string `json:"shard"`
-	Documents     int    `json:"documents"`
-	Warmed        int    `json:"warmed"`
-	WarmCompileUS int64  `json:"warm_compile_us"`
-	Errors        int    `json:"errors,omitempty"`
-}
-
-// WarmSummary reports one cluster-wide pre-warm pass, aggregated per shard.
-type WarmSummary struct {
-	Documents int         `json:"documents"`
-	Warmed    int         `json:"warmed"`
-	Errors    int         `json:"errors,omitempty"`
-	Shards    []ShardWarm `json:"shards,omitempty"`
-}
-
-// warmAll fans POST /warm across every observed (document, shard) pair, so
-// a topology swap does not leave re-homed documents serving their first
-// queries from a cold plan cache. The aggregate is retained and reported on
-// GET /topology as last_warm.
-func (c *Coordinator) warmAll(ctx context.Context) WarmSummary {
-	st := c.state.Load()
-	docs, owner := st.docUnion()
-	sum := WarmSummary{Documents: len(docs)}
-	agg := map[string]*ShardWarm{}
-	var mu sync.Mutex
-	sem := make(chan struct{}, c.cfg.FanOut)
-	var wg sync.WaitGroup
-	for _, doc := range docs {
-		sh := owner[doc]
-		shardAgg := func() *ShardWarm {
-			t, ok := agg[sh.id]
-			if !ok {
-				t = &ShardWarm{Shard: sh.id}
-				agg[sh.id] = t
-			}
-			return t
-		}
-		if !sh.healthy.Load() {
-			t := shardAgg()
-			t.Documents++
-			t.Errors++
-			sum.Errors++
-			continue
-		}
-		shardAgg().Documents++
-		wg.Add(1)
-		go func(doc string, sh *shardState) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				mu.Lock()
-				agg[sh.id].Errors++
-				sum.Errors++
-				mu.Unlock()
-				return
-			}
-			res, err := sh.client().Warm(ctx, doc)
-			mu.Lock()
-			defer mu.Unlock()
-			t := agg[sh.id]
-			if err != nil {
-				t.Errors++
-				sum.Errors++
-				return
-			}
-			t.Warmed += res.Warmed
-			t.WarmCompileUS += res.WarmCompileUS
-			sum.Warmed += res.Warmed
-		}(doc, sh)
-	}
-	wg.Wait()
-	sum.Shards = make([]ShardWarm, 0, len(agg))
-	for _, t := range agg {
-		sum.Shards = append(sum.Shards, *t)
-	}
-	sort.Slice(sum.Shards, func(i, j int) bool { return sum.Shards[i].Shard < sum.Shards[j].Shard })
-	if sum.Warmed > 0 && metrics.Enabled() {
-		mCoordWarmed.Add(int64(sum.Warmed))
-	}
-	c.warmMu.Lock()
-	c.lastWarm = &sum
-	c.warmMu.Unlock()
-	return sum
 }
 
 func (c *Coordinator) handleDocuments(w http.ResponseWriter, r *http.Request) {
@@ -974,16 +860,15 @@ func (c *Coordinator) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		Name       string `json:"name"`
 		Shard      string `json:"shard"`
 		Generation uint64 `json:"generation"`
-		IndexEpoch uint64 `json:"index_epoch"`
 	}
 	names, owner := st.docUnion()
 	out := make([]docEntry, 0, len(names))
 	for _, n := range names {
 		sh := owner[n]
 		sh.mu.Lock()
-		meta := sh.docs[n]
+		gen := sh.docs[n]
 		sh.mu.Unlock()
-		out = append(out, docEntry{Name: n, Shard: sh.id, Generation: meta.Generation, IndexEpoch: meta.IndexEpoch})
+		out = append(out, docEntry{Name: n, Shard: sh.id, Generation: gen})
 	}
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"documents": out})
 }
@@ -1027,15 +912,9 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		gen, vnodes, shards := c.topologyStatus()
-		out := map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"generation": gen, "vnodes": vnodes, "shards": shards,
-		}
-		c.warmMu.Lock()
-		if c.lastWarm != nil {
-			out["last_warm"] = *c.lastWarm
-		}
-		c.warmMu.Unlock()
-		httpapi.WriteJSON(w, http.StatusOK, out)
+		})
 	case http.MethodPost:
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
@@ -1076,16 +955,11 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 		carried := c.install(topo)
 		mTopoReloads.Inc()
 		// Probe the new topology promptly so fresh shards demote fast if
-		// dead, then pre-warm each shard's plan cache for the documents the
-		// probe placed on it — a swap must not serve its first queries cold.
-		// The caller's answer does not wait for either.
+		// dead. The caller's answer does not wait for it.
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+			defer cancel()
 			c.ProbeNow(ctx)
-			cancel()
-			wctx, wcancel := context.WithTimeout(context.Background(), c.cfg.MaxTimeout)
-			defer wcancel()
-			c.warmAll(wctx)
 		}()
 		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"generation": topo.Generation(), "shards": len(topo.ShardIDs()), "carried_over": carried,

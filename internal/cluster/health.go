@@ -90,9 +90,9 @@ func (c *Coordinator) noteProbeOK(sh *shardState, pc *client.Client, ctx context
 	if derr == nil {
 		// Replace, not merge: a document dropped from the shard's catalog
 		// must drop from the routing table too.
-		m := make(map[string]docMeta, len(docs))
+		m := make(map[string]uint64, len(docs))
 		for _, d := range docs {
-			m[d.Name] = docMeta{Generation: d.Generation, IndexEpoch: d.IndexEpoch}
+			m[d.Name] = d.Generation
 		}
 		sh.docs = m
 	}

@@ -18,7 +18,6 @@ import (
 	"natix/internal/nvm"
 	"natix/internal/physical"
 	"natix/internal/translate"
-	"natix/internal/xfn"
 	"natix/internal/xval"
 )
 
@@ -78,8 +77,6 @@ type Plan struct {
 	opSlot   map[algebra.Op]int
 	numOps   int
 	numProgs int
-
-	ids *xfn.IDIndex
 }
 
 // Compile generates the physical plan for a translation result.
@@ -87,7 +84,6 @@ func Compile(res *translate.Result) (*Plan, error) {
 	g := &generator{
 		plan: &Plan{
 			source:   res,
-			ids:      xfn.NewIDIndex(),
 			progs:    map[algebra.Op][]*nvm.Program{},
 			opSlot:   map[algebra.Op]int{},
 			batchCol: map[algebra.Op]int{},
@@ -161,7 +157,7 @@ func (p *Plan) run(stdctx context.Context, limits guard.Limits, ctx dom.Node, va
 		NoEarlyExit: p.DisableSmartAgg,
 		Gov:         gov,
 	}
-	ex := &physical.Exec{M: m, IDs: p.ids, CtxDoc: ctx.Doc, Gov: gov, WrapIter: p.WrapIter, BatchSize: p.BatchSize}
+	ex := &physical.Exec{M: m, CtxDoc: ctx.Doc, Gov: gov, WrapIter: p.WrapIter, BatchSize: p.BatchSize}
 	ex.TakeScratch()
 	defer ex.ReturnScratch()
 	if prof != nil {
@@ -267,28 +263,27 @@ const resultNodeBytes = 24
 // physical package, these are deliberately coarse: the plan cache's byte
 // budget bounds runaway growth, it does not meter the allocator.
 const (
-	planBaseBytes  = 512 // Plan struct, registers map, slices
-	regBytes       = 24  // one register name/index pair
-	instrBytes     = 32  // one NVM instruction
-	constBytes     = 64  // one program constant (may carry a string)
-	progBaseBytes  = 96  // Program struct and its slice headers
-	opBytes        = 192 // one compiled operator: builder closure + opSlot entry
-	subplanBytes   = 64  // one subplan builder slot
-	memoSlotBytes  = 48  // one memo-cache slot
-	indexBaseBytes = 256 // empty per-plan IDIndex
+	planBaseBytes = 768 // Plan struct, registers map, slices
+	regBytes      = 24  // one register name/index pair
+	instrBytes    = 32  // one NVM instruction
+	constBytes    = 64  // one program constant (may carry a string)
+	progBaseBytes = 96  // Program struct and its slice headers
+	opBytes       = 192 // one compiled operator: builder closure + opSlot entry
+	subplanBytes  = 64  // one subplan builder slot
+	memoSlotBytes = 48  // one memo-cache slot
 )
 
 // SizeEstimate returns a coarse estimate of the compiled plan's resident
 // bytes: the register file layout, every compiled subscript program, the
 // operator builders and the memo/subplan slots. The plan cache charges this
-// against its byte budget; per-document index caches built lazily at run
-// time are not included (they are bounded by document size, not plan count).
+// against its byte budget. A plan holds nothing per document: the ID maps
+// and path indexes its runs consult belong to the documents.
 func (p *Plan) SizeEstimate() int64 {
 	progBytes := func(pr *nvm.Program) int64 {
 		return progBaseBytes + int64(len(pr.Code))*instrBytes +
 			int64(len(pr.Consts))*constBytes + int64(len(pr.Names))*regBytes
 	}
-	n := int64(planBaseBytes) + indexBaseBytes
+	n := int64(planBaseBytes)
 	n += int64(p.numRegs) * regBytes
 	for _, progs := range p.progs {
 		for _, pr := range progs {

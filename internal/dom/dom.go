@@ -108,6 +108,11 @@ type Document interface {
 	// and element nodes the concatenation of descendant text nodes, for
 	// others the same as Value.
 	StringValue(id NodeID) string
+
+	// ElementByID returns the element id() resolves s to (BuildIDMap), or
+	// NilNode. The map is the document's own: built on first use, once per
+	// document, and shared by every plan that runs against it.
+	ElementByID(s string) NodeID
 }
 
 // Node is a handle to a node in some document. The zero Node is nil.

@@ -3,6 +3,7 @@ package dom
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -35,6 +36,9 @@ type MemDoc struct {
 	nodes  []memNode // index 0 unused; IDs are document order
 	strs   []string
 	strIdx map[string]int32
+
+	idsOnce sync.Once
+	ids     map[string]NodeID // ElementByID's map, built on first use
 }
 
 var _ Document = (*MemDoc)(nil)
@@ -67,6 +71,13 @@ func (d *MemDoc) DocID() uint64 { return d.docID }
 
 // Root implements Document.
 func (d *MemDoc) Root() NodeID { return 1 }
+
+// ElementByID implements Document. Safe for concurrent use once the
+// document is built.
+func (d *MemDoc) ElementByID(s string) NodeID {
+	d.idsOnce.Do(func() { d.ids = BuildIDMap(d) })
+	return d.ids[s]
+}
 
 // NodeCount implements Document.
 func (d *MemDoc) NodeCount() int { return len(d.nodes) - 1 }

@@ -1,8 +1,8 @@
 // Package flight is the serving tier's singleflight: concurrent identical
 // requests coalesce into one execution whose outcome fans out to every
-// waiter. The shard server keys it on (canonical query, options, document
-// generation, index epoch), the cluster coordinator on (canonical query,
-// document expression, options, topology generation).
+// waiter. The shard server keys it on (canonical query, options, document,
+// generation), the cluster coordinator on (canonical query, document
+// expression, options, topology generation).
 //
 // The leader executes on a context detached from every HTTP request and
 // bounded only by the tier's maximum timeout. A waiter refcount keeps it

@@ -29,16 +29,16 @@ type Options struct {
 	DedupSteps bool
 }
 
-// Interp is a reusable interpreter. It is not safe for concurrent use (the
-// id() index cache is shared across evaluations).
+// Interp is a reusable interpreter. It holds nothing but its options, so
+// it is safe for concurrent use on documents that are (id() resolves
+// through the document's own map).
 type Interp struct {
 	opt Options
-	ids *xfn.IDIndex
 }
 
 // New returns an interpreter with the given options.
 func New(opt Options) *Interp {
-	return &Interp{opt: opt, ids: xfn.NewIDIndex()}
+	return &Interp{opt: opt}
 }
 
 // Context is the dynamic evaluation context: the context node, position and
@@ -265,7 +265,7 @@ func (ip *Interp) call(c *sem.Call, ctx *Context) (xval.Value, error) {
 		}
 		return xval.Num(xfn.Sum(args[0].Nodes)), nil
 	case sem.FnID:
-		return xval.NodeSet(xfn.ID(ip.ids, ctx.Node.Doc, args[0])), nil
+		return xval.NodeSet(xfn.ID(ctx.Node.Doc, args[0])), nil
 	case sem.FnLocalName:
 		return xval.Str(xfn.LocalName(args[0].Nodes)), nil
 	case sem.FnNamespaceURI:

@@ -46,8 +46,7 @@ type Stats struct {
 
 // Exec is the shared execution state of one query run.
 type Exec struct {
-	M   *nvm.Machine
-	IDs *xfn.IDIndex
+	M *nvm.Machine
 	// CtxDoc is the document of the initial context node; id() and
 	// path-index scans resolve against it.
 	CtxDoc dom.Document
@@ -1139,8 +1138,8 @@ func (d *DerefIter) Next() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if n, found := d.Ex.IDs.Lookup(d.Ex.CtxDoc, v.Str()); found {
-			d.Ex.M.Regs[d.OutReg] = nvm.NodeVal(n)
+		if id := d.Ex.CtxDoc.ElementByID(v.Str()); id != dom.NilNode {
+			d.Ex.M.Regs[d.OutReg] = nvm.NodeVal(dom.Node{Doc: d.Ex.CtxDoc, ID: id})
 			return true, nil
 		}
 	}

@@ -7,15 +7,11 @@ import (
 	"natix/internal/dom"
 	"natix/internal/guard"
 	"natix/internal/nvm"
-	"natix/internal/xfn"
 	"natix/internal/xval"
 )
 
 func newExec(nregs int) *Exec {
-	return &Exec{
-		M:   &nvm.Machine{Regs: make([]nvm.Val, nregs)},
-		IDs: xfn.NewIDIndex(),
-	}
+	return &Exec{M: &nvm.Machine{Regs: make([]nvm.Val, nregs)}}
 }
 
 // feedIter writes rows of register values (reg index -> value) per Next.

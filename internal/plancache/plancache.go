@@ -3,15 +3,18 @@
 // cost of short queries (cf. "XPath Whole Query Optimization"), and a
 // natix.Prepared is immutable and safe for concurrent Run calls, so one
 // compilation can serve every subsequent execution of the same query text
-// under the same options against the same document generation.
+// under the same options.
+//
+// A plan holds nothing per document (paper §5.1: the document is bound only
+// at run time, through the context node): id() resolves through the
+// document's own ID map, and access paths are decided per run against the
+// live path index. So entries are keyed by (canonical query text,
+// canonicalized options) alone, one plan serves every document and every
+// generation of it, and a reload invalidates nothing.
 //
 // The cache is a strict LRU bounded both by entry count and by an
 // approximate byte budget (natix.Prepared.CostBytes, the same coarse
 // accounting philosophy as the governor's materialization estimates).
-// Entries are keyed by (query text, canonicalized options, document name,
-// document generation); a catalog reload bumps the generation, so stale
-// plans stop being served immediately and InvalidateDoc reclaims their
-// space.
 package plancache
 
 import (
@@ -32,7 +35,6 @@ var (
 	mNormHits  = metrics.Default.Counter("natix_plancache_normalized_hits_total", "Plan cache hits where the submitted text differed from the canonical key — hits only normalization could have served.")
 	mMisses    = metrics.Default.Counter("natix_plancache_misses_total", "Plan lookups that compiled.")
 	mEvictions = metrics.Default.Counter("natix_plancache_evictions_total", "Plans evicted by the entry or byte budget.")
-	mInvalid   = metrics.Default.Counter("natix_plancache_invalidations_total", "Plans dropped by document invalidation.")
 	mEntries   = metrics.Default.Gauge("natix_plancache_entries", "Plans currently cached.")
 	mBytes     = metrics.Default.Gauge("natix_plancache_bytes", "Estimated bytes of cached plans.")
 )
@@ -43,18 +45,6 @@ type Key struct {
 	Query string
 	// Opts is the canonicalized compile-options string (OptionsKey).
 	Opts string
-	// Doc and Gen name the document generation the plan was admitted for.
-	// Plans are document-independent, but keying on the generation bounds
-	// the per-document index state a long-lived plan accumulates and gives
-	// reloads a natural invalidation point.
-	Doc string
-	Gen uint64
-	// Epoch is the document's path-index epoch (catalog-maintained, bumped
-	// on index build/drop and on reload). Access-path decisions are made at
-	// plan instantiation against the live index, but keying on the epoch
-	// guarantees a plan compiled before an index state change is never
-	// served after it.
-	Epoch uint64
 }
 
 // OptionsKey canonicalizes compile options into a stable string: equal
@@ -119,7 +109,10 @@ func OptionsKey(o natix.Options) string {
 // Stats are one cache's own counters (the package metrics aggregate across
 // caches and across test runs; these do not).
 type Stats struct {
-	Hits, Misses, Evictions, Invalidations int64
+	Hits, Misses, Evictions int64
+	// Invalidations is always 0: nothing invalidates a plan. It stays for
+	// readers that report it.
+	Invalidations int64
 	// NormalizedHits counts the subset of Hits where the submitted query
 	// text differed from the canonical key it hit under — cache value
 	// attributable to normalization rather than exact-text repetition.
@@ -225,14 +218,13 @@ func (c *Cache) Put(k Key, p *natix.Prepared) {
 	c.publish()
 }
 
-// GetOrCompile returns the plan for (query, opt) against document
-// generation (doc, gen) at path-index epoch, compiling and admitting it on
-// a miss. The compile runs outside the cache lock, so concurrent missers of
-// one key may compile redundantly (last writer wins) — lookups never block
-// behind a slow compile. The boolean reports whether the plan came from
-// cache.
-func (c *Cache) GetOrCompile(query string, opt natix.Options, doc string, gen, epoch uint64) (*natix.Prepared, bool, error) {
-	k := Key{Query: query, Opts: OptionsKey(opt), Doc: doc, Gen: gen, Epoch: epoch}
+// GetOrCompile returns the plan for (query, opt), compiling and admitting
+// it on a miss. The compile runs outside the cache lock, so concurrent
+// missers of one key may compile redundantly (last writer wins) — lookups
+// never block behind a slow compile. The boolean reports whether the plan
+// came from cache.
+func (c *Cache) GetOrCompile(query string, opt natix.Options) (*natix.Prepared, bool, error) {
+	k := Key{Query: query, Opts: OptionsKey(opt)}
 	if p, ok := c.Get(k); ok {
 		return p, true, nil
 	}
@@ -248,8 +240,8 @@ func (c *Cache) GetOrCompile(query string, opt natix.Options, doc string, gen, e
 // canonicalized (internal/canon); normalized reports whether the submitted
 // text differed from canonQuery, so hits the exact-text cache could never
 // have served are attributed to normalization in Stats and on /metrics.
-func (c *Cache) GetOrCompileNormalized(canonQuery string, normalized bool, opt natix.Options, doc string, gen, epoch uint64) (*natix.Prepared, bool, error) {
-	p, hit, err := c.GetOrCompile(canonQuery, opt, doc, gen, epoch)
+func (c *Cache) GetOrCompileNormalized(canonQuery string, normalized bool, opt natix.Options) (*natix.Prepared, bool, error) {
+	p, hit, err := c.GetOrCompile(canonQuery, opt)
 	if hit && normalized {
 		c.mu.Lock()
 		c.stats.NormalizedHits++
@@ -264,34 +256,13 @@ func (c *Cache) GetOrCompileNormalized(canonQuery string, normalized bool, opt n
 // GetOrCompileCanonical canonicalizes query (internal/canon) and serves it
 // via GetOrCompileNormalized, so syntactic variants share one entry. The
 // canonical text is returned for callers that key other state (singleflight,
-// workload profiles) off it.
-func (c *Cache) GetOrCompileCanonical(query string, opt natix.Options, doc string, gen, epoch uint64) (*natix.Prepared, string, bool, error) {
+// workload profiles) off it. The last three parameters are ignored: plans
+// are not keyed by document. They remain until the benchmark, which passes
+// them, drops them.
+func (c *Cache) GetOrCompileCanonical(query string, opt natix.Options, _ string, _, _ uint64) (*natix.Prepared, string, bool, error) {
 	cq, changed := canon.Canonicalize(query)
-	p, hit, err := c.GetOrCompileNormalized(cq, changed, opt, doc, gen, epoch)
+	p, hit, err := c.GetOrCompileNormalized(cq, changed, opt)
 	return p, cq, hit, err
-}
-
-// InvalidateDoc drops every plan cached for doc, any generation. Catalog
-// reloads call it so superseded generations release their cache space
-// immediately rather than aging out.
-func (c *Cache) InvalidateDoc(doc string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*centry).key.Doc == doc {
-			c.remove(el)
-			n++
-		}
-		el = next
-	}
-	if n > 0 {
-		c.stats.Invalidations += int64(n)
-		mInvalid.Add(int64(n))
-		c.publish()
-	}
-	return n
 }
 
 // overBudget reports whether either budget is exceeded. Caller holds mu.

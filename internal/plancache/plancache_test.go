@@ -2,12 +2,10 @@ package plancache
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
 	"natix"
-	"natix/internal/catalog"
 )
 
 func TestOptionsKeyCanonical(t *testing.T) {
@@ -36,26 +34,26 @@ func TestOptionsKeyCanonical(t *testing.T) {
 	}
 }
 
-func key(q string, gen uint64) Key {
-	return Key{Query: q, Opts: OptionsKey(natix.Options{}), Doc: "d", Gen: gen}
+func key(q string) Key {
+	return Key{Query: q, Opts: OptionsKey(natix.Options{})}
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
 	c := New(3, 0)
 	queries := []string{"/a", "/b", "/c"}
 	for _, q := range queries {
-		c.Put(key(q, 1), natix.MustCompile(q))
+		c.Put(key(q), natix.MustCompile(q))
 	}
 	// Touch /a so /b becomes least recently used.
-	if _, ok := c.Get(key("/a", 1)); !ok {
+	if _, ok := c.Get(key("/a")); !ok {
 		t.Fatal("warm entry missing")
 	}
-	c.Put(key("/d", 1), natix.MustCompile("/d"))
-	if _, ok := c.Get(key("/b", 1)); ok {
+	c.Put(key("/d"), natix.MustCompile("/d"))
+	if _, ok := c.Get(key("/b")); ok {
 		t.Fatal("LRU entry /b survived eviction")
 	}
 	for _, q := range []string{"/a", "/c", "/d"} {
-		if _, ok := c.Get(key(q, 1)); !ok {
+		if _, ok := c.Get(key(q)); !ok {
 			t.Fatalf("entry %s evicted out of order", q)
 		}
 	}
@@ -69,22 +67,22 @@ func TestByteBudgetEviction(t *testing.T) {
 	probe := natix.MustCompile("/a/b/c")
 	budget := probe.CostBytes()*2 + probe.CostBytes()/2 // room for ~2 plans
 	c := New(0, budget)
-	c.Put(key("/a/b/c", 1), probe)
-	c.Put(key("/d/e/f", 1), natix.MustCompile("/d/e/f"))
-	c.Put(key("/g/h/i", 1), natix.MustCompile("/g/h/i"))
+	c.Put(key("/a/b/c"), probe)
+	c.Put(key("/d/e/f"), natix.MustCompile("/d/e/f"))
+	c.Put(key("/g/h/i"), natix.MustCompile("/g/h/i"))
 	if c.Bytes() > budget {
 		t.Fatalf("bytes %d over budget %d", c.Bytes(), budget)
 	}
 	if c.Len() >= 3 {
 		t.Fatalf("no eviction under byte budget (len %d)", c.Len())
 	}
-	if _, ok := c.Get(key("/a/b/c", 1)); ok {
+	if _, ok := c.Get(key("/a/b/c")); ok {
 		t.Fatal("oldest entry survived byte eviction")
 	}
 	// A plan larger than the whole budget is still admitted (the cache
 	// holds at least the latest plan) and evicts everything else.
 	tiny := New(0, 1)
-	tiny.Put(key("/x", 1), natix.MustCompile("/x"))
+	tiny.Put(key("/x"), natix.MustCompile("/x"))
 	if tiny.Len() != 1 {
 		t.Fatalf("oversized single plan not retained (len %d)", tiny.Len())
 	}
@@ -92,11 +90,11 @@ func TestByteBudgetEviction(t *testing.T) {
 
 func TestPutRefreshAndGetOrCompile(t *testing.T) {
 	c := New(4, 0)
-	p1, cached, err := c.GetOrCompile("//x", natix.Options{}, "d", 1, 1)
+	p1, cached, err := c.GetOrCompile("//x", natix.Options{})
 	if err != nil || cached {
 		t.Fatalf("first lookup: cached=%v err=%v", cached, err)
 	}
-	p2, cached, err := c.GetOrCompile("//x", natix.Options{}, "d", 1, 1)
+	p2, cached, err := c.GetOrCompile("//x", natix.Options{})
 	if err != nil || !cached {
 		t.Fatalf("second lookup: cached=%v err=%v", cached, err)
 	}
@@ -105,60 +103,24 @@ func TestPutRefreshAndGetOrCompile(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("cache hit returned a different plan")
 	}
-	// A different generation is a different key.
-	if _, cached, _ := c.GetOrCompile("//x", natix.Options{}, "d", 2, 1); cached {
-		t.Fatal("generation bump served a stale plan")
-	}
-	// A different path-index epoch is a different key.
-	if _, cached, _ := c.GetOrCompile("//x", natix.Options{}, "d", 1, 2); cached {
-		t.Fatal("index-epoch bump served a stale plan")
-	}
 	// Different options are different keys.
-	if _, cached, _ := c.GetOrCompile("//x", natix.Options{Mode: natix.Canonical}, "d", 1, 1); cached {
+	if _, cached, _ := c.GetOrCompile("//x", natix.Options{Mode: natix.Canonical}); cached {
 		t.Fatal("options change served a stale plan")
 	}
-	if _, _, err := c.GetOrCompile("][", natix.Options{}, "d", 1, 1); err == nil {
+	if _, _, err := c.GetOrCompile("][", natix.Options{}); err == nil {
 		t.Fatal("parse error not surfaced")
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 5 {
+	if st.Hits != 1 || st.Misses != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := st.HitRate(); got != 1.0/6.0 {
+	if got := st.HitRate(); got != 1.0/4.0 {
 		t.Fatalf("hit rate = %v", got)
 	}
 }
 
-func TestInvalidateOnCatalogReload(t *testing.T) {
-	cat := catalog.New()
-	if err := cat.OpenMem("doc", strings.NewReader("<r><x/></r>")); err != nil {
-		t.Fatal(err)
-	}
-	c := New(16, 0)
-	gen, _ := cat.Generation("doc")
-	if _, cached, err := c.GetOrCompile("//x", natix.Options{}, "doc", gen, 1); err != nil || cached {
-		t.Fatalf("seed: %v %v", cached, err)
-	}
-	c.Put(Key{Query: "//y", Opts: "", Doc: "other", Gen: 1}, natix.MustCompile("//y"))
-
-	// The catalog entry has no backing path, so emulate the serving layer's
-	// reload hook: generation bump + InvalidateDoc.
-	if n := c.InvalidateDoc("doc"); n != 1 {
-		t.Fatalf("invalidated %d entries", n)
-	}
-	if c.Len() != 1 {
-		t.Fatal("unrelated document invalidated")
-	}
-	if _, cached, _ := c.GetOrCompile("//x", natix.Options{}, "doc", gen+1, 1); cached {
-		t.Fatal("stale plan survived invalidation")
-	}
-	if st := c.Stats(); st.Invalidations != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestConcurrentStress races hits, misses, evictions and invalidations of
-// one cache from 8 goroutines; run under -race.
+// TestConcurrentStress races hits, misses and evictions of one cache from 8
+// goroutines; run under -race.
 func TestConcurrentStress(t *testing.T) {
 	c := New(8, 0)
 	queries := make([]string, 12)
@@ -174,7 +136,7 @@ func TestConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 200; r++ {
 				q := queries[(g+r)%len(queries)]
-				p, _, err := c.GetOrCompile(q, natix.Options{}, "d", uint64(r%3), 1)
+				p, _, err := c.GetOrCompile(q, natix.Options{})
 				if err != nil {
 					errs <- err
 					return
@@ -182,9 +144,6 @@ func TestConcurrentStress(t *testing.T) {
 				if p.String() != q {
 					errs <- fmt.Errorf("got plan %q for %q", p.String(), q)
 					return
-				}
-				if r%50 == 0 {
-					c.InvalidateDoc("d")
 				}
 			}
 		}(g)
@@ -215,12 +174,12 @@ func BenchmarkColdCompile(b *testing.B) {
 func BenchmarkCacheHit(b *testing.B) {
 	c := New(4, 0)
 	const q = "/site/people/person[position() = last()]/name"
-	if _, _, err := c.GetOrCompile(q, natix.Options{}, "d", 1, 1); err != nil {
+	if _, _, err := c.GetOrCompile(q, natix.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, cached, _ := c.GetOrCompile(q, natix.Options{}, "d", 1, 1); !cached {
+		if _, cached, _ := c.GetOrCompile(q, natix.Options{}); !cached {
 			b.Fatal("unexpected miss")
 		}
 	}
@@ -231,7 +190,7 @@ func BenchmarkCacheHit(b *testing.B) {
 // differed from the canonical key are counted as normalized hits.
 func TestCanonicalSharing(t *testing.T) {
 	c := New(8, 0)
-	p1, cq1, hit, err := c.GetOrCompileCanonical("//b", natix.Options{}, "d", 1, 1)
+	p1, cq1, hit, err := c.GetOrCompileCanonical("//b", natix.Options{}, "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +200,7 @@ func TestCanonicalSharing(t *testing.T) {
 	for _, variant := range []string{
 		"/descendant-or-self::node()/child::b", "/descendant::b", " // b ",
 	} {
-		p2, cq2, hit, err := c.GetOrCompileCanonical(variant, natix.Options{}, "d", 1, 1)
+		p2, cq2, hit, err := c.GetOrCompileCanonical(variant, natix.Options{}, "", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,14 +221,14 @@ func TestCanonicalSharing(t *testing.T) {
 		t.Fatalf("NormalizedHits = %d, want 2", st.NormalizedHits)
 	}
 	// An exact canonical-text resubmission is a plain hit, not a normalized one.
-	if _, _, hit, err := c.GetOrCompileCanonical(cq1, natix.Options{}, "d", 1, 1); err != nil || !hit {
+	if _, _, hit, err := c.GetOrCompileCanonical(cq1, natix.Options{}, "", 0, 0); err != nil || !hit {
 		t.Fatalf("canonical-text lookup: hit=%v err=%v", hit, err)
 	}
 	if st := c.Stats(); st.NormalizedHits != 2 {
 		t.Fatalf("exact-text hit wrongly counted as normalized: %d", st.NormalizedHits)
 	}
 	// Unparseable queries degrade to exact-text caching.
-	if _, cq, _, err := c.GetOrCompileCanonical("a[", natix.Options{}, "d", 1, 1); err == nil || cq != "a[" {
+	if _, cq, _, err := c.GetOrCompileCanonical("a[", natix.Options{}, "", 0, 0); err == nil || cq != "a[" {
 		t.Fatalf("unparseable query: cq=%q err=%v", cq, err)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -276,8 +275,7 @@ func TestReloadRacingFlight(t *testing.T) {
 	waitCoalesced(t, s, coal0, clients-1)
 
 	// Reload while the coalesced flight is still queued behind the
-	// occupier: the flight's plans are invalidated and the generation
-	// bumps under it.
+	// occupier: the generation bumps under it.
 	resp, err := ts.Client().Post(ts.URL+"/reload?document=d", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -387,9 +385,9 @@ func TestAdaptiveCostClassFromProfile(t *testing.T) {
 
 	// Poison the history: pretend the run took 10x the high threshold. The
 	// blended score (tiny bytes + huge ewma) must cross into high.
-	s.profile.observe("d", cq, "", ProfileEntry{Query: cq}, 1.0)
-	s.profile.observe("d", cq, "", ProfileEntry{Query: cq}, 1.0)
-	s.profile.observe("d", cq, "", ProfileEntry{Query: cq}, 1.0)
+	s.profile.observe("d", cq, "", 1.0)
+	s.profile.observe("d", cq, "", 1.0)
+	s.profile.observe("d", cq, "", 1.0)
 	if got := s.costClass(req, cq); got != costHigh {
 		t.Fatalf("slow-history query classed %s, want %s", got, costHigh)
 	}
@@ -482,64 +480,5 @@ func TestLoneShortLeaderCancels(t *testing.T) {
 	}
 	if got := s.Counters().Executed - exec0; got != 0 {
 		t.Fatalf("abandoned job executed %d times, want 0", got)
-	}
-}
-
-// TestWarmEndpoint: POST /warm recompiles profiled queries without a
-// reload; unknown documents get a structured 404.
-func TestWarmEndpoint(t *testing.T) {
-	cat := catalog.New()
-	if err := cat.OpenMem("d", strings.NewReader("<r><a>x</a></r>")); err != nil {
-		t.Fatal(err)
-	}
-	cache := plancache.New(32, 0)
-	_, ts := newTestService(t, Config{Catalog: cat, Cache: cache})
-
-	// Build profile history, then drop the plans out from under it.
-	for _, q := range []string{"//a", "string(/r)", "count(//a)"} {
-		if st, data := postQuery(t, ts, QueryRequest{Query: q, Document: "d"}); st != http.StatusOK {
-			t.Fatalf("%q: %d %s", q, st, data)
-		}
-	}
-	cache.InvalidateDoc("d")
-	if cache.Len() != 0 {
-		t.Fatalf("cache not emptied: %d", cache.Len())
-	}
-
-	resp, err := ts.Client().Post(ts.URL+"/warm?document=d", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wr struct {
-		Document string `json:"document"`
-		Warmed   int    `json:"warmed"`
-		WarmUS   int64  `json:"warm_compile_us"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || wr.Warmed != 3 {
-		t.Fatalf("warm: %d %+v", resp.StatusCode, wr)
-	}
-	if cache.Len() != 3 {
-		t.Fatalf("cache after warm = %d entries, want 3", cache.Len())
-	}
-	// Warmed queries now serve from cache on first request.
-	st, data := postQuery(t, ts, QueryRequest{Query: "//a", Document: "d"})
-	if st != http.StatusOK {
-		t.Fatalf("post-warm query: %d %s", st, data)
-	}
-	if qr := decodeQuery(t, data); !qr.Cached {
-		t.Fatal("post-warm query compiled instead of hitting the warmed plan")
-	}
-
-	resp, err = ts.Client().Post(ts.URL+"/warm?document=nope", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("warm unknown doc: %d", resp.StatusCode)
 	}
 }

@@ -1,174 +1,58 @@
-// Workload profile: per-document, per-canonical-query execution history.
-// Admission blends a plan's static CostBytes with the profile's EWMA of
-// observed run times (the static estimate mispredicts data-dependent cost;
-// the history corrects it), and reload pre-warming recompiles the top-K
-// entries so a fresh generation does not start from a cold cache.
+// Workload profile: per-document, per-canonical-query history of observed
+// run times. Admission blends a plan's static CostBytes with its EWMA (the
+// static estimate mispredicts data-dependent cost; the history corrects
+// it).
 package server
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // ewmaAlpha weights the newest observation: high enough to track workload
 // shifts within tens of runs, low enough that one anomalous run does not
 // reclassify a query.
 const ewmaAlpha = 0.3
 
-// ProfileEntry is one (document, canonical query, options) history record.
-// Mode and Namespaces are retained so pre-warming can rebuild the compile
-// options the entry was observed under.
-type ProfileEntry struct {
-	Query      string            `json:"query"` // canonical text
-	Mode       string            `json:"mode,omitempty"`
-	Namespaces map[string]string `json:"namespaces,omitempty"`
-	// EWMASeconds is the exponentially weighted moving average of observed
-	// run times (queue wait excluded).
-	EWMASeconds float64 `json:"ewma_seconds"`
-	// Runs counts observations; pre-warming ranks by it.
-	Runs int64 `json:"runs"`
-	// CostBytes is the plan's latest static cost estimate.
-	CostBytes int64 `json:"cost_bytes"`
-}
-
-// profile is the concurrency-safe in-memory store:
-// document → (canonical query + options key) → entry.
+// profile is the concurrency-safe history: document → profileKey → the
+// exponentially weighted moving average of observed run seconds (queue wait
+// excluded).
 type profile struct {
 	mu   sync.Mutex
-	docs map[string]map[string]*ProfileEntry
+	docs map[string]map[string]float64
 }
 
 func newProfile() *profile {
-	return &profile{docs: map[string]map[string]*ProfileEntry{}}
+	return &profile{docs: map[string]map[string]float64{}}
 }
 
 // profileKey identifies a workload entry by canonical query text and
-// request mode. The full plan-cache options key embeds server-local limits
-// and worker caps, which would make profiles non-portable across restarts
-// and config changes; mode is the only request-supplied compile dimension
-// that changes plan shape. Same-query requests differing only in
-// namespaces share an entry (their stats merge; warming uses the last
-// observed bindings).
+// request mode. The full plan-cache options key embeds server-local limits,
+// which do not change what a run costs; mode is the only request-supplied
+// compile dimension that changes plan shape. Same-query requests differing
+// only in namespaces share an entry.
 func profileKey(canonQuery, mode string) string {
 	return canonQuery + "\x00" + mode
 }
 
 // observe folds one measured run into the entry's EWMA.
-func (p *profile) observe(doc, canonQuery, mode string, e ProfileEntry, seconds float64) {
+func (p *profile) observe(doc, canonQuery, mode string, seconds float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	m := p.docs[doc]
 	if m == nil {
-		m = map[string]*ProfileEntry{}
+		m = map[string]float64{}
 		p.docs[doc] = m
 	}
 	k := profileKey(canonQuery, mode)
-	pe := m[k]
-	if pe == nil {
-		e.EWMASeconds = seconds
-		e.Runs = 1
-		m[k] = &e
-		return
+	if old, ok := m[k]; ok {
+		m[k] = old + ewmaAlpha*(seconds-old)
+	} else {
+		m[k] = seconds
 	}
-	pe.EWMASeconds += ewmaAlpha * (seconds - pe.EWMASeconds)
-	pe.Runs++
-	pe.CostBytes = e.CostBytes
 }
 
 // ewma returns the entry's average run time, false when unobserved.
 func (p *profile) ewma(doc, canonQuery, mode string) (float64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if pe := p.docs[doc][profileKey(canonQuery, mode)]; pe != nil {
-		return pe.EWMASeconds, true
-	}
-	return 0, false
-}
-
-// topK returns doc's k most-run entries, hottest first (copies).
-func (p *profile) topK(doc string, k int) []ProfileEntry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m := p.docs[doc]
-	out := make([]ProfileEntry, 0, len(m))
-	for _, pe := range m {
-		out = append(out, *pe)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Runs != out[b].Runs {
-			return out[a].Runs > out[b].Runs
-		}
-		return out[a].Query < out[b].Query // deterministic tie-break
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// persisted is the profile's on-disk form: top-K entries per document.
-type persisted struct {
-	Docs map[string][]ProfileEntry `json:"docs"`
-}
-
-// save writes the top-K entries per document to path with an atomic rename,
-// so a crash mid-save leaves the previous profile intact.
-func (p *profile) save(path string, topK int) error {
-	p.mu.Lock()
-	docNames := make([]string, 0, len(p.docs))
-	for d := range p.docs {
-		docNames = append(docNames, d)
-	}
-	p.mu.Unlock()
-	out := persisted{Docs: map[string][]ProfileEntry{}}
-	for _, d := range docNames {
-		if es := p.topK(d, topK); len(es) > 0 {
-			out.Docs[d] = es
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// load merges a saved profile into the in-memory one. A missing file is not
-// an error (first run); a corrupt one is (the operator pointed at it).
-func (p *profile) load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var in persisted
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for doc, entries := range in.Docs {
-		m := p.docs[doc]
-		if m == nil {
-			m = map[string]*ProfileEntry{}
-			p.docs[doc] = m
-		}
-		for _, e := range entries {
-			e := e
-			m[profileKey(e.Query, e.Mode)] = &e
-		}
-	}
-	return nil
+	e, ok := p.docs[doc][profileKey(canonQuery, mode)]
+	return e, ok
 }

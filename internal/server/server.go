@@ -7,7 +7,7 @@
 //
 //	POST /query          evaluate an XPath expression against a named document
 //	GET  /documents      list the document catalog
-//	POST /reload         reload a named document (new generation, invalidates plans)
+//	POST /reload         reload a named document (new generation; cached plans keep serving)
 //	GET  /healthz        legacy probe (liveness + state summary)
 //	GET  /healthz/live   liveness: 200 while the process serves at all
 //	GET  /healthz/ready  readiness: 200 only in the healthy state
@@ -153,15 +153,6 @@ type Config struct {
 	// query is high-cost on history alone (default 250ms). Admission blends
 	// it with the static CostBytes threshold when both signals exist.
 	HighCostSeconds time.Duration
-	// WarmTopK bounds how many of a document's hottest profiled queries are
-	// recompiled into the plan cache after a reload (and persisted per
-	// document when ProfilePath is set). Default 8; negative disables
-	// warming and persistence.
-	WarmTopK int
-	// ProfilePath, when set, persists the workload profile: loaded at New,
-	// written (top WarmTopK entries per document, atomic rename) at
-	// Shutdown.
-	ProfilePath string
 }
 
 func (c Config) withDefaults() Config {
@@ -200,12 +191,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HighCostSeconds <= 0 {
 		c.HighCostSeconds = 250 * time.Millisecond
-	}
-	if c.WarmTopK == 0 {
-		c.WarmTopK = 8
-	}
-	if c.WarmTopK < 0 {
-		c.WarmTopK = 0 // 0 disables from here on
 	}
 	return c
 }
@@ -247,15 +232,15 @@ type Server struct {
 	coalesced atomic.Int64
 }
 
-// flightKey identifies one coalescable execution. Generation and epoch are
-// included so a flight never serves a result from a superseded document
-// state to a request that arrived after the reload.
+// flightKey identifies one coalescable execution. Unlike the plan key it
+// names the document generation: results depend on it, so a flight never
+// serves a superseded generation's answer to a request that arrived after
+// the reload.
 type flightKey struct {
 	query string // canonical text
 	opts  string // plancache.OptionsKey
 	doc   string
 	gen   uint64
-	epoch uint64
 }
 
 // job is one admitted query request: the leader's execution of its flight.
@@ -288,11 +273,6 @@ func New(cfg Config) *Server {
 		docFaults:   map[string]int{},
 		quarantined: map[string]bool{},
 		profile:     newProfile(),
-	}
-	if cfg.ProfilePath != "" {
-		// A missing file is a first run; a corrupt one serves empty rather
-		// than refusing to start (the profile is an optimization, not state).
-		_ = s.profile.load(cfg.ProfilePath)
 	}
 	mState.Set(int64(StateHealthy))
 	for i := 0; i < cfg.Workers; i++ {
@@ -410,12 +390,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		s.setState(StateDraining)
 		close(s.stopEval)
-		if s.cfg.ProfilePath != "" && s.cfg.WarmTopK > 0 {
-			// Persist the workload profile before the drain: the next
-			// process pre-warms from it. Best-effort — a full disk must not
-			// block the drain.
-			_ = s.profile.save(s.cfg.ProfilePath, s.cfg.WarmTopK)
-		}
 		go func() {
 			s.jobWG.Wait()
 			close(s.quit)
@@ -554,7 +528,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/documents", s.handleDocuments)
 	mux.HandleFunc("/reload", s.handleReload)
-	mux.HandleFunc("/warm", s.handleWarm)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/healthz/live", s.handleLive)
 	mux.HandleFunc("/healthz/ready", s.handleReady)
@@ -625,22 +598,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, catalogErr(err))
 		return
 	}
-	invalidated := 0
-	if s.cfg.Cache != nil {
-		invalidated = s.cfg.Cache.InvalidateDoc(name)
-	}
-	// A fresh generation starts with a clean bill of health.
+	// A fresh generation starts with a clean bill of health. Cached plans
+	// hold nothing per document, so they serve it as they are.
 	s.liftQuarantine(name)
-	// Pre-warm the fresh generation from the workload profile so the
-	// invalidation above is not a cold-cache cliff; the response reports
-	// the mitigation so operators can see it working.
-	warmed, warmElapsed := s.WarmDoc(name)
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
-		"document":          name,
-		"generation":        gen,
-		"plans_invalidated": invalidated,
-		"warmed":            warmed,
-		"warm_compile_us":   warmElapsed.Microseconds(),
+		"document":   name,
+		"generation": gen,
 	})
 }
 
@@ -684,19 +647,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// Singleflight: identical (canonical query, options, document
-	// generation, index epoch) requests share one execution, bounded by
-	// MaxTimeout and cancelled when its last waiter leaves. An unknown
-	// document keys generation 0, so its requests coalesce on one 404.
-	// Joining precedes the degraded-mode shed — a join costs no worker, so
-	// shedding it would only lose the coalescing win. The leader registers
-	// before its own admission checks: a shed or queue-full verdict then fans
-	// out to everyone who coalesced behind it, which is exactly the admission
+	// generation) requests share one execution, bounded by MaxTimeout and
+	// cancelled when its last waiter leaves. An unknown document keys
+	// generation 0, so its requests coalesce on one 404. Joining precedes
+	// the degraded-mode shed — a join costs no worker, so shedding it would
+	// only lose the coalescing win. The leader registers before its own
+	// admission checks: a shed or queue-full verdict then fans out to
+	// everyone who coalesced behind it, which is exactly the admission
 	// decision one execution of that query deserves.
 	canonQuery, normalized := s.canon.Canonicalize(req.Query)
 	gen, _ := s.cfg.Catalog.Generation(req.Document)
-	epoch, _ := s.cfg.Catalog.IndexEpoch(req.Document)
 	f, leader := s.flights.Join(flightKey{query: canonQuery, opts: plancache.OptionsKey(s.compileOpts(&req)),
-		doc: req.Document, gen: gen, epoch: epoch}, s.cfg.MaxTimeout)
+		doc: req.Document, gen: gen}, s.cfg.MaxTimeout)
 	expired := "request expired while executing"
 	if leader {
 		if e := s.admit(&job{req: &req, canonQuery: canonQuery, normalized: normalized, flight: f}); e != nil {
@@ -794,13 +756,9 @@ func (s *Server) compileOpts(req *QueryRequest) natix.Options {
 func (s *Server) costClass(req *QueryRequest, canonQuery string) string {
 	costBytes := int64(-1)
 	if s.cfg.Cache != nil {
-		opt := s.compileOpts(req)
-		if gen, err := s.cfg.Catalog.Generation(req.Document); err == nil {
-			epoch, _ := s.cfg.Catalog.IndexEpoch(req.Document)
-			k := plancache.Key{Query: canonQuery, Opts: plancache.OptionsKey(opt), Doc: req.Document, Gen: gen, Epoch: epoch}
-			if plan, ok := s.cfg.Cache.Peek(k); ok {
-				costBytes = plan.CostBytes()
-			}
+		k := plancache.Key{Query: canonQuery, Opts: plancache.OptionsKey(s.compileOpts(req))}
+		if plan, ok := s.cfg.Cache.Peek(k); ok {
+			costBytes = plan.CostBytes()
 		}
 	}
 	ewma, haveHist := s.profile.ewma(req.Document, canonQuery, req.Mode)
@@ -871,7 +829,7 @@ func (s *Server) run(j *job) (*QueryResponse, *httpapi.Error) {
 	var plan *natix.Prepared
 	cached := false
 	if s.cfg.Cache != nil {
-		plan, cached, err = s.cfg.Cache.GetOrCompileNormalized(j.canonQuery, j.normalized, opt, h.Name, h.Generation, h.IndexEpoch)
+		plan, cached, err = s.cfg.Cache.GetOrCompileNormalized(j.canonQuery, j.normalized, opt)
 	} else {
 		plan, err = natix.CompileWith(j.canonQuery, opt)
 	}
@@ -891,12 +849,12 @@ func (s *Server) run(j *job) (*QueryResponse, *httpapi.Error) {
 			// A run that blew its deadline or budget is the strongest
 			// possible expensive signal — fold the elapsed time in so
 			// admission reclassifies it.
-			s.observeRun(j, plan, runSecs)
+			s.profile.observe(j.req.Document, j.canonQuery, j.req.Mode, runSecs)
 		}
 		return nil, e
 	}
 	s.noteStoreOK(j.req.Document)
-	s.observeRun(j, plan, runSecs)
+	s.profile.observe(j.req.Document, j.canonQuery, j.req.Mode, runSecs)
 	return &QueryResponse{
 		Document:   h.Name,
 		Generation: h.Generation,
@@ -913,16 +871,6 @@ func (s *Server) run(j *job) (*QueryResponse, *httpapi.Error) {
 	}, nil
 }
 
-// observeRun folds one measured execution into the workload profile.
-func (s *Server) observeRun(j *job, plan *natix.Prepared, seconds float64) {
-	s.profile.observe(j.req.Document, j.canonQuery, j.req.Mode, ProfileEntry{
-		Query:      j.canonQuery,
-		Mode:       j.req.Mode,
-		Namespaces: j.req.Namespaces,
-		CostBytes:  plan.CostBytes(),
-	}, seconds)
-}
-
 // ServeCounters is a snapshot of server-local execution accounting. The
 // registry metrics aggregate across servers and test runs; these do not,
 // which is what the adaptive guard needs to prove "duplicates executed
@@ -937,52 +885,6 @@ type ServeCounters struct {
 // Counters returns the server-local execution counters.
 func (s *Server) Counters() ServeCounters {
 	return ServeCounters{Executed: s.executed.Load(), Coalesced: s.coalesced.Load()}
-}
-
-// WarmDoc recompiles the document's hottest profiled queries into the plan
-// cache against its current generation and index epoch, returning how many
-// plans compiled and the time spent. Reload calls it so a fresh generation
-// does not serve its first requests from a cold cache; POST /warm exposes
-// it for coordinator topology swaps.
-func (s *Server) WarmDoc(name string) (warmed int, elapsed time.Duration) {
-	if s.cfg.Cache == nil || s.cfg.WarmTopK <= 0 {
-		return 0, 0
-	}
-	gen, err := s.cfg.Catalog.Generation(name)
-	if err != nil {
-		return 0, 0
-	}
-	epoch, _ := s.cfg.Catalog.IndexEpoch(name)
-	start := time.Now()
-	for _, e := range s.profile.topK(name, s.cfg.WarmTopK) {
-		req := &QueryRequest{Query: e.Query, Document: name, Mode: e.Mode, Namespaces: e.Namespaces}
-		opt := s.compileOpts(req)
-		if _, _, err := s.cfg.Cache.GetOrCompileNormalized(e.Query, false, opt, name, gen, epoch); err == nil {
-			warmed++
-		}
-	}
-	return warmed, time.Since(start)
-}
-
-// handleWarm pre-warms a document's plan cache from the workload profile
-// without reloading it. The cluster coordinator fans it out after a
-// topology swap, when shards gain documents they have history for but no
-// compiled plans.
-func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
-	name, ok := httpapi.DocumentParam(w, r)
-	if !ok {
-		return
-	}
-	if _, err := s.cfg.Catalog.Generation(name); err != nil {
-		httpapi.WriteError(w, catalogErr(err))
-		return
-	}
-	warmed, elapsed := s.WarmDoc(name)
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
-		"document":        name,
-		"warmed":          warmed,
-		"warm_compile_us": elapsed.Microseconds(),
-	})
 }
 
 // serialize converts a result value into the JSON payload. Node-sets are

@@ -276,10 +276,13 @@ func TestDocumentsAndHealthz(t *testing.T) {
 	}
 }
 
-func TestReloadInvalidatesPlans(t *testing.T) {
+// TestReloadKeepsPlans: a plan holds nothing per document, so reloads
+// invalidate nothing. After each of 8 reloads the cached plan answers from
+// the new generation's data, and the cache neither grows nor misses.
+func TestReloadKeepsPlans(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "doc.xml")
-	if err := os.WriteFile(path, []byte("<r>one</r>"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("<r>gen1</r>"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cat := catalog.New()
@@ -290,46 +293,43 @@ func TestReloadInvalidatesPlans(t *testing.T) {
 	_, ts := newTestService(t, Config{Catalog: cat, Cache: cache})
 
 	_, data := postQuery(t, ts, QueryRequest{Query: "string(/r)", Document: "d"})
-	if qr := decodeQuery(t, data); *qr.Result.String != "one" || qr.Generation != 1 {
+	if qr := decodeQuery(t, data); *qr.Result.String != "gen1" || qr.Generation != 1 || qr.Cached {
 		t.Fatalf("pre-reload: %+v", qr)
 	}
+	entries, misses := cache.Len(), cache.Stats().Misses
 
-	if err := os.WriteFile(path, []byte("<r>two</r>"), 0o644); err != nil {
-		t.Fatal(err)
+	for gen := uint64(2); gen <= 9; gen++ {
+		want := fmt.Sprintf("gen%d", gen)
+		if err := os.WriteFile(path, []byte("<r>"+want+"</r>"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/reload?document=d", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rl map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&rl); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if len(rl) != 2 || rl["document"] != "d" || rl["generation"] != float64(gen) {
+			t.Fatalf("reload = %v, want only document and generation %d", rl, gen)
+		}
+		_, data = postQuery(t, ts, QueryRequest{Query: "string(/r)", Document: "d"})
+		if qr := decodeQuery(t, data); *qr.Result.String != want || qr.Generation != gen || !qr.Cached {
+			t.Fatalf("after reload to generation %d: %+v", gen, qr)
+		}
 	}
-	resp, err := ts.Client().Post(ts.URL+"/reload?document=d", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	if cache.Len() != entries || cache.Stats().Misses != misses {
+		t.Fatalf("reloads touched the cache: %d entries, %d misses; want %d, %d",
+			cache.Len(), cache.Stats().Misses, entries, misses)
 	}
-	var rl struct {
-		Generation  uint64 `json:"generation"`
-		Invalidated int    `json:"plans_invalidated"`
-		Warmed      int    `json:"warmed"`
-		WarmUS      int64  `json:"warm_compile_us"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rl); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rl.Generation != 2 || rl.Invalidated != 1 {
-		t.Fatalf("reload = %+v", rl)
-	}
-	// The workload profile saw the pre-reload query, so the reload
-	// pre-warms it into the fresh generation's cache.
-	if rl.Warmed != 1 {
-		t.Fatalf("reload warmed = %d, want 1 (%+v)", rl.Warmed, rl)
-	}
-
-	// The warmed plan serves the new generation's data from cache: stale
-	// plans are gone (generation bumped) without a cold-compile cliff.
-	_, data = postQuery(t, ts, QueryRequest{Query: "string(/r)", Document: "d"})
-	qr := decodeQuery(t, data)
-	if *qr.Result.String != "two" || qr.Generation != 2 || !qr.Cached {
-		t.Fatalf("post-reload: %+v", qr)
+	if st := cache.Stats(); st.Invalidations != 0 {
+		t.Fatalf("invalidations = %d, want 0", st.Invalidations)
 	}
 
 	// Reloading an unknown document is a structured 404.
-	resp, err = ts.Client().Post(ts.URL+"/reload?document=nope", "application/json", nil)
+	resp, err := ts.Client().Post(ts.URL+"/reload?document=nope", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +337,84 @@ func TestReloadInvalidatesPlans(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound || errCode(t, data) != httpapi.CodeUnknownDoc {
 		t.Fatalf("reload unknown: %d %s", resp.StatusCode, data)
+	}
+}
+
+// TestOneQueryTwoDocumentsCompilesOnce: the plan key names no document,
+// so one query served on two documents compiles once, and each answer is
+// its own document's.
+func TestOneQueryTwoDocumentsCompilesOnce(t *testing.T) {
+	cat := catalog.New()
+	for name, xml := range map[string]string{"a": "<r><x/></r>", "b": "<r><x/><x/><x/></r>"} {
+		if err := cat.OpenMem(name, strings.NewReader(xml)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache := plancache.New(16, 0)
+	_, ts := newTestService(t, Config{Catalog: cat, Cache: cache})
+	for _, c := range []struct {
+		doc    string
+		want   float64
+		cached bool
+	}{{"a", 1, false}, {"b", 3, true}, {"a", 1, true}} {
+		st, data := postQuery(t, ts, QueryRequest{Query: "count(//x)", Document: c.doc})
+		if st != http.StatusOK {
+			t.Fatalf("%s: %d %s", c.doc, st, data)
+		}
+		if qr := decodeQuery(t, data); *qr.Result.Number != c.want || qr.Cached != c.cached {
+			t.Fatalf("%s: count %v cached %v, want %v %v", c.doc, *qr.Result.Number, qr.Cached, c.want, c.cached)
+		}
+	}
+	if st := cache.Stats(); cache.Len() != 1 || st.Misses != 1 {
+		t.Fatalf("cache: %d entries, %d misses; want 1, 1", cache.Len(), st.Misses)
+	}
+}
+
+// TestReloadSwitchesAccessPath: the access path is decided per run against
+// the live path index, so one cached plan takes the index scan on a
+// generation whose summary favors it and navigation on the next, whose
+// summary does not. A scan walks no axis; navigation does.
+func TestReloadSwitchesAccessPath(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "doc.xml")
+	// One b among 600 other nodes: the scan wins. 200 b's among 201 nodes:
+	// the scan's setup outweighs the short walk, so navigation wins.
+	scanWins := "<r>" + strings.Repeat("<a><c/><c/></a>", 200) + "<b/></r>"
+	navWins := "<r>" + strings.Repeat("<b/>", 200) + "</r>"
+	if err := os.WriteFile(path, []byte(scanWins), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	if err := cat.OpenMemFile("d", path); err != nil {
+		t.Fatal(err)
+	}
+	cache := plancache.New(16, 0)
+	_, ts := newTestService(t, Config{Catalog: cat, Cache: cache, PathIndex: true})
+	query := func() *QueryResponse {
+		t.Helper()
+		st, data := postQuery(t, ts, QueryRequest{Query: "//b", Document: "d"})
+		if st != http.StatusOK {
+			t.Fatalf("query: %d %s", st, data)
+		}
+		return decodeQuery(t, data)
+	}
+	if qr := query(); qr.Result.Count != 1 || qr.Stats.AxisSteps != 0 {
+		t.Fatalf("generation 1: %d nodes, %d axis steps; want 1 from the index scan (0 steps)",
+			qr.Result.Count, qr.Stats.AxisSteps)
+	}
+	if err := os.WriteFile(path, []byte(navWins), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.Reload("d"); err != nil {
+		t.Fatal(err)
+	}
+	qr := query()
+	if qr.Result.Count != 200 || !qr.Cached || qr.Stats.AxisSteps == 0 {
+		t.Fatalf("generation 2: %d nodes, cached %v, %d axis steps; want 200 from the cached plan by navigation",
+			qr.Result.Count, qr.Cached, qr.Stats.AxisSteps)
+	}
+	if st := cache.Stats(); cache.Len() != 1 || st.Misses != 1 {
+		t.Fatalf("cache: %d entries, %d misses; want 1, 1", cache.Len(), st.Misses)
 	}
 }
 

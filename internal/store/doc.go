@@ -64,6 +64,9 @@ type Doc struct {
 	persisted  *persistedIndex
 	pathIx     *pathindex.Index
 	pathIxDone bool
+
+	// ids is the image's ElementByID map, shared with every clone.
+	ids *idMap
 }
 
 // persistedIndex is the decoded index pages of one image. The first handle
@@ -73,6 +76,22 @@ type Doc struct {
 type persistedIndex struct {
 	once sync.Once
 	ix   *pathindex.Index // nil: no index pages, or unreadable or invalid
+}
+
+// idMap is the ElementByID map of one image, shared like persistedIndex:
+// the first handle to ask builds it through its own buffer, the others
+// wait and share it. A commit through Updater drops it, so the next lookup
+// rebuilds from the committed values.
+type idMap struct {
+	mu sync.Mutex
+	m  map[string]dom.NodeID
+}
+
+// drop discards the map; the next lookup rebuilds it.
+func (p *idMap) drop() {
+	p.mu.Lock()
+	p.m = nil
+	p.mu.Unlock()
 }
 
 var (
@@ -116,6 +135,7 @@ func OpenReaderAt(r io.ReaderAt, opt Options) (*Doc, error) {
 		buf:          newBuffer(r, int(h.pageSize), h.usable(), cap, verify),
 		nodesPerPage: uint32(h.usable() / recordSize),
 		persisted:    &persistedIndex{},
+		ids:          &idMap{},
 	}
 	if verify {
 		// The header was read raw above; verify its page now that the
@@ -135,12 +155,13 @@ func OpenReaderAt(r io.ReaderAt, opt Options) (*Doc, error) {
 // Clone returns another handle on the same image: it reads through d's
 // reader, so it sees the file d opened even after a rename replaced the
 // path, but it has its own page buffer, record cache and sticky fault, so
-// it can serve another goroutine. It shares d's decoded index pages (and
-// decodes them for every handle of the image if it asks first); only a
-// rebuild by traversal is per handle. The clone does not own the file: closing it closes nothing,
-// and d must stay open while any clone is in use. Clone reads only what
-// Open fixed (header, name table, reader, the shared index), so it may run
-// while d serves another goroutine.
+// it can serve another goroutine. It shares d's decoded index pages and ID
+// map (and builds them for every handle of the image if it asks first);
+// only an index rebuild by traversal is per handle. The clone does not own
+// the file: closing it closes nothing, and d must stay open while any clone
+// is in use. Clone reads only what Open fixed (header, name table, reader,
+// the shared index and ID map), so it may run while d serves another
+// goroutine.
 func (d *Doc) Clone() *Doc {
 	b := d.buf
 	return &Doc{
@@ -150,6 +171,7 @@ func (d *Doc) Clone() *Doc {
 		names:        d.names,
 		nodesPerPage: d.nodesPerPage,
 		persisted:    d.persisted,
+		ids:          d.ids,
 	}
 }
 
@@ -328,6 +350,27 @@ func (d *Doc) recID(id dom.NodeID, off int) dom.NodeID {
 
 // DocID implements dom.Document.
 func (d *Doc) DocID() uint64 { return d.docID }
+
+// ElementByID implements dom.Document. The map is built once per image. A
+// faulted handle neither builds nor shares one: a traversal over nil links
+// would be partial, and the sticky fault fails its run anyway, so it
+// resolves nothing and a healthy handle builds the map later.
+func (d *Doc) ElementByID(s string) dom.NodeID {
+	p := d.ids
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.m == nil {
+		if d.err != nil {
+			return dom.NilNode
+		}
+		m := dom.BuildIDMap(d)
+		if d.err != nil {
+			return dom.NilNode
+		}
+		p.m = m
+	}
+	return p.m[s]
+}
 
 // Root implements dom.Document.
 func (d *Doc) Root() dom.NodeID { return 1 }

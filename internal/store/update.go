@@ -272,6 +272,8 @@ func encodeTx(updates []valueUpdate) []byte {
 // every touched page is recomputed.
 func (u *Updater) apply(updates []valueUpdate) error {
 	d := u.doc
+	// An update may rewrite an id attribute: the next id() rebuilds.
+	defer d.ids.drop()
 	for _, up := range updates {
 		// Value bytes into the text segment (possibly across pages).
 		if err := u.writeStream(d.h.textStart, up.off, up.value); err != nil {

@@ -8,7 +8,6 @@ package xfn
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"natix/internal/dom"
 	"natix/internal/xval"
@@ -116,78 +115,6 @@ func langMatches(xmlLang, want string) bool {
 	return xl == w || strings.HasPrefix(xl, w+"-")
 }
 
-// IDIndex resolves id() lookups. The engine treats attributes named "id"
-// (in no namespace) as ID-typed, matching the paper's generated documents;
-// see DESIGN.md "Known deviations". Indexes are built on first use and
-// cached per document.
-type IDIndex struct {
-	mu   sync.RWMutex
-	docs map[uint64]*idIndexEntry
-}
-
-// idIndexEntry is one document's lazily built ID map. The sync.Once makes
-// the build happen exactly once per document while letting lookups on other
-// (already built) documents proceed without touching the cache lock's write
-// side; after Do returns, byID is immutable and read lock-free.
-type idIndexEntry struct {
-	once sync.Once
-	byID map[string]dom.NodeID
-}
-
-// NewIDIndex returns an empty index cache.
-func NewIDIndex() *IDIndex { return &IDIndex{docs: make(map[uint64]*idIndexEntry)} }
-
-// entry returns the (possibly still unbuilt) cache slot for d. Fast path is
-// a read-locked map probe; the write lock is held only to insert the empty
-// slot, never during the build itself.
-func (ix *IDIndex) entry(d dom.Document) *idIndexEntry {
-	key := d.DocID()
-	ix.mu.RLock()
-	e, ok := ix.docs[key]
-	ix.mu.RUnlock()
-	if !ok {
-		ix.mu.Lock()
-		if e, ok = ix.docs[key]; !ok {
-			e = &idIndexEntry{}
-			ix.docs[key] = e
-		}
-		ix.mu.Unlock()
-	}
-	e.once.Do(func() { e.byID = buildIDMap(d) })
-	return e
-}
-
-// Lookup dereferences one ID string within the given document, returning
-// the element carrying id="s", if any. Safe for concurrent use across
-// goroutines sharing a compiled query (documents themselves must tolerate
-// concurrent reads — in-memory documents do; store-backed documents do not
-// and need one handle per goroutine).
-func (ix *IDIndex) Lookup(d dom.Document, s string) (dom.Node, bool) {
-	id, ok := ix.entry(d).byID[s]
-	if !ok {
-		return dom.Node{}, false
-	}
-	return dom.Node{Doc: d, ID: id}, true
-}
-
-func buildIDMap(d dom.Document) map[string]dom.NodeID {
-	m := make(map[string]dom.NodeID)
-	n := dom.NodeID(d.NodeCount())
-	for id := dom.NodeID(1); id <= n; id++ {
-		if d.Kind(id) != dom.KindElement {
-			continue
-		}
-		for a := d.FirstAttr(id); a != dom.NilNode; a = d.NextAttr(a) {
-			if d.LocalName(a) == "id" && d.NamespaceURI(a) == "" {
-				if _, dup := m[d.Value(a)]; !dup {
-					m[d.Value(a)] = id // first element wins, per spec
-				}
-			}
-		}
-	}
-	return m
-}
-
 // Tokenize splits a string on XML whitespace, for id() over non-node-set
 // arguments.
 func Tokenize(s string) []string { return strings.FieldsFunc(s, isXMLSpace) }
@@ -198,9 +125,9 @@ func isXMLSpace(r rune) bool {
 
 // ID implements the id() function: value is either a node-set (each node's
 // string-value is an ID token list) or any other value (converted to string
-// and tokenized). The result is sorted into document order and
-// duplicate-free.
-func ID(ix *IDIndex, d dom.Document, value xval.Value) []dom.Node {
+// and tokenized), each token resolved by d.ElementByID. The result is
+// sorted into document order and duplicate-free.
+func ID(d dom.Document, value xval.Value) []dom.Node {
 	var tokens []string
 	if value.IsNodeSet() {
 		for _, n := range value.Nodes {
@@ -211,8 +138,8 @@ func ID(ix *IDIndex, d dom.Document, value xval.Value) []dom.Node {
 	}
 	var out []dom.Node
 	for _, tok := range tokens {
-		if n, ok := ix.Lookup(d, tok); ok {
-			out = append(out, n)
+		if id := d.ElementByID(tok); id != dom.NilNode {
+			out = append(out, dom.Node{Doc: d, ID: id})
 		}
 	}
 	return SortDedup(out)

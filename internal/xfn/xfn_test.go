@@ -116,36 +116,34 @@ func TestLang(t *testing.T) {
 
 func TestIDIndex(t *testing.T) {
 	d := parse(t, `<a><x id="one"/><y id="two"/><z id="one"/></a>`)
-	ix := NewIDIndex()
-	n, ok := ix.Lookup(d, "one")
-	if !ok || d.LocalName(n.ID) != "x" {
+	n := d.ElementByID("one")
+	if n == dom.NilNode || d.LocalName(n) != "x" {
 		t.Errorf("first element with id should win: %v", n)
 	}
-	if _, ok := ix.Lookup(d, "three"); ok {
+	if d.ElementByID("three") != dom.NilNode {
 		t.Error("missing id resolved")
 	}
-	// Cached across calls and documents are independent.
+	// The map is the document's own: another document resolves the same
+	// value to its own element.
 	d2 := parse(t, `<a><q id="one"/></a>`)
-	n2, ok := ix.Lookup(d2, "one")
-	if !ok || d2.LocalName(n2.ID) != "q" {
+	if n2 := d2.ElementByID("one"); n2 == dom.NilNode || d2.LocalName(n2) != "q" {
 		t.Errorf("per-document index broken: %v", n2)
 	}
 }
 
 func TestIDFunction(t *testing.T) {
 	d := parse(t, `<a><x id="i1">i2 i3</x><y id="i2"/><z id="i3"/></a>`)
-	ix := NewIDIndex()
-	got := ID(ix, d, xval.Str(" i1\ti2  "))
+	got := ID(d, xval.Str(" i1\ti2  "))
 	if len(got) != 2 || d.LocalName(got[0].ID) != "x" || d.LocalName(got[1].ID) != "y" {
 		t.Errorf("id string: %v", got)
 	}
 	// Node-set input: string-values are tokenized.
-	x, _ := ix.Lookup(d, "i1")
-	got2 := ID(ix, d, xval.NodeSet([]dom.Node{x}))
+	x := dom.Node{Doc: d, ID: d.ElementByID("i1")}
+	got2 := ID(d, xval.NodeSet([]dom.Node{x}))
 	if len(got2) != 2 || d.LocalName(got2[0].ID) != "y" || d.LocalName(got2[1].ID) != "z" {
 		t.Errorf("id node-set: %v", got2)
 	}
-	if got3 := ID(ix, d, xval.Str("")); len(got3) != 0 {
+	if got3 := ID(d, xval.Str("")); len(got3) != 0 {
 		t.Errorf("id empty: %v", got3)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"natix/internal/store"
 )
 
-// raceDoc has both id attributes (exercising the query-cached IDIndex) and
+// raceDoc has both id attributes (exercising the document's ID map) and
 // root-anchored name chains for path-index plans (the pathindex.Global
 // registry).
 func raceDoc(t *testing.T) Node {
@@ -29,7 +29,7 @@ func raceDoc(t *testing.T) Node {
 }
 
 // TestConcurrentQuerySharing runs the same compiled queries from 8
-// goroutines against one document. The lazily built per-query ID index and
+// goroutines against one document. The document's lazily built ID map and
 // the process-wide path-index registry are both cold at the start, so every
 // goroutine races to build them — the access-path decision resolves the
 // index through pathindex.Global.For before it prices the chain, so even

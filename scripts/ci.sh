@@ -65,8 +65,11 @@ NATIX_PERF_GUARD=1 go test -run TestBatchSpeedupGuard -timeout 20m .
 # index's match memo: shared plans racing to decode one cold index and fill
 # its memo, one chain's or one document's match never served to another,
 # the memo's cap, clones sharing the decoded index pages, and a warm indexed
-# run that allocates no summary walk. Three rounds, for the interleavings.
-go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage|TestPathIndexMemo|TestPathIndexWarmRunAllocs|TestMatchMemo|TestCloneSharesPersistedIndex' -count=3 . ./internal/dom/ ./internal/codegen/ ./internal/pathindex/ ./internal/store/
+# run that allocates no summary walk. So does the document-owned id() map:
+# shared id() plans on one MemDoc and on clones of one store image build
+# each map once and answer as the interpreter does. Three rounds, for the
+# interleavings.
+go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage|TestPathIndexMemo|TestPathIndexWarmRunAllocs|TestMatchMemo|TestCloneSharesPersistedIndex|TestIDMapSharedPlanConcurrent' -count=3 . ./internal/dom/ ./internal/codegen/ ./internal/pathindex/ ./internal/store/
 
 # Index guard: the path-index access path must hit at least 5x over
 # navigation on the selective //name probes of the skewed corpus at 8000
