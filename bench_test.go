@@ -34,15 +34,10 @@ import (
 // benchSizes are the default generated-document scales for `go test -bench`.
 var benchSizes = []int{2000, 8000}
 
-// benchEngines compares in every figure benchmark: each natix backend in
-// its default (batched) and scalar-protocol form, plus the interpreter.
-// The naive interpreter appears only at the smallest scale (its runtime
-// explodes; see fig. curves "stopping early" in the paper).
-var benchEngines = []string{
-	bench.EngineNatix, bench.EngineNatixScalar,
-	bench.EngineNatixMem, bench.EngineNatixMemScalar,
-	bench.EngineInterp,
-}
+// benchEngines compares in every figure benchmark: each natix backend plus
+// the interpreter. The naive interpreter appears only at the smallest scale
+// (its runtime explodes; see fig. curves "stopping early" in the paper).
+var benchEngines = []string{bench.EngineNatix, bench.EngineNatixMem, bench.EngineInterp}
 
 func benchFigure(b *testing.B, figID string) {
 	var spec bench.QuerySpec
@@ -176,10 +171,6 @@ func BenchmarkAblationPathIndex(b *testing.B) { benchAblation(b, "pathindex") }
 // unnecessary duplicate eliminations and sorts.
 func BenchmarkAblationSeqProps(b *testing.B) { benchAblation(b, "seqprops") }
 
-// BenchmarkAblationBatch sweeps the batch size of the batched execution
-// protocol (scalar, 1, 16, 64, 256, 1024) on the Fig. 6 hot chain.
-func BenchmarkAblationBatch(b *testing.B) { benchAblation(b, "batch") }
-
 // BenchmarkAblationBuffer sweeps the buffer manager capacity for query 1
 // over the page-backed store.
 func BenchmarkAblationBuffer(b *testing.B) {
@@ -291,55 +282,6 @@ func TestGovernorOverheadGuard(t *testing.T) {
 	if governedTotal > bareTotal*1.02 {
 		t.Errorf("governor overhead %.2f%% exceeds 2%% (bare %.0fns, governed %.0fns)",
 			100*(governedTotal-bareTotal)/bareTotal, bareTotal, governedTotal)
-	}
-}
-
-// TestBatchSpeedupGuard fails if batched execution is slower than the
-// scalar protocol on the Fig. 5 hot chains (in-memory backend, where the
-// protocol cost dominates navigation). Batching must never be a
-// pessimization; the 5 % tolerance absorbs timer noise. Timing-sensitive,
-// so it only runs when explicitly requested:
-//
-//	NATIX_PERF_GUARD=1 go test -run TestBatchSpeedupGuard
-func TestBatchSpeedupGuard(t *testing.T) {
-	if os.Getenv("NATIX_PERF_GUARD") == "" {
-		t.Skip("set NATIX_PERF_GUARD=1 to run the batch speedup guard")
-	}
-	mem := bench.GeneratedDoc(2000)
-	root := natix.RootNode(mem)
-
-	const rounds = 5
-	best := func(q *natix.Prepared) float64 {
-		min := -1.0
-		for r := 0; r < rounds; r++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := q.Run(root, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			if ns := float64(res.NsPerOp()); min < 0 || ns < min {
-				min = ns
-			}
-		}
-		return min
-	}
-	var batchedTotal, scalarTotal float64
-	for _, spec := range bench.Fig5 {
-		batched := natix.MustCompile(spec.XPath)
-		scalar := natix.MustCompileWith(spec.XPath, natix.Options{Batch: natix.BatchOff})
-		bNs, sNs := best(batched), best(scalar)
-		t.Logf("%s: batched %.0fns scalar %.0fns (%.2fx)", spec.ID, bNs, sNs, sNs/bNs)
-		batchedTotal += bNs
-		scalarTotal += sNs
-	}
-	if batchedTotal > scalarTotal*1.05 {
-		t.Errorf("batched execution %.2f%% slower than scalar (batched %.0fns, scalar %.0fns)",
-			100*(batchedTotal-scalarTotal)/scalarTotal, batchedTotal, scalarTotal)
-	} else {
-		t.Logf("batched/scalar total: %.0fns / %.0fns (%.2fx)",
-			batchedTotal, scalarTotal, scalarTotal/batchedTotal)
 	}
 }
 

@@ -9,14 +9,12 @@
 //	natix-bench -exp all -sizes 2000,4000,8000 -repeats 5
 //	natix-bench -exp ablations
 //	natix-bench -exp buffer
-//	natix-bench -exp batch -json > BENCH_PR5.json
 //	natix-bench -exp index -json > BENCH_PR8.json
 //
 // Engine names: natix (algebraic engine over the page-backed store),
-// natix-mem (same plans, in-memory document), natix-scalar /
-// natix-mem-scalar (the same with the batched execution protocol off),
-// interp (main-memory interpreter standing in for Xalan/xsltproc), naive
-// (interpreter without intermediate duplicate elimination).
+// natix-mem (same plans, in-memory document), interp (main-memory
+// interpreter standing in for Xalan/xsltproc), naive (interpreter without
+// intermediate duplicate elimination).
 //
 // -json emits every measurement as a JSON array on stdout (ns/op,
 // allocs/op and engine counters per point) instead of the human tables;
@@ -37,7 +35,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5, fig6..fig9, fig10, batch, index, ablations, buffer, or all")
+	exp := flag.String("exp", "all", "experiment: fig5, fig6..fig9, fig10, index, ablations, buffer, or all")
 	jsonOut := flag.Bool("json", false, "emit measurements as a JSON array on stdout instead of tables")
 	metricsDump := flag.Bool("metrics", false, "print the process metrics registry (Prometheus text format) after the run")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
@@ -90,8 +88,6 @@ func main() {
 			figure(id, cfg)
 		case "fig10":
 			fig10(*pubs, cfg)
-		case "batch":
-			batch(cfg)
 		case "index":
 			indexExp(cfg)
 		case "ablations":
@@ -103,7 +99,7 @@ func main() {
 		}
 	}
 	if *exp == "all" {
-		for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "batch", "index", "ablations", "buffer"} {
+		for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "index", "ablations", "buffer"} {
 			run(id)
 		}
 	} else {
@@ -167,60 +163,6 @@ func figure(id string, cfg bench.Config) {
 	emit(ms, func() {
 		fmt.Printf("== %s: %s — time vs document size ==\n", strings.ToUpper(id[:1])+id[1:], spec.XPath)
 		printSeries(ms)
-		fmt.Println()
-	})
-}
-
-// batch runs the batched-vs-scalar comparison over the Fig. 5 queries and
-// prints a speedup table (scalar time / batched time per backend).
-func batch(cfg bench.Config) {
-	ms, err := bench.RunBatchComparison(cfg)
-	if err != nil {
-		fail("batch: %v", err)
-	}
-	emit(ms, func() {
-		fmt.Println("== Batch: batched vs scalar execution, Fig. 5 queries ==")
-		type key struct {
-			query  string
-			scale  int
-			engine string
-		}
-		byKey := map[key]bench.Measurement{}
-		type rowKey struct {
-			query string
-			scale int
-		}
-		var rows []rowKey
-		seen := map[rowKey]bool{}
-		for _, m := range ms {
-			byKey[key{m.Query, m.Scale, m.Engine}] = m
-			rk := rowKey{m.Query, m.Scale}
-			if !seen[rk] {
-				seen[rk] = true
-				rows = append(rows, rk)
-			}
-		}
-		speedup := func(rk rowKey, scalar, batched string) string {
-			s, b := byKey[key{rk.query, rk.scale, scalar}], byKey[key{rk.query, rk.scale, batched}]
-			if s.Skipped || b.Skipped || b.Duration == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2fx", float64(s.Duration)/float64(b.Duration))
-		}
-		fmt.Printf("  %-5s %-8s %14s %14s %8s %14s %14s %8s\n",
-			"query", "elements", "store-scalar", "store-batch", "speedup", "mem-scalar", "mem-batch", "speedup")
-		for _, rk := range rows {
-			ss := byKey[key{rk.query, rk.scale, bench.EngineNatixScalar}]
-			sb := byKey[key{rk.query, rk.scale, bench.EngineNatix}]
-			mss := byKey[key{rk.query, rk.scale, bench.EngineNatixMemScalar}]
-			msb := byKey[key{rk.query, rk.scale, bench.EngineNatixMem}]
-			fmt.Printf("  %-5s %-8d %14s %14s %8s %14s %14s %8s\n",
-				rk.query, rk.scale,
-				ss.Duration.Round(10*time.Microsecond), sb.Duration.Round(10*time.Microsecond),
-				speedup(rk, bench.EngineNatixScalar, bench.EngineNatix),
-				mss.Duration.Round(10*time.Microsecond), msb.Duration.Round(10*time.Microsecond),
-				speedup(rk, bench.EngineNatixMemScalar, bench.EngineNatixMem))
-		}
 		fmt.Println()
 	})
 }

@@ -41,7 +41,7 @@ func TestDeepFuzz(t *testing.T) {
 			}
 			wantR := conformance.Render(want)
 			for _, cfg := range engineConfigs {
-				q, err := CompileWith(expr, cfg.opt)
+				q, err := cfg.compile(expr, nil)
 				if err != nil {
 					t.Fatalf("%s compile %q: %v", cfg.name, expr, err)
 				}

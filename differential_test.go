@@ -152,7 +152,7 @@ func TestDifferential(t *testing.T) {
 		wantR := conformance.Render(want)
 
 		for _, cfg := range engineConfigs {
-			q, err := CompileWith(expr, cfg.opt)
+			q, err := cfg.compile(expr, nil)
 			if err != nil {
 				t.Fatalf("%s compile %q: %v", cfg.name, expr, err)
 			}
@@ -195,7 +195,7 @@ func TestDifferentialRelativeContexts(t *testing.T) {
 			t.Fatalf("compile %q: %v", expr, err)
 		}
 		for _, cfg := range engineConfigs {
-			q, err := CompileWith(expr, cfg.opt)
+			q, err := cfg.compile(expr, nil)
 			if err != nil {
 				t.Fatalf("%s compile %q: %v", cfg.name, expr, err)
 			}
@@ -241,7 +241,7 @@ func TestDifferentialVariables(t *testing.T) {
 			t.Fatalf("interp %q: %v", expr, err)
 		}
 		for _, cfg := range engineConfigs {
-			q, err := CompileWith(expr, cfg.opt)
+			q, err := cfg.compile(expr, nil)
 			if err != nil {
 				t.Fatalf("%s compile %q: %v", cfg.name, expr, err)
 			}

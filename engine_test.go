@@ -18,14 +18,26 @@ import (
 type confEngine struct {
 	name string
 	opt  Options
+	// batch overrides the plan's batch size (0 keeps the default).
+	batch int
 }
 
 func (e confEngine) Name() string { return e.name }
 
-func (e confEngine) Eval(d dom.Document, expr string, vars map[string]xval.Value, ns map[string]string) (xval.Value, error) {
+// compile compiles expr under the configuration's options, with the
+// namespace declarations ns, at its batch size.
+func (e confEngine) compile(expr string, ns map[string]string) (*Prepared, error) {
 	opt := e.opt
 	opt.Namespaces = ns
 	q, err := CompileWith(expr, opt)
+	if err != nil {
+		return nil, err
+	}
+	return setBatchSize(q, e.batch), nil
+}
+
+func (e confEngine) Eval(d dom.Document, expr string, vars map[string]xval.Value, ns map[string]string) (xval.Value, error) {
+	q, err := e.compile(expr, ns)
 	if err != nil {
 		return xval.Value{}, err
 	}
@@ -49,6 +61,10 @@ var engineConfigs = []confEngine{
 	{name: "improved-index", opt: Options{Mode: Improved, EnablePathIndex: true, EnableSequenceAnalysis: true}},
 	{name: "improved-pathindex", opt: Options{Mode: Improved, EnablePathIndex: true}},
 	{name: "improved-pathindex-canon", opt: Options{Mode: Canonical, EnablePathIndex: true}},
+	// Adversarial batch sizes: 1 refills per node, 16 is misaligned with
+	// every operator fan-out.
+	{name: "improved-batch1", opt: Options{Mode: Improved}, batch: 1},
+	{name: "improved-batch16", opt: Options{Mode: Improved}, batch: 16},
 }
 
 func TestConformance(t *testing.T) {
@@ -174,14 +190,20 @@ func (e *storeEngine) Eval(d dom.Document, expr string, vars map[string]xval.Val
 	// Node handles live in the store document; re-anchor them onto the
 	// original in-memory document for comparison (IDs are identical by
 	// construction).
-	if res.Value.IsNodeSet() {
-		nodes := make([]dom.Node, len(res.Value.Nodes))
-		for i, n := range res.Value.Nodes {
-			nodes[i] = dom.Node{Doc: d, ID: n.ID}
-		}
-		return xval.NodeSet(nodes), nil
+	return reanchor(res.Value, d), nil
+}
+
+// reanchor moves the nodes of v onto the document d, which must number its
+// nodes like theirs (a store image and its source).
+func reanchor(v xval.Value, d dom.Document) xval.Value {
+	if !v.IsNodeSet() {
+		return v
 	}
-	return res.Value, nil
+	nodes := make([]dom.Node, len(v.Nodes))
+	for i, n := range v.Nodes {
+		nodes[i] = dom.Node{Doc: d, ID: n.ID}
+	}
+	return xval.NodeSet(nodes)
 }
 
 func TestConformanceStoreBacked(t *testing.T) {

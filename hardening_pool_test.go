@@ -46,18 +46,17 @@ func auditRun(t *testing.T, label string, q *Query, ctx context.Context, node No
 // default, the only size whose buffers outlive the run).
 func poolPlans(t *testing.T, batch int) []*Query {
 	t.Helper()
-	opt := Options{Batch: batch}
 	var qs []*Query
 	for _, expr := range []string{
 		"//e/descendant::*",
 		"//e[@id mod 3 = 0]/ancestor::*",
 		"count(//e//e)",
 	} {
-		q, err := CompileWith(expr, opt)
+		q, err := Compile(expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs = append(qs, q)
+		qs = append(qs, setBatchSize(q, batch))
 	}
 	return qs
 }
@@ -72,11 +71,11 @@ func TestPoolBalanceBatched(t *testing.T) {
 			auditRun(t, label("clean"), q, context.Background(), RootNode(d), ok)
 			// Mid-stream tuple limit: operators are torn down while buffers
 			// and steppers are live in the pipeline.
-			ql, err := CompileWith("//e/descendant::*", Options{Batch: batch, Limits: Limits{MaxTuples: 40}})
+			ql, err := CompileWith("//e/descendant::*", Options{Limits: Limits{MaxTuples: 40}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			auditRun(t, label("limit"), ql, context.Background(), RootNode(d), func(err error) bool {
+			auditRun(t, label("limit"), setBatchSize(ql, batch), context.Background(), RootNode(d), func(err error) bool {
 				var le *LimitError
 				return errors.As(err, &le)
 			})
@@ -90,11 +89,11 @@ func TestPoolBalanceBatched(t *testing.T) {
 		}
 		// Open failure: the unbound variable fails the root's Open, which
 		// must clean up after itself with no Close to follow.
-		qv, err := CompileWith("$v/descendant::*", Options{Batch: batch})
+		qv, err := Compile("$v/descendant::*")
 		if err != nil {
 			t.Fatal(err)
 		}
-		auditRun(t, label("open-failure"), qv, context.Background(), RootNode(d), func(err error) bool {
+		auditRun(t, label("open-failure"), setBatchSize(qv, batch), context.Background(), RootNode(d), func(err error) bool {
 			return err != nil
 		})
 	}

@@ -129,23 +129,6 @@ var Ablations = []Ablation{
 			{"full-scan", natix.Options{DisableSmartAggregation: true}},
 		},
 	},
-	{
-		ID: "batch",
-		// Batch-size sweep for the batched execution protocol: scalar,
-		// degenerate size 1 (maximal protocol traffic), and powers up to
-		// 1024, on the hot Fig. 5 chain. The default (256) should sit on
-		// the flat part of the curve.
-		Query: Fig5[0].XPath,
-		Scale: 4000,
-		Vars: []AblationVariant{
-			{"batch-off", natix.Options{Batch: natix.BatchOff}},
-			{"batch-1", natix.Options{Batch: 1}},
-			{"batch-16", natix.Options{Batch: 16}},
-			{"batch-64", natix.Options{Batch: 64}},
-			{"batch-256", natix.Options{}},
-			{"batch-1024", natix.Options{Batch: 1024}},
-		},
-	},
 }
 
 // RunAblations measures every ablation over the in-memory documents.

@@ -83,26 +83,18 @@ var Fig10 = []QuerySpec{
 
 // Engine names. "natix" is the algebraic engine over the page-backed store
 // (the paper's system); "natix-mem" runs the same plans over the in-memory
-// document; the "-scalar" twins run the identical plans with the batched
-// execution protocol off (tuple-at-a-time), isolating the batching win;
-// "interp" is the main-memory interpreter standing in for Xalan/xsltproc;
-// "naive" is the interpreter without intermediate duplicate elimination
-// (the exponential behaviour of [7,8]).
+// document; "interp" is the main-memory interpreter standing in for
+// Xalan/xsltproc; "naive" is the interpreter without intermediate duplicate
+// elimination (the exponential behaviour of [7,8]).
 const (
-	EngineNatix          = "natix"
-	EngineNatixMem       = "natix-mem"
-	EngineNatixScalar    = "natix-scalar"
-	EngineNatixMemScalar = "natix-mem-scalar"
-	EngineInterp         = "interp"
-	EngineNaive          = "naive"
+	EngineNatix    = "natix"
+	EngineNatixMem = "natix-mem"
+	EngineInterp   = "interp"
+	EngineNaive    = "naive"
 )
 
 // AllEngines lists the engines a figure sweep compares.
 var AllEngines = []string{EngineNatix, EngineNatixMem, EngineInterp, EngineNaive}
-
-// BatchEngines lists the engines of the batched-vs-scalar comparison: each
-// natix backend in its default (batched) and scalar form.
-var BatchEngines = []string{EngineNatix, EngineNatixScalar, EngineNatixMem, EngineNatixMemScalar}
 
 // docCache caches generated documents and their store images across
 // measurements.
@@ -187,22 +179,15 @@ func NewRunner(engine, query string, mem *dom.MemDoc, stored *store.Doc) (*Runne
 		return 1
 	}
 	switch engine {
-	case EngineNatix, EngineNatixMem, EngineNatixScalar, EngineNatixMemScalar,
-		EngineNatixPix, EngineNatixMemPix:
+	case EngineNatix, EngineNatixMem, EngineNatixPix, EngineNatixMemPix:
 		var doc dom.Document = mem
-		if engine == EngineNatix || engine == EngineNatixScalar || engine == EngineNatixPix {
+		if engine == EngineNatix || engine == EngineNatixPix {
 			if stored == nil {
 				return nil, fmt.Errorf("bench: %s needs a store image", engine)
 			}
 			doc = stored
 		}
-		var opt natix.Options
-		switch engine {
-		case EngineNatixScalar, EngineNatixMemScalar:
-			opt.Batch = natix.BatchOff
-		case EngineNatixPix, EngineNatixMemPix:
-			opt.EnablePathIndex = true
-		}
+		opt := natix.Options{EnablePathIndex: engine == EngineNatixPix || engine == EngineNatixMemPix}
 		var last natix.Stats
 		return &Runner{
 			Execute: func() (int, error) {
@@ -237,7 +222,7 @@ func NewRunner(engine, query string, mem *dom.MemDoc, stored *store.Doc) (*Runne
 }
 
 // Measurement is one harness data point. The JSON form is the format of
-// committed baselines (BENCH_PR5.json) and `natix-bench -json`: Duration
+// committed baselines (BENCH_PR8.json) and `natix-bench -json`: Duration
 // marshals as integer nanoseconds per operation.
 type Measurement struct {
 	Exp      string        `json:"exp"`
@@ -395,29 +380,4 @@ func (m *Measurement) fill(r *Runner, d time.Duration, n int, allocs int64) {
 	if r.Stats != nil {
 		m.Stats = r.Stats()
 	}
-}
-
-// RunBatchComparison sweeps every Fig. 5 query over the batched engines and
-// their scalar twins — the data behind the batched-vs-scalar speedup table
-// and the BENCH_PR5.json baseline.
-func RunBatchComparison(cfg Config) ([]Measurement, error) {
-	if len(cfg.Engines) == 0 {
-		cfg.Engines = BatchEngines
-	}
-	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = SmallSizes
-	}
-	cfg.fill()
-	var out []Measurement
-	for _, fig := range []string{"fig6", "fig7", "fig8", "fig9"} {
-		ms, err := RunFigure(fig, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ms {
-			ms[i].Exp = "batch"
-		}
-		out = append(out, ms...)
-	}
-	return out, nil
 }

@@ -202,9 +202,9 @@ func TestProfileIsolation(t *testing.T) {
 
 // TestFig5VisitedSteps pins the engine counters of Fig. 5 q1-q4 at 2000
 // elements, where every Π^D sits directly over a Υ and runs fused into it
-// as a visited-set step: the counts must be exact on both protocols and
-// under a WrapIter hook (fusion is decided at compile time, not by the
-// iterator a run instantiates), ExplainAnalyze must count what Run counts,
+// as a visited-set step: the counts must be exact, also under a WrapIter
+// hook (fusion is decided at compile time, not by the iterator a run
+// instantiates), ExplainAnalyze must count what Run counts,
 // and the profiled scan tuples must equal Stats.Tuples. (Π^D over plain
 // walks took 22 268, 1 669 874, 13 550 and 4 011 axis steps.)
 func TestFig5VisitedSteps(t *testing.T) {
@@ -246,13 +246,12 @@ func TestFig5VisitedSteps(t *testing.T) {
 			t.Errorf("%s: profiled scan tuples %d != Stats.Tuples %d", c.expr, got, res.Stats.Tuples)
 		}
 		plan.WrapIter = func(it physical.Iter) physical.Iter { return it }
-		plan.BatchSize = 0
-		sres, err := plan.Run(root, nil)
+		wres, err := plan.Run(root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sres.Stats != res.Stats || len(sres.Value.Nodes) != len(res.Value.Nodes) {
-			t.Errorf("%s: scalar run under WrapIter: %+v, batched %+v", c.expr, sres.Stats, res.Stats)
+		if wres.Stats != res.Stats || len(wres.Value.Nodes) != len(res.Value.Nodes) {
+			t.Errorf("%s: run under WrapIter: %+v, plain %+v", c.expr, wres.Stats, res.Stats)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package codegen
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"natix/internal/algebra"
 	"natix/internal/dom"
 	"natix/internal/interp"
 	"natix/internal/translate"
@@ -20,14 +22,24 @@ const batchSample = `<a>
 
 // TestBatchMarking checks the batchability analysis actually marks the hot
 // Fig. 5 chain: an improved-translation location path compiles to a fully
-// batched pipeline, and the plan advertises the default batch size.
+// batched pipeline, every Υ of it included, and a scalar query marks
+// nothing.
 func TestBatchMarking(t *testing.T) {
 	plan := compileQuery(t, "/a/b/c", translate.Improved())
-	if plan.BatchSize == 0 {
-		t.Fatalf("BatchSize = 0, want default on")
-	}
 	if len(plan.batchCol) == 0 {
 		t.Fatalf("no operators marked batch-capable for /a/b/c")
+	}
+	steps := 0
+	for op := range plan.batchCol {
+		if _, ok := op.(*algebra.UnnestMap); ok {
+			steps++
+		}
+	}
+	if steps != 3 {
+		t.Errorf("/a/b/c: %d of 3 location steps marked batch-capable", steps)
+	}
+	if plan := compileQuery(t, "count(/a/b)", translate.Improved()); len(plan.batchCol) != 0 {
+		t.Errorf("count(/a/b): %d operators marked batch-capable, want none", len(plan.batchCol))
 	}
 }
 
@@ -40,9 +52,11 @@ func TestBatchMarkingSelect(t *testing.T) {
 	}
 }
 
-// TestBatchSizeEquivalence runs the same plans at adversarial batch sizes
-// (1 forces a refill per node, 3 misaligns with every operator fan-out) and
-// scalar, and requires identical results and identical Stats totals.
+// TestBatchSizeEquivalence runs the same plans at batch sizes 1 (a refill
+// per node), 3 (misaligned with every operator fan-out), the default and
+// 1024, and requires the interpreter's answer (as a set: the plan's order
+// may legitimately differ) and the size-1 run's nodes, in order, and Stats
+// totals at every size.
 func TestBatchSizeEquivalence(t *testing.T) {
 	d, err := dom.ParseString(batchSample)
 	if err != nil {
@@ -52,27 +66,36 @@ func TestBatchSizeEquivalence(t *testing.T) {
 		"/a/b", "/a/b/c", "//c", "//b[@k]", "/a/*", "descendant::c",
 		"/a/b/ancestor::a", "//b/following-sibling::*", "//@k",
 	}
-	sizes := []int{1, 3, 256, 1024}
+	root := dom.Node{Doc: d, ID: d.Root()}
 	for _, q := range queries {
+		ref, err := interp.Compile(q, nil, interp.Options{DedupSteps: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Eval(root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, opt := range []translate.Options{translate.Improved(), translate.Canonical()} {
 			plan := compileQuery(t, q, opt)
-			scalar := compileQuery(t, q, opt)
-			scalar.BatchSize = 0
-			ref, err := scalar.Run(dom.Node{Doc: d, ID: d.Root()}, nil)
-			if err != nil {
-				t.Fatalf("%s scalar: %v", q, err)
-			}
-			for _, bs := range sizes {
+			var one *Result
+			for _, bs := range []int{1, 3, 0, 1024} {
 				plan.BatchSize = bs
-				got, err := plan.Run(dom.Node{Doc: d, ID: d.Root()}, nil)
+				got, err := plan.Run(root, nil)
 				if err != nil {
 					t.Fatalf("%s batch=%d: %v", q, bs, err)
 				}
-				if !sameNodes(got.Value, ref.Value) {
-					t.Errorf("%s batch=%d: nodes %v, scalar %v", q, bs, names(got.Value), names(ref.Value))
+				if one == nil {
+					one = got
 				}
-				if got.Stats != ref.Stats {
-					t.Errorf("%s batch=%d: stats %+v, scalar %+v", q, bs, got.Stats, ref.Stats)
+				if !sameNodes(docOrder(got.Value), want) {
+					t.Errorf("%s batch=%d: nodes %v, interpreter %v", q, bs, names(got.Value), names(want))
+				}
+				if !sameNodes(got.Value, one.Value) {
+					t.Errorf("%s batch=%d: nodes %v, batch=1 %v", q, bs, names(got.Value), names(one.Value))
+				}
+				if got.Stats != one.Stats {
+					t.Errorf("%s batch=%d: stats %+v, batch=1 %+v", q, bs, got.Stats, one.Stats)
 				}
 			}
 		}
@@ -80,8 +103,8 @@ func TestBatchSizeEquivalence(t *testing.T) {
 }
 
 // TestTmpCSMatchesInterp runs positional predicates whose Tmp^cs buffers
-// many multi-tuple contexts, each entered through a lookahead row, on both
-// protocols and both translations, against the interpreter.
+// many multi-tuple contexts, each entered through a lookahead row, at batch
+// sizes 1 and the default under both translations, against the interpreter.
 func TestTmpCSMatchesInterp(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<a>")
@@ -112,7 +135,7 @@ func TestTmpCSMatchesInterp(t *testing.T) {
 		}
 		for _, opt := range []translate.Options{translate.Improved(), translate.Canonical()} {
 			plan := compileQuery(t, q, opt)
-			for _, bs := range []int{0, plan.BatchSize} {
+			for _, bs := range []int{1, 0} {
 				plan.BatchSize = bs
 				got := runQuery(t, plan, d)
 				if !sameNodes(got, want) {
@@ -121,6 +144,13 @@ func TestTmpCSMatchesInterp(t *testing.T) {
 			}
 		}
 	}
+}
+
+// docOrder returns the nodes of v sorted in document order.
+func docOrder(v xval.Value) xval.Value {
+	nodes := append([]dom.Node(nil), v.Nodes...)
+	sort.Slice(nodes, func(i, j int) bool { return dom.CompareOrder(nodes[i], nodes[j]) < 0 })
+	return xval.NodeSet(nodes)
 }
 
 func sameNodes(a, b xval.Value) bool {

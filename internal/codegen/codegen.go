@@ -42,8 +42,9 @@ type Plan struct {
 	DisableSmartAgg bool
 
 	// BatchSize is the node-column batch size of the batched execution
-	// protocol; 0 runs the plan scalar. Compile sets the default; callers
-	// may override it before the first Run.
+	// protocol; 0 means physical.DefaultBatchSize. It is a test override
+	// (adversarial sizes); set it before the first Run. Which operators
+	// batch is decided by Compile alone (batchCol).
 	BatchSize int
 
 	// batchCol records, for every operator of the main tree that serves
@@ -99,7 +100,6 @@ func Compile(res *translate.Result) (*Plan, error) {
 		}
 		g.plan.root = b
 		g.plan.rootAttrReg = g.regFor(res.Attr)
-		g.plan.BatchSize = physical.DefaultBatchSize
 		g.markBatch(res.Plan, g.plan.rootAttrReg)
 	} else {
 		prog, err := g.compileScalar(res.Scalar)

@@ -39,8 +39,7 @@ type pathCand struct {
 }
 
 // MarkPathIndex runs the access-path candidate analysis. Call it after
-// Compile and before the first Run, like the BatchSize knob;
-// it is a no-op on scalar plans.
+// Compile and before the first Run; it is a no-op on scalar plans.
 func (p *Plan) MarkPathIndex() {
 	if p.source == nil || !p.source.IsSequence() {
 		return

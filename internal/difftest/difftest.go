@@ -1,7 +1,8 @@
 // Package difftest is the cross-mode differential harness of the
 // observability layer: it runs a corpus of XPath queries under every
-// translation configuration (Improved, Canonical, each ablation flag, the
-// sequence-analysis extension, and a path-index twin of each) crossed with
+// translation configuration (Improved, Canonical, each ablation flag and
+// the sequence-analysis extension, each with a canonicalization twin, and a
+// path-index twin of all of them: 36 configurations) crossed with
 // every document backend (in-memory and store-backed), comparing all of
 // them against the reference interpreter. Any divergence — differing value,
 // or an error in one cell only — is reported with enough context to
@@ -39,15 +40,12 @@ type Config struct {
 	Canon bool
 }
 
-// Configs returns the full configuration matrix of 58 configurations: both
+// Configs returns the full configuration matrix of 36 configurations: both
 // translation modes, each ablation flag in isolation, and the sequence
-// analysis extension — each in its default (batched) form plus a
-// scalar twin with the batched execution protocol off, so batched and
-// tuple-at-a-time execution diff against the reference and, transitively,
-// against each other. Two extra configurations stress the batch machinery at
-// adversarial sizes: 1 (a refill per node, maximal protocol traffic) and 16
-// (misaligned with every operator fan-out). Every base configuration gets a
-// canonicalization twin, and the whole set a path-index twin.
+// analysis extension. Every base configuration gets a canonicalization
+// twin, and the whole set a path-index twin. Execution is not a
+// configuration: the code generator alone decides which operators batch,
+// and the adversarial batch sizes are root-package tests.
 func Configs() []Config {
 	base := []Config{
 		{Name: "improved", Opt: natix.Options{Mode: natix.Improved}},
@@ -60,18 +58,8 @@ func Configs() []Config {
 		{Name: "no-path-rewrite", Opt: natix.Options{Mode: natix.Improved, DisablePathRewrite: true}},
 		{Name: "seq-analysis", Opt: natix.Options{Mode: natix.Improved, EnableSequenceAnalysis: true}},
 	}
-	all := make([]Config, 0, 3*len(base)+2)
-	for _, c := range base {
-		all = append(all, c)
-		scalar := c
-		scalar.Name = c.Name + "-scalar"
-		scalar.Opt.Batch = natix.BatchOff
-		all = append(all, scalar)
-	}
-	all = append(all,
-		Config{Name: "improved-batch1", Opt: natix.Options{Mode: natix.Improved, Batch: 1}},
-		Config{Name: "improved-batch16", Opt: natix.Options{Mode: natix.Improved, Batch: 16}},
-	)
+	all := make([]Config, 0, 2*len(base))
+	all = append(all, base...)
 	// Canonicalization twins: each base configuration again with the query
 	// rewritten by internal/canon before compilation. The serving layer
 	// keys its plan cache and singleflight on the canonical text, so this

@@ -32,8 +32,7 @@ type BatchIterator interface {
 	Iterator
 	// Batched reports whether this instance serves NextBatch for the
 	// current execution (the code generator marks batch-capable pipeline
-	// segments; the per-run batch size gates it). When false, only the
-	// scalar protocol may be used.
+	// segments). When false, only the scalar protocol may be used.
 	Batched() bool
 	// NextBatch fills buf with the next nodes of the operator's output
 	// column and returns how many it wrote. 0 with a nil error means the

@@ -17,10 +17,10 @@ import (
 	"natix/internal/nvm"
 )
 
-// DefaultBatchSize is the node-column batch size used when an execution
-// enables batching without an explicit size. 256 nodes keep a batch within
-// a few cache lines' worth of pointers while amortizing the per-tuple
-// protocol overhead by two orders of magnitude.
+// DefaultBatchSize is the node-column batch size of every execution that
+// sets no explicit size. 256 nodes keep a batch within a few cache lines'
+// worth of pointers while amortizing the per-tuple protocol overhead by two
+// orders of magnitude.
 const DefaultBatchSize = 256
 
 // batchNodeBytes is the byte-budget charge per node of a materialized node
@@ -120,7 +120,7 @@ func (ex *Exec) batchLen() int {
 // Batched implements BatchIter. Every operator's Batched guards against a
 // nil Exec — hand-built plans may probe the protocol before any execution
 // state exists, and must get "scalar" back, not a panic.
-func (s *VarScan) Batched() bool { return s.Batch && s.Ex != nil && s.Ex.BatchSize > 0 }
+func (s *VarScan) Batched() bool { return s.Batch && s.Ex != nil }
 
 // NextBatch implements BatchIter.
 func (s *VarScan) NextBatch(out []dom.Node) (int, error) {
@@ -135,7 +135,7 @@ func (s *VarScan) NextBatch(out []dom.Node) (int, error) {
 }
 
 // Batched implements BatchIter.
-func (u *UnnestMap) Batched() bool { return u.Batch && u.Ex != nil && u.Ex.BatchSize > 0 }
+func (u *UnnestMap) Batched() bool { return u.Batch && u.Ex != nil }
 
 // NextBatch implements BatchIter: the batched axis loop. Context nodes
 // arrive a batch at a time from the input column; each is enumerated
@@ -208,15 +208,16 @@ func (u *UnnestMap) NextBatch(out []dom.Node) (int, error) {
 }
 
 // Batched implements BatchIter.
-func (s *Select) Batched() bool { return s.Batch && s.Ex != nil && s.Ex.BatchSize > 0 }
+func (s *Select) Batched() bool { return s.Batch && s.Ex != nil }
 
 // NextBatch implements BatchIter. The predicate program reads only the
 // node column (the code generator verified that), so the column value is
 // staged into its register per candidate and the program runs unchanged.
 func (s *Select) NextBatch(out []dom.Node) (int, error) {
 	regs := s.Ex.M.Regs
+	in := s.buf[:min(len(s.buf), len(out))] // every kept node must fit out
 	for {
-		k, err := s.bin.NextBatch(s.buf)
+		k, err := s.bin.NextBatch(in)
 		if err != nil {
 			return 0, err
 		}
@@ -225,13 +226,13 @@ func (s *Select) NextBatch(out []dom.Node) (int, error) {
 		}
 		n := 0
 		for i := 0; i < k; i++ {
-			regs[s.Col] = nvm.NodeVal(s.buf[i])
+			regs[s.Col] = nvm.NodeVal(in[i])
 			keep, err := s.Ex.M.RunBool(s.Prog)
 			if err != nil {
 				return 0, err
 			}
 			if keep {
-				out[n] = s.buf[i]
+				out[n] = in[i]
 				n++
 			}
 		}
@@ -242,15 +243,16 @@ func (s *Select) NextBatch(out []dom.Node) (int, error) {
 }
 
 // Batched implements BatchIter.
-func (d *DupElim) Batched() bool { return d.Batch && d.Ex != nil && d.Ex.BatchSize > 0 }
+func (d *DupElim) Batched() bool { return d.Batch && d.Ex != nil }
 
 // NextBatch implements BatchIter. Keys are typed node identities, so the
 // per-tuple interface boxing of the scalar path disappears; the DocID
 // interface call is amortized through a one-entry cache (a batch almost
 // always stays within one document).
 func (d *DupElim) NextBatch(out []dom.Node) (int, error) {
+	in := d.buf[:min(len(d.buf), len(out))] // every kept node must fit out
 	for {
-		k, err := d.bin.NextBatch(d.buf)
+		k, err := d.bin.NextBatch(in)
 		if err != nil {
 			return 0, err
 		}
@@ -260,7 +262,7 @@ func (d *DupElim) NextBatch(out []dom.Node) (int, error) {
 		n := 0
 		var added, dropped int64
 		for i := 0; i < k; i++ {
-			nd := d.buf[i]
+			nd := in[i]
 			var key nodeIdent
 			if !nd.IsNil() {
 				if nd.Doc != d.lastDoc {
@@ -295,7 +297,7 @@ func (d *DupElim) NextBatch(out []dom.Node) (int, error) {
 }
 
 // Batched implements BatchIter.
-func (c *Concat) Batched() bool { return c.Batch && c.Ex != nil && c.Ex.BatchSize > 0 }
+func (c *Concat) Batched() bool { return c.Batch && c.Ex != nil }
 
 // NextBatch implements BatchIter: inputs in order, each viewed through
 // batchInput so batch-capable branches stream natively and scalar branches
@@ -327,7 +329,7 @@ func (c *Concat) NextBatch(out []dom.Node) (int, error) {
 }
 
 // Batched implements BatchIter.
-func (s *SortIter) Batched() bool { return s.Batch && s.Ex != nil && s.Ex.BatchSize > 0 }
+func (s *SortIter) Batched() bool { return s.Batch && s.Ex != nil }
 
 // openBatched materializes only the node column — downstream provably reads
 // nothing else — into a column borrowed from the run's scratch, and sorts

@@ -49,7 +49,7 @@ func (s *PathIndexScan) Next() (bool, error) {
 func (s *PathIndexScan) Close() error { return nil }
 
 // Batched implements BatchIter (nil-Exec guarded like every batch operator).
-func (s *PathIndexScan) Batched() bool { return s.Batch && s.Ex != nil && s.Ex.BatchSize > 0 }
+func (s *PathIndexScan) Batched() bool { return s.Batch && s.Ex != nil }
 
 // NextBatch implements BatchIter.
 func (s *PathIndexScan) NextBatch(out []dom.Node) (int, error) {

@@ -64,9 +64,9 @@ type Exec struct {
 	// the instrumentation being compiled in is one nil check per iterator
 	// construction.
 	Prof *Profile
-	// BatchSize is the node-column batch size of this execution; 0 runs
-	// every operator through the scalar protocol. Operators the code
-	// generator marked batch-capable serve NextBatch when it is positive.
+	// BatchSize is the node-column batch size of this execution; 0 means
+	// DefaultBatchSize. Operators the code generator marked batch-capable
+	// always serve NextBatch; the size is a test override.
 	BatchSize int
 
 	// sc holds the free lists for batch buffers, axis steppers and node

@@ -30,18 +30,21 @@ func nestedDoc(fanout, depth int) *dom.MemDoc {
 
 // visitedRun drains Υ[axis::*] over the nodes of $v, fused (a visited-set
 // step) or as Π^D over a plain Υ, and returns the output and the Stats.
+// Batch 0 builds the operators unmarked, so they run the scalar protocol;
+// otherwise they run batched at that size, drained 5 nodes at a time.
 func visitedRun(t *testing.T, ctxs []dom.Node, axis dom.Axis, fused bool, batch int) ([]dom.Node, Stats) {
 	t.Helper()
 	ex := newExec(2)
 	ex.BatchSize = batch
 	ex.M.Vars = map[string]xval.Value{"v": xval.NodeSet(ctxs)}
+	marked := batch > 0
 	um := &UnnestMap{
-		Ex: ex, In: &VarScan{Ex: ex, Name: "v", OutReg: 0, Batch: true}, InReg: 0, OutReg: 1,
-		EpochReg: -1, Axis: axis, Test: dom.NodeTest{Kind: dom.TestAnyName}, Batch: true, Visited: fused,
+		Ex: ex, In: &VarScan{Ex: ex, Name: "v", OutReg: 0, Batch: marked}, InReg: 0, OutReg: 1,
+		EpochReg: -1, Axis: axis, Test: dom.NodeTest{Kind: dom.TestAnyName}, Batch: marked, Visited: fused,
 	}
 	var it Iter = um
 	if !fused {
-		it = &DupElim{Ex: ex, In: um, AttrReg: 1, Batch: true}
+		it = &DupElim{Ex: ex, In: um, AttrReg: 1, Batch: marked}
 	}
 	var out []dom.Node
 	if err := it.Open(); err != nil {
@@ -91,7 +94,7 @@ func TestVisitedStepMatchesDupElim(t *testing.T) {
 		dom.AxisAncestor, dom.AxisDescendant, dom.AxisDescendantOrSelf, dom.AxisFollowing,
 		dom.AxisPreceding, dom.AxisFollowingSibling, dom.AxisParent, dom.AxisChild,
 	} {
-		for _, batch := range []int{0, 4} {
+		for _, batch := range []int{0, 4, DefaultBatchSize} {
 			want, plain := visitedRun(t, ctxs, axis, false, batch)
 			got, fused := visitedRun(t, ctxs, axis, true, batch)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -172,14 +175,14 @@ func TestVisitedStepReopenAllocs(t *testing.T) {
 	for _, id := range []dom.NodeID{1000, 70_000, 150_000, 70_000} {
 		ctxs = append(ctxs, dom.Node{Doc: d, ID: id})
 	}
-	for _, batch := range []int{0, 16} {
+	for _, batched := range []bool{false, true} {
 		ex := newExec(2)
-		ex.BatchSize = batch
+		ex.BatchSize = 16
 		ex.M.Vars = map[string]xval.Value{"v": xval.NodeSet(ctxs)}
 		um := &UnnestMap{
-			Ex: ex, In: &VarScan{Ex: ex, Name: "v", OutReg: 0, Batch: true}, InReg: 0, OutReg: 1,
+			Ex: ex, In: &VarScan{Ex: ex, Name: "v", OutReg: 0, Batch: batched}, InReg: 0, OutReg: 1,
 			EpochReg: -1, Axis: dom.AxisAncestorOrSelf, Test: dom.NodeTest{Kind: dom.TestAnyName},
-			Batch: true, Visited: true,
+			Batch: batched, Visited: true,
 		}
 		buf := make([]dom.Node, 16)
 		run := func() {
@@ -198,12 +201,12 @@ func TestVisitedStepReopenAllocs(t *testing.T) {
 			}
 			um.Close()
 			if n != 4 {
-				t.Fatalf("batch %d: %d nodes, want 4", batch, n)
+				t.Fatalf("batched %v: %d nodes, want 4", batched, n)
 			}
 		}
 		run()
 		if a := testing.AllocsPerRun(20, run); a != 0 {
-			t.Errorf("batch %d: re-open allocates %.1f times", batch, a)
+			t.Errorf("batched %v: re-open allocates %.1f times", batched, a)
 		}
 	}
 }

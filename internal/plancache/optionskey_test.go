@@ -56,7 +56,7 @@ func sampleFor(t reflect.Type) (reflect.Value, bool) {
 // requires that setting any single field to a non-zero value changes the
 // canonical key. This is the cache-correctness property: two option sets
 // that compile different plans must never collide on one cache entry. When
-// a new Options field lands (as Batch and EnablePathIndex did), this test
+// a new Options field lands (as EnablePathIndex did), this test
 // fails until OptionsKey encodes it.
 func TestOptionsKeyCoversEveryField(t *testing.T) {
 	base := OptionsKey(natix.Options{})
@@ -82,13 +82,38 @@ func TestOptionsKeyStable(t *testing.T) {
 		return natix.Options{
 			Namespaces: map[string]string{"a": "urn:a", "b": "urn:b", "c": "urn:c"},
 			Vars:       map[string]struct{}{"x": {}, "y": {}, "z": {}},
-			Batch:      8,
 		}
 	}
 	ref := OptionsKey(mk())
 	for i := 0; i < 50; i++ {
 		if got := OptionsKey(mk()); got != ref {
 			t.Fatalf("OptionsKey unstable: %q vs %q", got, ref)
+		}
+	}
+}
+
+// TestOptionsKeyPinned pins the key text itself: plan-cache and flight
+// keys carry it, so a change to OptionsKey must change these literals on
+// purpose.
+func TestOptionsKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		opt  natix.Options
+		want string
+	}{
+		{natix.Options{}, `m=0`},
+		{natix.Options{Mode: natix.Canonical}, `m=1`},
+		{natix.Options{
+			Namespaces: map[string]string{"p": "urn:p", "a": "urn:a"},
+			Vars:       map[string]struct{}{"y": {}, "x": {}},
+		}, `m=0;ns="a":"urn:a","p":"urn:p";vars="x,y"`},
+		{natix.Options{Limits: natix.Limits{MaxTuples: 1, MaxBytes: 2, MaxSteps: 3}}, `m=0;lim=1,2,3`},
+		{natix.Options{
+			DisableDupElimPush: true, DisableStacked: true, DisableMemoX: true, DisablePredReorder: true,
+			DisableSmartAggregation: true, DisablePathRewrite: true, EnablePathIndex: true, EnableSequenceAnalysis: true,
+		}, `m=0;f=dsxparPQ`},
+	} {
+		if got := OptionsKey(c.opt); got != c.want {
+			t.Errorf("OptionsKey(%+v) = %q, want %q", c.opt, got, c.want)
 		}
 	}
 }

@@ -100,9 +100,6 @@ func OptionsKey(o natix.Options) string {
 	if len(fs) > 0 {
 		fmt.Fprintf(&sb, ";f=%s", fs)
 	}
-	if o.Batch != 0 {
-		fmt.Fprintf(&sb, ";b=%d", o.Batch)
-	}
 	return sb.String()
 }
 

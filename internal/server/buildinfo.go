@@ -15,7 +15,7 @@ import (
 // correct but slow; a shard on another store format version cannot open
 // the same files).
 type BuildFeatures struct {
-	// Batch reports the batched execution protocol (the engine default).
+	// Batch reports the batched execution protocol (always on).
 	Batch bool `json:"batch"`
 	// PathIndex reports cost-based path-index access-path selection.
 	PathIndex bool `json:"path_index"`

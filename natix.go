@@ -158,32 +158,6 @@ type Options struct {
 	// provably unnecessary duplicate eliminations and sorts. Applies to
 	// the Improved mode only.
 	EnableSequenceAnalysis bool
-
-	// Batch sets the node-column batch size of the batched execution
-	// protocol: the hot axis/dup-elim pipeline of a plan moves fixed-size
-	// node buffers instead of single tuples, amortizing iterator dispatch
-	// and governor polling. 0 means the default size
-	// (physical.DefaultBatchSize, 256); BatchOff disables batching and
-	// runs the plan tuple-at-a-time; any positive value is an explicit
-	// size (1 is a valid, adversarial choice for testing). Results are
-	// identical in every mode.
-	Batch int
-}
-
-// BatchOff disables the batched execution protocol when assigned to
-// Options.Batch.
-const BatchOff = -1
-
-// batchSizeFor maps the Options.Batch encoding to a plan batch size.
-func batchSizeFor(b int) int {
-	switch {
-	case b < 0:
-		return 0
-	case b == 0:
-		return physical.DefaultBatchSize
-	default:
-		return b
-	}
 }
 
 func (o *Options) translateOptions() translate.Options {
@@ -283,9 +257,6 @@ func compileWith(expr string, opt Options) (*Prepared, error) {
 		return nil, fmt.Errorf("compile %q: %w", expr, err)
 	}
 	plan.DisableSmartAgg = opt.DisableSmartAggregation
-	if plan.BatchSize > 0 {
-		plan.BatchSize = batchSizeFor(opt.Batch)
-	}
 	if opt.EnablePathIndex {
 		plan.MarkPathIndex()
 	}

@@ -187,31 +187,33 @@ func TestPathIndexAgreesOnQueryMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, expr := range exprs {
-		for _, opt := range []Options{
-			{EnablePathIndex: true},
-			{EnablePathIndex: true, Mode: Canonical},
-			{EnablePathIndex: true, Batch: BatchOff},
-			{EnablePathIndex: true, Batch: 3},
+		for _, c := range []struct {
+			opt   Options
+			batch int
+		}{
+			{Options{EnablePathIndex: true}, 0},
+			{Options{EnablePathIndex: true, Mode: Canonical}, 0},
+			{Options{EnablePathIndex: true}, 3},
 		} {
-			qi := MustCompileWith(expr, opt)
-			base := opt
+			qi := setBatchSize(MustCompileWith(expr, c.opt), c.batch)
+			base := c.opt
 			base.EnablePathIndex = false
-			qn := MustCompileWith(expr, base)
+			qn := setBatchSize(MustCompileWith(expr, base), c.batch)
 			ri, err := qi.Run(RootNode(d), nil)
 			if err != nil {
-				t.Fatalf("%s (opt %+v): %v", expr, opt, err)
+				t.Fatalf("%s (%+v): %v", expr, c, err)
 			}
 			rn, err := qn.Run(RootNode(d), nil)
 			if err != nil {
 				t.Fatalf("%s baseline: %v", expr, err)
 			}
 			if ri.Value.String() != rn.Value.String() {
-				t.Errorf("%s (opt %+v): %q != %q", expr, opt, ri.Value.String(), rn.Value.String())
+				t.Errorf("%s (%+v): %q != %q", expr, c, ri.Value.String(), rn.Value.String())
 			}
 			if ri.Value.IsNodeSet() {
 				for i := range ri.Value.Nodes {
 					if ri.Value.Nodes[i] != rn.Value.Nodes[i] {
-						t.Errorf("%s (opt %+v): node %d differs", expr, opt, i)
+						t.Errorf("%s (%+v): node %d differs", expr, c, i)
 					}
 				}
 			}

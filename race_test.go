@@ -180,11 +180,10 @@ func TestConcurrentSharedPreparedBatched(t *testing.T) {
 	// Node-set plans whose hot chains mark batch-capable: a bare step
 	// chain, a filtered chain (exists predicate batches via the Select
 	// kernel), and a duplicate-producing descendant walk.
-	opt := Options{Batch: 8}
 	plans := []*Prepared{
-		MustCompileWith("/site/people/person/age", opt),
-		MustCompileWith("//person[age]/@id", opt),
-		MustCompileWith("//person/descendant-or-self::*", opt),
+		setBatchSize(MustCompile("/site/people/person/age"), 8),
+		setBatchSize(MustCompile("//person[age]/@id"), 8),
+		setBatchSize(MustCompile("//person/descendant-or-self::*"), 8),
 	}
 	want := make([]string, len(plans))
 	for i, p := range plans {

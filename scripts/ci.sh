@@ -46,18 +46,13 @@ go test -race -run 'TestCrashRecovery|TestChaosSoak|TestStringValueEqualsInPlace
 # regular (non-short) go test above as well.
 go test -short -run TestMatrix ./internal/difftest/
 
-# Perf guard: the batched execution protocol (the default) must not be
-# slower than the scalar protocol on the Fig. 5 hot chains. Best-of-5
-# timing per query; the test is opt-in via NATIX_PERF_GUARD because it is
-# timing-sensitive.
-NATIX_PERF_GUARD=1 go test -run TestBatchSpeedupGuard -timeout 20m .
-
 # Shared-plan gate: goroutines sharing Prepared plans must stay race-free on
 # the batched protocol, every run must return each free-list buffer,
 # stepper and column it took, however it ends, and cold lookups in the process-wide
 # path-index registry must build each document's index exactly once. The
 # visited-set steps ride along: every axis's walk against the dedup of plain
-# walks, and the Fig. 5 counters pinned on both protocols and under analyze.
+# walks, and the Fig. 5 counters pinned, under a WrapIter hook and under
+# analyze.
 # The process-wide run-scratch pool rides along too: each run takes and
 # returns exactly one scratch, a pooled scratch pins no dropped document, a
 # kept result survives a thousand concurrent runs recycling the pool, and a
