@@ -3,6 +3,7 @@ package natix
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"natix/internal/conformance"
 	"natix/internal/dom"
 	"natix/internal/gen"
+	"natix/internal/interp"
+	"natix/internal/sem"
 	"natix/internal/store"
 	"natix/internal/xval"
 )
@@ -288,6 +291,62 @@ func TestTwoDocumentVisitedStep(t *testing.T) {
 		}
 		if got, want := conformance.Render(res.Value), conformance.Render(other.Value); got != want {
 			t.Errorf("%+v: %s, fused %s", opt, want, got)
+		}
+	}
+
+	// $v | $w: the union's Π^D is not fused, so DupElim filters it through
+	// its own per-document sets. Duplicates sit inside each variable and
+	// across the two; each distinct (document, node) must come out once.
+	var w []Node
+	for _, id := range []dom.NodeID{17, 5, 90, 333, 5} {
+		w = append(w, Node{Doc: b, ID: id}, Node{Doc: a, ID: id})
+	}
+	vars["w"] = NodeSet(w)
+	distinct := map[Node]bool{}
+	for _, n := range append(append([]Node(nil), ctxs...), w...) {
+		distinct[n] = true
+	}
+	// keys renders nodes as document:id in document order.
+	keys := func(ns []Node) string {
+		ns = append([]Node(nil), ns...)
+		sort.Slice(ns, func(i, j int) bool { return dom.CompareOrder(ns[i], ns[j]) < 0 })
+		var sb strings.Builder
+		for _, n := range ns {
+			fmt.Fprintf(&sb, " %d:%d", n.Doc.DocID(), n.ID)
+		}
+		return sb.String()
+	}
+	const union = "$v | $w"
+	uref, err := interp.Compile(union, &sem.Env{}, interp.Options{DedupSteps: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uwant, err := uref.Eval(RootNode(a), vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(uwant.Nodes) != len(distinct) {
+		t.Fatalf("interpreter: %d nodes, want %d distinct", len(uwant.Nodes), len(distinct))
+	}
+	for _, size := range []int{0, 1, 16} {
+		q := setBatchSize(MustCompile(union), size)
+		plan := q.ExplainPhysical()
+		if !strings.Contains(plan, "Π^D") || strings.Contains(plan, "<fused") {
+			t.Fatalf("%s has no unfused Π^D:\n%s", union, plan)
+		}
+		res, err := q.Run(RootNode(a), vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[Node]bool{}
+		for _, n := range res.Value.Nodes {
+			if seen[n] || !distinct[n] {
+				t.Errorf("batch %d: %v twice or not in $v | $w", size, n)
+			}
+			seen[n] = true
+		}
+		if got := keys(res.Value.Nodes); got != keys(uwant.Nodes) {
+			t.Errorf("batch %d:\n got%s\nwant%s", size, got, keys(uwant.Nodes))
 		}
 	}
 }

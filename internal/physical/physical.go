@@ -76,12 +76,14 @@ type Exec struct {
 }
 
 // Materialization cost estimates for the byte budget: a register snapshot
-// costs a slice header plus valBytes per saved register. The estimates are
+// costs a slice header plus valBytes per saved register, a key of
+// ExistsJoin's value set keyBytes plus its string. The estimates are
 // deliberately coarse (string payloads are charged where cheap to observe);
 // the budget bounds runaway buffering, not exact accounting.
 const (
 	valBytes  = 96
 	sliceOver = 24
+	keyBytes  = 48
 )
 
 // rowBytes estimates the materialization cost of one n-register snapshot.
@@ -183,15 +185,10 @@ type UnnestMap struct {
 	active    bool
 	epoch     int64
 
-	// Visited-set state: the sets by DocID, the set of curDoc, and the
-	// bytes charged for them since Open.
-	sets    map[uint64]*dom.Visited
-	vis     *dom.Visited
-	charged int64
+	seen visitSets // a visited-set step's sets
 
 	// Batched-protocol state: the input column buffer, its read cursor,
-	// the axis NodeID scratch, and the document of the active context
-	// (on both protocols for a visited-set step).
+	// the axis NodeID scratch, and the document of the active context.
 	bin          batchSource
 	inBuf        []dom.Node
 	inPos, inLen int
@@ -208,11 +205,7 @@ func (u *UnnestMap) Open() error {
 	}
 	u.principal = u.Axis.Principal()
 	u.active = false
-	u.Ex.Gov.Release(u.charged)
-	u.charged = 0
-	for _, v := range u.sets {
-		v.Reset()
-	}
+	u.seen.reset(u.Ex.Gov)
 	if u.Batched() {
 		if u.inBuf == nil {
 			u.inBuf = u.Ex.GetNodeBuf()
@@ -301,20 +294,10 @@ func (u *UnnestMap) Next() (bool, error) {
 // visitedFor returns the visited set of doc for a visited-set step, nil
 // for a plain one.
 func (u *UnnestMap) visitedFor(doc dom.Document) *dom.Visited {
-	if !u.Visited || doc == u.curDoc {
-		return u.vis
+	if !u.Visited {
+		return nil
 	}
-	id := doc.DocID()
-	v := u.sets[id]
-	if v == nil {
-		if u.sets == nil {
-			u.sets = map[uint64]*dom.Visited{}
-		}
-		v = dom.NewVisited(doc)
-		u.sets[id] = v
-	}
-	u.vis, u.curDoc = v, doc
-	return v
+	return u.seen.of(doc)
 }
 
 // settle books what a visited-set walk did since the last call: the marked
@@ -327,20 +310,83 @@ func (u *UnnestMap) settle() error {
 	u.Ex.Stats.AxisSteps += pruned
 	u.Ex.Stats.DupDropped += s.Dropped
 	s.Pruned, s.Dropped = 0, 0
-	if b := u.vis.Uncharged(); b > 0 {
-		u.charged += b
-		if err := u.Ex.Gov.Grow(b); err != nil {
-			return err
-		}
+	if err := u.seen.charge(u.Ex.Gov); err != nil {
+		return err
 	}
 	return u.Ex.Gov.Events(pruned)
+}
+
+// visitSets is the duplicate-elimination state of a Π^D, fused into a
+// visited-set step or run as DupElim: one dom.Visited per document (by
+// DocID), emptied at Open and at Close, whose real bytes are charged to
+// the byte budget in between.
+type visitSets struct {
+	sets    map[uint64]*dom.Visited
+	vis     *dom.Visited // the set of doc
+	doc     dom.Document
+	owed    int64 // growth of sets left since the last charge
+	charged int64
+}
+
+// reset empties every set and returns their charge to the budget, at Open
+// and at Close.
+func (s *visitSets) reset(g *guard.Governor) {
+	g.Release(s.charged)
+	s.charged, s.owed = 0, 0
+	for _, v := range s.sets {
+		v.Reset()
+	}
+}
+
+// of returns the set of doc, made on its first use.
+func (s *visitSets) of(doc dom.Document) *dom.Visited {
+	if doc == s.doc {
+		return s.vis
+	}
+	if s.vis != nil {
+		s.owed += s.vis.Uncharged()
+	}
+	id := doc.DocID()
+	v := s.sets[id]
+	if v == nil {
+		if s.sets == nil {
+			s.sets = map[uint64]*dom.Visited{}
+		}
+		v = dom.NewVisited(doc)
+		s.sets[id] = v
+	}
+	s.vis, s.doc = v, doc
+	return v
+}
+
+// add marks n, reporting whether it was not marked yet.
+func (s *visitSets) add(n dom.Node) bool {
+	v := s.of(n.Doc)
+	if v.Has(n.ID) {
+		return false
+	}
+	v.Mark(n.ID)
+	return true
+}
+
+// charge books the growth of every set since the last charge.
+func (s *visitSets) charge(g *guard.Governor) error {
+	b := s.owed
+	s.owed = 0
+	if s.vis != nil {
+		b += s.vis.Uncharged()
+	}
+	if b == 0 {
+		return nil
+	}
+	s.charged += b
+	return g.Grow(b)
 }
 
 // Close implements Iter, returning the stepper and batch buffers to the
 // execution's free lists and the visited sets' charge to the budget.
 func (u *UnnestMap) Close() error {
-	u.Ex.Gov.Release(u.charged)
-	u.charged = 0
+	u.seen.reset(u.Ex.Gov)
 	if u.stepper != nil {
 		u.Ex.PutStepper(u.stepper)
 		u.stepper = nil
@@ -838,8 +884,9 @@ func (m *MemoX) Close() error {
 	return nil
 }
 
-// DupElim is Π^D on one attribute: state resets at Open, so its dedup scope
-// is one evaluation of the (sub)plan it sits in.
+// DupElim is Π^D on one node attribute, a filter over the same
+// per-document sets as a visited-set step: state resets at Open, so its
+// dedup scope is one evaluation of the (sub)plan it sits in.
 type DupElim struct {
 	Ex      *Exec
 	In      Iter
@@ -847,52 +894,32 @@ type DupElim struct {
 	// Batch marks this instance batch-capable (set by the code generator).
 	Batch bool
 
-	seen    map[any]struct{}
-	charged int64
+	seen visitSets
 
-	// Batched-protocol state: a typed node-identity set (no per-tuple
-	// interface boxing) and a one-entry DocID cache.
-	bin       batchSource
-	buf       []dom.Node
-	nseen     map[nodeIdent]struct{}
-	lastDoc   dom.Document
-	lastDocID uint64
+	// Batched-protocol state: the input column buffer.
+	bin batchSource
+	buf []dom.Node
 }
-
-// keyBytes is the approximate cost of one dedup/hash-table key.
-const keyBytes = 48
 
 // Open implements Iter.
 func (d *DupElim) Open() error {
-	d.Ex.Gov.Release(d.charged)
-	d.charged = 0
-	if d.Batched() {
-		if d.nseen == nil {
-			d.nseen = make(map[nodeIdent]struct{})
-		} else {
-			clear(d.nseen)
-		}
-		if d.buf == nil {
-			d.buf = d.Ex.GetNodeBuf()
-		}
-		d.bin = batchInput(d.In, d.Ex, d.AttrReg)
-		d.lastDoc = nil
-		if err := d.In.Open(); err != nil {
-			// Self-cleaning on failure: return the pooled batch buffer
-			// (no Close will follow this Open).
-			d.Ex.PutNodeBuf(d.buf)
-			d.buf = nil
-			d.bin = nil
-			return err
-		}
-		return nil
+	d.seen.reset(d.Ex.Gov)
+	if !d.Batched() {
+		return d.In.Open()
 	}
-	if d.seen == nil {
-		d.seen = make(map[any]struct{})
-	} else {
-		clear(d.seen)
+	if d.buf == nil {
+		d.buf = d.Ex.GetNodeBuf()
 	}
-	return d.In.Open()
+	d.bin = batchInput(d.In, d.Ex, d.AttrReg)
+	if err := d.In.Open(); err != nil {
+		// Self-cleaning on failure: return the pooled batch buffer (no
+		// Close will follow this Open).
+		d.Ex.PutNodeBuf(d.buf)
+		d.buf = nil
+		d.bin = nil
+		return err
+	}
+	return nil
 }
 
 // Next implements Iter.
@@ -902,22 +929,20 @@ func (d *DupElim) Next() (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		k := d.Ex.M.Regs[d.AttrReg].Key()
-		if _, dup := d.seen[k]; dup {
+		if !d.seen.add(d.Ex.M.Regs[d.AttrReg].Node()) {
 			d.Ex.Stats.DupDropped++
 			continue
 		}
-		if err := d.Ex.Gov.Grow(keyBytes); err != nil {
+		if err := d.seen.charge(d.Ex.Gov); err != nil {
 			return false, err
 		}
-		d.charged += keyBytes
-		d.seen[k] = struct{}{}
 		return true, nil
 	}
 }
 
-// Close implements Iter.
+// Close implements Iter, returning the sets' charge to the budget.
 func (d *DupElim) Close() error {
+	d.seen.reset(d.Ex.Gov)
 	if d.buf != nil {
 		d.Ex.PutNodeBuf(d.buf)
 		d.buf = nil

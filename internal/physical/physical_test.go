@@ -2,6 +2,7 @@ package physical
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"natix/internal/dom"
@@ -193,27 +194,28 @@ func TestTmpCSWholeInput(t *testing.T) {
 	}
 }
 
+// TestDupElim: Π^D keeps the first occurrence of each node in input
+// order, counts the rest in DupDropped, and starts afresh on re-Open, on
+// both protocols.
 func TestDupElim(t *testing.T) {
-	ex := newExec(2)
-	vals := []float64{1, 2, 1, 3, 2, 1}
-	var rows []map[int]nvm.Val
-	for _, v := range vals {
-		rows = append(rows, map[int]nvm.Val{0: nvm.NumVal(v)})
+	d := nestedDoc(2, 2)
+	var in []dom.Node
+	for _, id := range []dom.NodeID{1, 2, 1, 3, 2, 1} {
+		in = append(in, dom.Node{Doc: d, ID: id})
 	}
-	de := &DupElim{Ex: ex, In: &feedIter{ex: ex, rows: rows}, AttrReg: 0}
-	var got []float64
-	drain(t, de, func() { got = append(got, ex.M.Regs[0].Num()) })
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("dedup output %v", got)
-	}
-	if ex.Stats.DupDropped != 3 {
-		t.Errorf("DupDropped = %d", ex.Stats.DupDropped)
-	}
-	// Re-open resets the seen set.
-	got = nil
-	drain(t, de, func() { got = append(got, ex.M.Regs[0].Num()) })
-	if len(got) != 3 {
-		t.Errorf("re-opened dedup output %v", got)
+	want := fmt.Sprint([]dom.Node{in[0], in[1], in[3]})
+	for _, batched := range []bool{false, true} {
+		ex := newExec(1)
+		ex.M.Vars = map[string]xval.Value{"v": xval.NodeSet(in)}
+		de := &DupElim{Ex: ex, In: &VarScan{Ex: ex, Name: "v", Batch: batched}, Batch: batched}
+		for round := int64(1); round <= 2; round++ {
+			if got := fmt.Sprint(drainNodes(t, de, ex, 0)); got != want {
+				t.Errorf("batched %v round %d: %s, want %s", batched, round, got, want)
+			}
+			if ex.Stats.DupDropped != 3*round {
+				t.Errorf("batched %v round %d: DupDropped = %d, want %d", batched, round, ex.Stats.DupDropped, 3*round)
+			}
+		}
 	}
 }
 

@@ -46,6 +46,14 @@ func visitedRun(t *testing.T, ctxs []dom.Node, axis dom.Axis, fused bool, batch 
 	if !fused {
 		it = &DupElim{Ex: ex, In: um, AttrReg: 1, Batch: marked}
 	}
+	return drainNodes(t, it, ex, 1), ex.Stats
+}
+
+// drainNodes opens, drains and closes a node-column operator on the
+// protocol it serves, batched 5 nodes at a time, and returns its output:
+// the node column, or register reg on the scalar protocol.
+func drainNodes(t *testing.T, it Iter, ex *Exec, reg int) []dom.Node {
+	t.Helper()
 	var out []dom.Node
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
@@ -71,13 +79,13 @@ func visitedRun(t *testing.T, ctxs []dom.Node, axis dom.Axis, fused bool, batch 
 			if !ok {
 				break
 			}
-			out = append(out, ex.M.Regs[1].Node())
+			out = append(out, ex.M.Regs[reg].Node())
 		}
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return out, ex.Stats
+	return out
 }
 
 // TestVisitedStepMatchesDupElim: on both protocols a visited-set step
@@ -107,61 +115,82 @@ func TestVisitedStepMatchesDupElim(t *testing.T) {
 	}
 }
 
-// TestVisitedStepByteBudget: a visited-set step charges its sets to the
-// byte budget, trips MaxBytes, and returns the charge on Close and on
-// re-Open.
+// TestVisitedStepByteBudget: a visited-set step, and DupElim over the same
+// per-document sets, charge their sets to the byte budget, trip MaxBytes,
+// and return the charge on Close and on re-Open.
 func TestVisitedStepByteBudget(t *testing.T) {
 	d := nestedDoc(4, 5)
-	ctxs := []dom.Node{{Doc: d, ID: d.Root()}}
-	newStep := func(limits guard.Limits) (*UnnestMap, *guard.Governor) {
-		ex := newExec(2)
-		ex.Gov = guard.New(context.Background(), limits, nil)
-		ex.M.Vars = map[string]xval.Value{"v": xval.NodeSet(ctxs)}
-		return &UnnestMap{
-			Ex: ex, In: &VarScan{Ex: ex, Name: "v", OutReg: 0}, InReg: 0, OutReg: 1, EpochReg: -1,
-			Axis: dom.AxisDescendant, Test: dom.NodeTest{Kind: dom.TestAnyName}, Visited: true,
-		}, ex.Gov
-	}
+	ctxs := []dom.Node{{Doc: d, ID: d.Root()}, {Doc: d, ID: d.Root()}}
+	for _, c := range []struct {
+		name string
+		make func(ex *Exec, in Iter) Iter
+	}{
+		{"UnnestMap.Visited", func(ex *Exec, in Iter) Iter {
+			return &UnnestMap{
+				Ex: ex, In: in, InReg: 0, OutReg: 1, EpochReg: -1,
+				Axis: dom.AxisDescendant, Test: dom.NodeTest{Kind: dom.TestAnyName}, Visited: true,
+			}
+		}},
+		{"DupElim", func(ex *Exec, in Iter) Iter { return &DupElim{Ex: ex, In: in} }},
+	} {
+		newStep := func(limits guard.Limits) (Iter, *guard.Governor) {
+			ex := newExec(2)
+			ex.Gov = guard.New(context.Background(), limits, nil)
+			ex.M.Vars = map[string]xval.Value{"v": xval.NodeSet(ctxs)}
+			return c.make(ex, &VarScan{Ex: ex, Name: "v", OutReg: 0}), ex.Gov
+		}
 
-	um, gov := newStep(guard.Limits{})
-	for round := 0; round < 2; round++ {
-		if err := um.Open(); err != nil {
-			t.Fatal(err)
+		it, gov := newStep(guard.Limits{})
+		for round := 0; round < 2; round++ {
+			if err := it.Open(); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := it.Next(); !ok || err != nil {
+				t.Fatalf("%s round %d: first Next = %v, %v", c.name, round, ok, err)
+			}
+			held := dom.NewVisited(d)
+			held.Mark(1)
+			if b := gov.Bytes(); b < held.Bytes() {
+				t.Errorf("%s round %d: %d bytes charged, the set holds at least %d", c.name, round, b, held.Bytes())
+			}
+			if round == 1 {
+				continue // re-Open without a Close
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b := gov.Bytes(); b != 0 {
+				t.Errorf("%s: %d bytes still charged after Close", c.name, b)
+			}
 		}
-		if ok, err := um.Next(); !ok || err != nil {
-			t.Fatalf("round %d: first Next = %v, %v", round, ok, err)
-		}
-		held := dom.NewVisited(d)
-		held.Mark(1)
-		if b := gov.Bytes(); b < held.Bytes() {
-			t.Errorf("round %d: %d bytes charged, the set holds at least %d", round, b, held.Bytes())
-		}
-		if err := um.Close(); err != nil {
+		if err := it.Open(); err != nil {
 			t.Fatal(err)
 		}
 		if b := gov.Bytes(); b != 0 {
-			t.Errorf("round %d: %d bytes still charged after Close", round, b)
+			t.Errorf("%s: %d bytes still charged after re-Open", c.name, b)
 		}
-	}
+		it.Close()
 
-	um, gov = newStep(guard.Limits{MaxBytes: 64})
-	if err := um.Open(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := um.Next()
-	var le *guard.LimitError
-	if !errors.As(err, &le) || le.Budget != guard.BudgetBytes {
-		t.Fatalf("Next under MaxBytes 64: %v, want a byte-budget LimitError", err)
-	}
-	um.Close()
-	if b := gov.Bytes(); b != 0 {
-		t.Errorf("%d bytes still charged after the tripped step closed", b)
+		it, gov = newStep(guard.Limits{MaxBytes: 64})
+		if err := it.Open(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := it.Next()
+		var le *guard.LimitError
+		if !errors.As(err, &le) || le.Budget != guard.BudgetBytes {
+			t.Fatalf("%s: Next under MaxBytes 64: %v, want a byte-budget LimitError", c.name, err)
+		}
+		it.Close()
+		if b := gov.Bytes(); b != 0 {
+			t.Errorf("%s: %d bytes still charged after the tripped step closed", c.name, b)
+		}
 	}
 }
 
-// TestVisitedStepReopenAllocs: re-opening a visited-set step on a large
-// document costs in proportion to the nodes it marks. After the first
-// evaluation, re-open, walk and close allocate nothing on either protocol.
+// TestVisitedStepReopenAllocs: re-opening a visited-set step, or DupElim,
+// on a large document costs in proportion to the nodes it marks. After the
+// first evaluation, re-open, drain and close allocate nothing on either
+// protocol.
 func TestVisitedStepReopenAllocs(t *testing.T) {
 	b := dom.NewBuilder()
 	b.StartElement("", "r", "")
@@ -175,38 +204,51 @@ func TestVisitedStepReopenAllocs(t *testing.T) {
 	for _, id := range []dom.NodeID{1000, 70_000, 150_000, 70_000} {
 		ctxs = append(ctxs, dom.Node{Doc: d, ID: id})
 	}
-	for _, batched := range []bool{false, true} {
-		ex := newExec(2)
-		ex.BatchSize = 16
-		ex.M.Vars = map[string]xval.Value{"v": xval.NodeSet(ctxs)}
-		um := &UnnestMap{
-			Ex: ex, In: &VarScan{Ex: ex, Name: "v", OutReg: 0, Batch: batched}, InReg: 0, OutReg: 1,
-			EpochReg: -1, Axis: dom.AxisAncestorOrSelf, Test: dom.NodeTest{Kind: dom.TestAnyName},
-			Batch: batched, Visited: true,
-		}
-		buf := make([]dom.Node, 16)
-		run := func() {
-			if err := um.Open(); err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		want int
+		make func(ex *Exec, in Iter, batched bool) Iter
+	}{
+		{"UnnestMap.Visited", 4, func(ex *Exec, in Iter, batched bool) Iter {
+			return &UnnestMap{
+				Ex: ex, In: in, InReg: 0, OutReg: 1, EpochReg: -1, Axis: dom.AxisAncestorOrSelf,
+				Test: dom.NodeTest{Kind: dom.TestAnyName}, Batch: batched, Visited: true,
 			}
-			n := 0
-			if um.Batched() {
-				for k, _ := um.NextBatch(buf); k > 0; k, _ = um.NextBatch(buf) {
-					n += k
+		}},
+		{"DupElim", 3, func(ex *Exec, in Iter, batched bool) Iter {
+			return &DupElim{Ex: ex, In: in, Batch: batched}
+		}},
+	} {
+		for _, batched := range []bool{false, true} {
+			ex := newExec(2)
+			ex.BatchSize = 16
+			ex.M.Vars = map[string]xval.Value{"v": xval.NodeSet(ctxs)}
+			it := c.make(ex, &VarScan{Ex: ex, Name: "v", OutReg: 0, Batch: batched}, batched)
+			bi := it.(BatchIter)
+			buf := make([]dom.Node, 16)
+			run := func() {
+				if err := it.Open(); err != nil {
+					t.Fatal(err)
 				}
-			} else {
-				for ok, _ := um.Next(); ok; ok, _ = um.Next() {
-					n++
+				n := 0
+				if bi.Batched() {
+					for k, _ := bi.NextBatch(buf); k > 0; k, _ = bi.NextBatch(buf) {
+						n += k
+					}
+				} else {
+					for ok, _ := it.Next(); ok; ok, _ = it.Next() {
+						n++
+					}
+				}
+				it.Close()
+				if n != c.want {
+					t.Fatalf("%s batched %v: %d nodes, want %d", c.name, batched, n, c.want)
 				}
 			}
-			um.Close()
-			if n != 4 {
-				t.Fatalf("batched %v: %d nodes, want 4", batched, n)
+			run()
+			if a := testing.AllocsPerRun(20, run); a != 0 {
+				t.Errorf("%s batched %v: re-open allocates %.1f times", c.name, batched, a)
 			}
-		}
-		run()
-		if a := testing.AllocsPerRun(20, run); a != 0 {
-			t.Errorf("batched %v: re-open allocates %.1f times", batched, a)
 		}
 	}
 }

@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 
+# The tree stays gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
+
 if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 else
@@ -62,9 +65,12 @@ go test -short -run TestMatrix ./internal/difftest/
 # the memo's cap, clones sharing the decoded index pages, and a warm indexed
 # run that allocates no summary walk. So does the document-owned id() map:
 # shared id() plans on one MemDoc and on clones of one store image build
-# each map once and answer as the interpreter does. Three rounds, for the
+# each map once and answer as the interpreter does. So does DupElim, which
+# filters through the visited steps' per-document sets: its dedup against
+# the fused step, its byte charge and allocation-free re-open, and a union
+# across two documents with coinciding NodeIDs. Three rounds, for the
 # interleavings.
-go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage|TestPathIndexMemo|TestPathIndexWarmRunAllocs|TestMatchMemo|TestCloneSharesPersistedIndex|TestIDMapSharedPlanConcurrent' -count=3 . ./internal/dom/ ./internal/codegen/ ./internal/pathindex/ ./internal/store/
+go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage|TestPathIndexMemo|TestPathIndexWarmRunAllocs|TestMatchMemo|TestCloneSharesPersistedIndex|TestIDMapSharedPlanConcurrent|TestVisitedStepMatchesDupElim|TestVisitedStepByteBudget|TestVisitedStepReopenAllocs|TestTwoDocumentVisitedStep' -count=3 . ./internal/dom/ ./internal/codegen/ ./internal/pathindex/ ./internal/store/ ./internal/physical/
 
 # Index guard: the path-index access path must hit at least 5x over
 # navigation on the selective //name probes of the skewed corpus at 8000
