@@ -166,11 +166,6 @@ func BenchmarkAblationPathRewrite(b *testing.B) { benchAblation(b, "pathrewrite"
 // queries.
 func BenchmarkAblationPathIndex(b *testing.B) { benchAblation(b, "pathindex") }
 
-// BenchmarkAblationSeqProps compares the per-axis ppd rule (section 4.1)
-// against the deferred-work sequence analysis ([13]) that drops provably
-// unnecessary duplicate eliminations and sorts.
-func BenchmarkAblationSeqProps(b *testing.B) { benchAblation(b, "seqprops") }
-
 // BenchmarkAblationBuffer sweeps the buffer manager capacity for query 1
 // over the page-backed store.
 func BenchmarkAblationBuffer(b *testing.B) {

@@ -46,14 +46,29 @@ func randomDoc(rng *rand.Rand, maxNodes int) *dom.MemDoc {
 	return b.Doc()
 }
 
-// randomQuery generates a random XPath expression over the alphabet.
-func randomQuery(rng *rand.Rand) string {
-	axes := []string{
+// randomAxes and randomTests are the axes and node tests random queries
+// draw their steps from.
+var (
+	randomAxes = []string{
 		"child", "descendant", "descendant-or-self", "parent", "ancestor",
 		"ancestor-or-self", "following", "preceding", "following-sibling",
 		"preceding-sibling", "self",
 	}
-	tests := []string{"a", "b", "c", "d", "*", "node()", "text()"}
+	randomTests = []string{"a", "b", "c", "d", "*", "node()", "text()"}
+)
+
+// randomChain generates a relative location path of one to three steps
+// without predicates.
+func randomChain(rng *rand.Rand) string {
+	steps := make([]string, 1+rng.Intn(3))
+	for i := range steps {
+		steps[i] = randomAxes[rng.Intn(len(randomAxes))] + "::" + randomTests[rng.Intn(len(randomTests))]
+	}
+	return strings.Join(steps, "/")
+}
+
+// randomQuery generates a random XPath expression over the alphabet.
+func randomQuery(rng *rand.Rand) string {
 	preds := []string{
 		"", "[1]", "[2]", "[last()]", "[position() < 3]",
 		"[position() = last()]", "[@k]", "[@k = '1']", "[. = '2']",
@@ -84,10 +99,10 @@ func randomQuery(rng *rand.Rand) string {
 				}
 			}
 			if rng.Intn(4) != 0 {
-				sb.WriteString(axes[rng.Intn(len(axes))])
+				sb.WriteString(randomAxes[rng.Intn(len(randomAxes))])
 				sb.WriteString("::")
 			}
-			sb.WriteString(tests[rng.Intn(len(tests))])
+			sb.WriteString(randomTests[rng.Intn(len(randomTests))])
 			if p := preds[rng.Intn(len(preds))]; p != "" && rng.Intn(2) == 0 {
 				sb.WriteString(p)
 			}
@@ -173,7 +188,7 @@ func TestDifferential(t *testing.T) {
 }
 
 // TestDifferentialRelativeContexts repeats the cross-check with non-root
-// context nodes and relative queries.
+// context nodes and relative queries, fixed and random.
 func TestDifferentialRelativeContexts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	d := randomDoc(rng, 120)
@@ -189,29 +204,49 @@ func TestDifferentialRelativeContexts(t *testing.T) {
 		"count(descendant::*)", "self::node()/descendant::b",
 		"b | c | ../d", ".//*[. = ancestor::*/@k]",
 	}
+	// Relative chains reach the sequence analysis's single-context rules
+	// (parent, ancestor, the sibling axes, following and preceding from
+	// one node), which absolute paths exercise only from the root; the
+	// filter forms skip their sort on its ordered claim. Every one-step
+	// chain comes first, then random chains of one to three steps.
+	var chains []string
+	for _, ax := range randomAxes {
+		for _, nt := range randomTests {
+			chains = append(chains, ax+"::"+nt)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		chains = append(chains, randomChain(rng))
+	}
+	for _, c := range chains {
+		queries = append(queries, c, fmt.Sprintf("(%s)[%d]", c, 1+rng.Intn(3)), "("+c+")[last()]")
+	}
 	for _, expr := range queries {
 		ref, err := interp.Compile(expr, nil, interp.Options{DedupSteps: true})
 		if err != nil {
 			t.Fatalf("compile %q: %v", expr, err)
+		}
+		wants := make([]string, len(elems))
+		for i, ctxID := range elems {
+			want, err := ref.Eval(dom.Node{Doc: d, ID: ctxID}, nil)
+			if err != nil {
+				t.Fatalf("interp %q at #%d: %v", expr, ctxID, err)
+			}
+			wants[i] = conformance.Render(want)
 		}
 		for _, cfg := range engineConfigs {
 			q, err := cfg.compile(expr, nil)
 			if err != nil {
 				t.Fatalf("%s compile %q: %v", cfg.name, expr, err)
 			}
-			for _, ctxID := range elems {
-				ctx := dom.Node{Doc: d, ID: ctxID}
-				want, err := ref.Eval(ctx, nil)
-				if err != nil {
-					t.Fatalf("interp %q at #%d: %v", expr, ctxID, err)
-				}
-				res, err := q.Run(ctx, nil)
+			for i, ctxID := range elems {
+				res, err := q.Run(dom.Node{Doc: d, ID: ctxID}, nil)
 				if err != nil {
 					t.Fatalf("%s %q at #%d: %v", cfg.name, expr, ctxID, err)
 				}
-				if got, wantR := conformance.Render(res.Value), conformance.Render(want); got != wantR {
+				if got := conformance.Render(res.Value); got != wants[i] {
 					t.Fatalf("%s: %q at node #%d diverges\n got %s\nwant %s",
-						cfg.name, expr, ctxID, got, wantR)
+						cfg.name, expr, ctxID, got, wants[i])
 				}
 			}
 		}

@@ -58,10 +58,13 @@ var engineConfigs = []confEngine{
 	{name: "canonical", opt: Options{Mode: Canonical}},
 	{name: "improved-nomemo", opt: Options{Mode: Improved, DisableMemoX: true, DisablePredReorder: true}},
 	{name: "improved-nostack", opt: Options{Mode: Improved, DisableStacked: true, DisableDupElimPush: true}},
-	{name: "improved-seqprops", opt: Options{Mode: Improved, EnableSequenceAnalysis: true}},
-	// The path index over the sequence-analysis plans, whose chains carry
-	// fewer Π^D for the candidate matcher to look through.
-	{name: "improved-index", opt: Options{Mode: Improved, EnablePathIndex: true, EnableSequenceAnalysis: true}},
+	// Subtest names are stable test IDs, so the next two rows keep names
+	// from before the sequence analysis became the only rule. The first
+	// runs it over the unrewritten // expansion, whose child step after a
+	// nested descendant-or-self step is duplicate-free but unordered; the
+	// second gives the path-index matcher chains without a pushed Π^D.
+	{name: "improved-seqprops", opt: Options{Mode: Improved, DisablePathRewrite: true}},
+	{name: "improved-index", opt: Options{Mode: Improved, EnablePathIndex: true, DisableDupElimPush: true}},
 	{name: "improved-pathindex", opt: Options{Mode: Improved, EnablePathIndex: true}},
 	{name: "improved-pathindex-canon", opt: Options{Mode: Canonical, EnablePathIndex: true}},
 	// Adversarial batch sizes: 1 refills per node, 16 is misaligned with
@@ -80,7 +83,7 @@ func TestConformance(t *testing.T) {
 }
 
 func TestExplain(t *testing.T) {
-	q := MustCompile("/child::a/descendant::b[position() = last()]/@id")
+	q := MustCompile("//a/descendant::b[position() = last()]/@id")
 	alg := q.ExplainAlgebra()
 	for _, want := range []string{"Υ", "Tmp^cs", "Π^D", "σ"} {
 		if !contains(alg, want) {

@@ -40,14 +40,15 @@ func ExampleQuery_Run_variables() {
 
 // The translated algebra plan of every query is inspectable; this is the
 // paper's improved translation (section 4) with its pushed duplicate
-// elimination after the ppd descendant step.
+// elimination after the descendant step, whose nested a contexts can reach
+// the same b twice.
 func ExampleQuery_ExplainAlgebra() {
-	q := natix.MustCompile("/a/descendant::b")
+	q := natix.MustCompile("//a/descendant::b")
 	fmt.Print(q.ExplainAlgebra())
 	// Output:
 	// Π^D[c3]
 	//   Υ[c3:c2/descendant::b]
-	//     Υ[c2:c1/child::a]
+	//     Υ[c2:c1/descendant::a]
 	//       χ[c1:root(cn)]
 	//         □
 }
@@ -55,16 +56,19 @@ func ExampleQuery_ExplainAlgebra() {
 // CompileWith selects the canonical translation of section 3 (a d-join
 // chain with one final duplicate elimination) instead.
 func ExampleCompileWith() {
-	q, _ := natix.CompileWith("/a/descendant::b", natix.Options{Mode: natix.Canonical})
+	q, _ := natix.CompileWith("//a/descendant::b", natix.Options{Mode: natix.Canonical})
 	fmt.Print(q.ExplainAlgebra())
 	// Output:
-	// Π^D[c3]
+	// Π^D[c4]
 	//   <d-join>
 	//     <d-join>
-	//       χ[c1:root(cn)]
+	//       <d-join>
+	//         χ[c1:root(cn)]
+	//           □
+	//         Υ[c2:c1/descendant-or-self::node()]
+	//           □
+	//       Υ[c3:c2/child::a]
 	//         □
-	//       Υ[c2:c1/child::a]
-	//         □
-	//     Υ[c3:c2/descendant::b]
+	//     Υ[c4:c3/descendant::b]
 	//       □
 }

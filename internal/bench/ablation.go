@@ -83,18 +83,6 @@ var Ablations = []Ablation{
 		},
 	},
 	{
-		ID: "seqprops",
-		// The deferred-work sequence analysis ([13]) drops the duplicate
-		// elimination after the provably duplicate-free descendant step
-		// and the document-order sort of the filter expression.
-		Query: "(/child::xdoc/descendant::e)[position() > 0]",
-		Scale: 8000,
-		Vars: []AblationVariant{
-			{"axis-ppd", natix.Options{}},
-			{"seq-analysis", natix.Options{EnableSequenceAnalysis: true}},
-		},
-	},
-	{
 		ID: "pathrewrite",
 		// Future-work structural rewrite (section 7): // merges into a
 		// single descendant step, halving the unnest work.

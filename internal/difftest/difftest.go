@@ -1,12 +1,11 @@
 // Package difftest is the cross-mode differential harness of the
 // observability layer: it runs a corpus of XPath queries under every
-// translation configuration (Improved, Canonical, each ablation flag and
-// the sequence-analysis extension, each with a canonicalization twin, and a
-// path-index twin of all of them: 36 configurations) crossed with
-// every document backend (in-memory and store-backed), comparing all of
-// them against the reference interpreter. Any divergence — differing value,
-// or an error in one cell only — is reported with enough context to
-// reproduce it.
+// translation configuration (Improved, Canonical and each ablation flag,
+// each with a canonicalization twin, and a path-index twin of all of them:
+// 32 configurations) crossed with every document backend (in-memory and
+// store-backed), comparing all of them against the reference interpreter.
+// Any divergence — differing value, or an error in one cell only — is
+// reported with enough context to reproduce it.
 //
 // The corpus combines every conformance case (hand-computed expectations
 // double-check the reference itself) with deterministically generated
@@ -40,12 +39,12 @@ type Config struct {
 	Canon bool
 }
 
-// Configs returns the full configuration matrix of 36 configurations: both
-// translation modes, each ablation flag in isolation, and the sequence
-// analysis extension. Every base configuration gets a canonicalization
-// twin, and the whole set a path-index twin. Execution is not a
-// configuration: the code generator alone decides which operators batch,
-// and the adversarial batch sizes are root-package tests.
+// Configs returns the full configuration matrix of 32 configurations: both
+// translation modes and each ablation flag in isolation. Every base
+// configuration gets a canonicalization twin, and the whole set a
+// path-index twin. Execution is not a configuration: the code generator
+// alone decides which operators batch, and the adversarial batch sizes are
+// root-package tests.
 func Configs() []Config {
 	base := []Config{
 		{Name: "improved", Opt: natix.Options{Mode: natix.Improved}},
@@ -56,7 +55,6 @@ func Configs() []Config {
 		{Name: "no-pred-reorder", Opt: natix.Options{Mode: natix.Improved, DisablePredReorder: true}},
 		{Name: "no-smart-agg", Opt: natix.Options{Mode: natix.Improved, DisableSmartAggregation: true}},
 		{Name: "no-path-rewrite", Opt: natix.Options{Mode: natix.Improved, DisablePathRewrite: true}},
-		{Name: "seq-analysis", Opt: natix.Options{Mode: natix.Improved, EnableSequenceAnalysis: true}},
 	}
 	all := make([]Config, 0, 2*len(base))
 	all = append(all, base...)

@@ -109,8 +109,8 @@ func TestOptionsKeyPinned(t *testing.T) {
 		{natix.Options{Limits: natix.Limits{MaxTuples: 1, MaxBytes: 2, MaxSteps: 3}}, `m=0;lim=1,2,3`},
 		{natix.Options{
 			DisableDupElimPush: true, DisableStacked: true, DisableMemoX: true, DisablePredReorder: true,
-			DisableSmartAggregation: true, DisablePathRewrite: true, EnablePathIndex: true, EnableSequenceAnalysis: true,
-		}, `m=0;f=dsxparPQ`},
+			DisableSmartAggregation: true, DisablePathRewrite: true, EnablePathIndex: true,
+		}, `m=0;f=dsxparP`},
 	} {
 		if got := OptionsKey(c.opt); got != c.want {
 			t.Errorf("OptionsKey(%+v) = %q, want %q", c.opt, got, c.want)

@@ -89,7 +89,6 @@ func OptionsKey(o natix.Options) string {
 		{o.DisableSmartAggregation, 'a'},
 		{o.DisablePathRewrite, 'r'},
 		{o.EnablePathIndex, 'P'},
-		{o.EnableSequenceAnalysis, 'Q'},
 	}
 	var fs []byte
 	for _, f := range flags {

@@ -5,16 +5,14 @@ import "natix/internal/dom"
 // props are the static sequence properties of the Hidders/Michiels-style
 // analysis the paper defers ([13], cited in sections 4.1 and 3.4.2): they
 // hold for the tuple sequence a partial plan produces, and are transformed
-// by each location step. The engine uses them, when the analysis is
-// enabled, to drop duplicate eliminations (subsuming the per-axis ppd rule
-// of section 4.1) and document-order sorts (section 3.4.2, footnote 3).
+// by each location step. They are the one rule that places duplicate
+// eliminations (subsuming the per-axis ppd rule of section 4.1) and
+// document-order sorts (section 3.4.2, footnote 3), in both modes.
 type props struct {
 	// maxOne: the sequence holds at most one node.
 	maxOne bool
 	// ordered: node attribute values appear in document order.
 	ordered bool
-	// revOrdered: node attribute values appear in reverse document order.
-	revOrdered bool
 	// dupFree: no node appears twice.
 	dupFree bool
 	// nonNested: no node is an ancestor of another (subtrees disjoint).
@@ -24,7 +22,7 @@ type props struct {
 // seedProps describes a single-node context (the root of an absolute path
 // or the context node of a relative one).
 func seedProps() props {
-	return props{maxOne: true, ordered: true, revOrdered: true, dupFree: true, nonNested: true}
+	return props{maxOne: true, ordered: true, dupFree: true, nonNested: true}
 }
 
 // unknownProps describes sequences with no static guarantees (variables).
@@ -40,7 +38,6 @@ func (p props) afterDupElim() props {
 // afterSort returns the properties after a document-order sort.
 func (p props) afterSort() props {
 	p.ordered = true
-	p.revOrdered = p.maxOne
 	return p
 }
 
@@ -79,12 +76,12 @@ func (p props) step(axis dom.Axis) props {
 
 	case dom.AxisParent:
 		// Siblings share a parent: everything needs a single context.
-		return props{maxOne: m, ordered: m, revOrdered: m, dupFree: m, nonNested: m}
+		return props{maxOne: m, ordered: m, dupFree: m, nonNested: m}
 
 	case dom.AxisAncestor, dom.AxisAncestorOrSelf:
 		// From one node the chain is duplicate-free but nested and in
 		// reverse document order.
-		return props{dupFree: m, revOrdered: m}
+		return props{dupFree: m}
 
 	case dom.AxisDescendant, dom.AxisDescendantOrSelf:
 		// Disjoint duplicate-free subtrees have disjoint descendant sets,
@@ -100,13 +97,13 @@ func (p props) step(axis dom.Axis) props {
 		return props{dupFree: m, ordered: m, nonNested: m}
 
 	case dom.AxisPrecedingSibling:
-		return props{dupFree: m, revOrdered: m, nonNested: m}
+		return props{dupFree: m, nonNested: m}
 
 	case dom.AxisFollowing:
 		return props{dupFree: m, ordered: m}
 
 	case dom.AxisPreceding:
-		return props{dupFree: m, revOrdered: m}
+		return props{dupFree: m}
 	}
 	return props{}
 }

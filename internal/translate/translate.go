@@ -22,8 +22,8 @@ type Options struct {
 	// Stacked translates outer location paths as a single pipeline
 	// (section 4.2.1) instead of a chain of d-joins.
 	Stacked bool
-	// PushDupElim inserts duplicate eliminations after ppd steps
-	// (section 4.1).
+	// PushDupElim inserts duplicate eliminations after the steps the
+	// sequence analysis cannot prove duplicate-free (section 4.1).
 	PushDupElim bool
 	// MemoX memoizes dependent step evaluations of inner paths fed by ppd
 	// steps (section 4.2.2).
@@ -32,13 +32,6 @@ type Options struct {
 	// and materializes expensive clause results per context node
 	// (section 4.3.2).
 	PredReorder bool
-	// SeqProps enables the sequence-level order/duplicate analysis the
-	// paper defers to future work ([13], sections 4.1 and 3.4.2): static
-	// properties (max-one, ordered, duplicate-free, non-nested) tracked
-	// through step composition replace the per-axis ppd rule for placing
-	// duplicate eliminations, and provably ordered inputs skip the
-	// document-order sort of filter expressions.
-	SeqProps bool
 }
 
 // Canonical returns the options of the canonical translation (section 3).
@@ -193,7 +186,6 @@ func (tr *translator) pathBase(p *sem.Path, sc scope) (seq, error) {
 // for inner paths (section 4.2.2).
 func (tr *translator) step(cur seq, step *sem.Step, sc scope, prevPPD bool) (seq, error) {
 	out := tr.attr("c")
-	stepPPD := ppd(step.Axis)
 
 	// Predicates need position counting per context; in the stacked
 	// translation context boundaries are detected with an epoch attribute
@@ -205,18 +197,8 @@ func (tr *translator) step(cur seq, step *sem.Step, sc scope, prevPPD bool) (seq
 		}
 	}
 
-	// Derive the output sequence properties: the deferred-work analysis
-	// composes step transitions; otherwise only the per-axis ppd rule of
-	// section 4.1 tracks duplicate-freeness.
-	var outPr props
-	if tr.opt.SeqProps {
-		outPr = cur.pr.step(step.Axis)
-	} else {
-		outPr = props{dupFree: cur.pr.dupFree && !stepPPD}
-	}
-
-	stacked := tr.opt.Stacked && !sc.inner
-	if stacked {
+	res := seq{attr: out, pr: cur.pr.step(step.Axis)}
+	if tr.opt.Stacked && !sc.inner {
 		um := &algebra.UnnestMap{In: cur.op, InAttr: cur.attr, OutAttr: out, Axis: step.Axis, Test: step.Test}
 		if needPos {
 			um.EpochAttr = tr.attr("e")
@@ -227,31 +209,28 @@ func (tr *translator) step(cur seq, step *sem.Step, sc scope, prevPPD bool) (seq
 		if err != nil {
 			return seq{}, err
 		}
-		res := seq{op: op, attr: out, pr: outPr}
-		if !outPr.dupFree && tr.opt.PushDupElim {
-			res.op = &algebra.DupElim{In: res.op, Attr: out}
-			res.pr = res.pr.afterDupElim()
+		res.op = op
+	} else {
+		// Canonical d-join form: the dependent side enumerates the step
+		// from the context node bound by the left side (section 3.1.1).
+		// Each dependent evaluation is one context, so position counting
+		// resets on Open (empty epoch attribute).
+		dep := algebra.Op(&algebra.UnnestMap{
+			In: &algebra.SingletonScan{}, InAttr: cur.attr, OutAttr: out,
+			Axis: step.Axis, Test: step.Test,
+		})
+		dep, err := tr.preds(dep, step.Preds, scope{ctxAttr: out, inner: true}, "")
+		if err != nil {
+			return seq{}, err
 		}
-		return res, nil
+		if tr.opt.MemoX && sc.inner && prevPPD {
+			dep = &algebra.MemoX{In: dep, KeyAttr: cur.attr}
+		}
+		res.op = &algebra.DJoin{L: cur.op, R: dep}
 	}
-
-	// Canonical d-join form: the dependent side enumerates the step from
-	// the context node bound by the left side (section 3.1.1). Each
-	// dependent evaluation is one context, so position counting resets on
-	// Open (empty epoch attribute).
-	dep := algebra.Op(&algebra.UnnestMap{
-		In: &algebra.SingletonScan{}, InAttr: cur.attr, OutAttr: out,
-		Axis: step.Axis, Test: step.Test,
-	})
-	dep, err := tr.preds(dep, step.Preds, scope{ctxAttr: out, inner: true}, "")
-	if err != nil {
-		return seq{}, err
-	}
-	if tr.opt.MemoX && sc.inner && prevPPD {
-		dep = &algebra.MemoX{In: dep, KeyAttr: cur.attr}
-	}
-	res := seq{op: &algebra.DJoin{L: cur.op, R: dep}, attr: out, pr: outPr}
-	if !outPr.dupFree && tr.opt.PushDupElim {
+	// The pushed duplicate elimination of section 4.1 goes where the
+	// sequence analysis cannot rule duplicates out.
+	if !res.pr.dupFree && tr.opt.PushDupElim {
 		res.op = &algebra.DupElim{In: res.op, Attr: out}
 		res.pr = res.pr.afterDupElim()
 	}
@@ -276,9 +255,9 @@ func (tr *translator) filterPreds(cur seq, preds []*sem.Predicate, sc scope) (se
 			op = &algebra.DupElim{In: op, Attr: cur.attr}
 			cur.pr = cur.pr.afterDupElim()
 		}
-		if !(tr.opt.SeqProps && cur.pr.ordered) {
-			// The deferred-work analysis skips the sort when the input is
-			// provably in document order already (section 3.4.2, [13]).
+		if !cur.pr.ordered {
+			// The sort is skipped when the input is provably in document
+			// order already (section 3.4.2, [13]).
 			op = &algebra.Sort{In: op, Attr: cur.attr}
 			cur.pr = cur.pr.afterSort()
 		}

@@ -99,9 +99,11 @@ func TestImprovedStacksOuterPaths(t *testing.T) {
 	if c["unnest"] != 3 {
 		t.Errorf("unnest maps = %d, want 3", c["unnest"])
 	}
-	// Two ppd steps: two pushed dup-elims; the final one is subsumed.
-	if c["dupelim"] != 2 {
-		t.Errorf("dupelims = %d, want 2 (pushed after each ppd step)", c["dupelim"])
+	// The descendant step runs from one context and is duplicate-free;
+	// only the following step needs a pushed dup-elim, and the final one
+	// is subsumed.
+	if c["dupelim"] != 1 {
+		t.Errorf("dupelims = %d, want 1 (pushed after the following step)", c["dupelim"])
 	}
 }
 
@@ -285,56 +287,58 @@ func TestAttrNamesUnique(t *testing.T) {
 	})
 }
 
-// improvedSeq returns the improved options with the deferred-work sequence
-// analysis enabled.
-func improvedSeq() Options {
-	o := Improved()
-	o.SeqProps = true
-	return o
-}
-
 func TestSeqPropsDropsDupElims(t *testing.T) {
-	// A descendant step from a single context is provably duplicate-free;
-	// the per-axis ppd rule inserts a dedup, the sequence analysis does
-	// not.
-	withPPD := countOps(trans(t, "/a/descendant::b", Improved()).Plan)["dupelim"]
-	withSeq := countOps(trans(t, "/a/descendant::b", improvedSeq()).Plan)["dupelim"]
-	if withPPD != 1 || withSeq != 0 {
-		t.Errorf("dupelims: ppd=%d seq=%d, want 1/0", withPPD, withSeq)
-	}
-	// //a/descendant::b CAN produce duplicates (nested a's); both keep it.
-	if n := countOps(trans(t, "//a/descendant::b", improvedSeq()).Plan)["dupelim"]; n == 0 {
-		t.Error("nested descendant chain needs a duplicate elimination")
-	}
-	// Child chains are duplicate-free either way.
-	if n := countOps(trans(t, "/a/b/c/descendant::d", improvedSeq()).Plan)["dupelim"]; n != 0 {
-		t.Errorf("child chain then descendant from non-nested input: %d dupelims", n)
-	}
-	// following-sibling from multiple contexts duplicates.
-	if n := countOps(trans(t, "/a/b/following-sibling::c", improvedSeq()).Plan)["dupelim"]; n == 0 {
-		t.Error("following-sibling from multiple contexts needs dedup")
-	}
-	// ...but from the single context node it does not.
-	if n := countOps(trans(t, "following-sibling::c", improvedSeq()).Plan)["dupelim"]; n != 0 {
-		t.Error("following-sibling from the context node is duplicate-free")
+	for _, c := range []struct {
+		expr string
+		// improved counts pushed dup-elims; canonical has at most the
+		// final one.
+		improved, canonical int
+	}{
+		// A descendant step from a single context is provably
+		// duplicate-free, although it is ppd.
+		{"/a/descendant::b", 0, 0},
+		// Nested a's can reach the same b twice.
+		{"//a/descendant::b", 1, 1},
+		// Child chains keep contexts disjoint, so the descendant step
+		// after them is duplicate-free too.
+		{"/a/b/c/descendant::d", 0, 0},
+		// following-sibling from multiple contexts duplicates...
+		{"/a/b/following-sibling::c", 1, 1},
+		// ...but from the single context node it does not.
+		{"following-sibling::c", 0, 0},
+	} {
+		for _, m := range []struct {
+			name string
+			opt  Options
+			want int
+		}{{"improved", Improved(), c.improved}, {"canonical", Canonical(), c.canonical}} {
+			if n := countOps(trans(t, c.expr, m.opt).Plan)["dupelim"]; n != m.want {
+				t.Errorf("%s %s: %d dupelims, want %d", m.name, c.expr, n, m.want)
+			}
+		}
 	}
 }
 
 func TestSeqPropsDropsSorts(t *testing.T) {
-	// (/a/b/c)[2]: the child chain is provably in document order; the
-	// sequence analysis drops the sort the basic translation inserts.
-	base := countOps(trans(t, "(/a/b/c)[2]", Improved()).Plan)["sort"]
-	seq := countOps(trans(t, "(/a/b/c)[2]", improvedSeq()).Plan)["sort"]
-	if base != 1 || seq != 0 {
-		t.Errorf("sorts: base=%d seq=%d, want 1/0", base, seq)
-	}
-	// A union has no order guarantee: both sort.
-	if n := countOps(trans(t, "(/a/b | /a/c)[2]", improvedSeq()).Plan)["sort"]; n != 1 {
-		t.Errorf("union filter: %d sorts, want 1", n)
-	}
-	// Reverse-axis results are not in document order.
-	if n := countOps(trans(t, "(/a/b/ancestor::*)[2]", improvedSeq()).Plan)["sort"]; n != 1 {
-		t.Errorf("ancestor filter: %d sorts, want 1", n)
+	for _, c := range []struct {
+		expr string
+		want int
+	}{
+		// The child chain is provably in document order: no sort.
+		{"(/a/b/c)[2]", 0},
+		// A union has no order guarantee.
+		{"(/a/b | /a/c)[2]", 1},
+		// Reverse-axis results are not in document order.
+		{"(/a/b/ancestor::*)[2]", 1},
+	} {
+		for _, m := range []struct {
+			name string
+			opt  Options
+		}{{"improved", Improved()}, {"canonical", Canonical()}} {
+			if n := countOps(trans(t, c.expr, m.opt).Plan)["sort"]; n != c.want {
+				t.Errorf("%s %s: %d sorts, want %d", m.name, c.expr, n, c.want)
+			}
+		}
 	}
 }
 
@@ -356,9 +360,9 @@ func TestSeqPropsTransitions(t *testing.T) {
 	if p.dupFree || p.ordered {
 		t.Errorf("parent from many: %+v", p)
 	}
-	// ancestor from one node: dup-free, reverse ordered.
+	// ancestor from one node: dup-free, in reverse document order.
 	a := seed.step(dom.AxisAncestor)
-	if !a.dupFree || !a.revOrdered || a.ordered {
+	if !a.dupFree || a.ordered {
 		t.Errorf("ancestor from seed: %+v", a)
 	}
 	// attribute results are always non-nested.

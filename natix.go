@@ -151,13 +151,6 @@ type Options struct {
 	// in-memory documents; plans compiled with this flag run unchanged —
 	// and fall back to navigation — on documents without an index.
 	EnablePathIndex bool
-
-	// EnableSequenceAnalysis turns on the sequence-level order/duplicate
-	// analysis the paper defers to future work ([13]): statically derived
-	// sequence properties replace the per-axis ppd rule, dropping
-	// provably unnecessary duplicate eliminations and sorts. Applies to
-	// the Improved mode only.
-	EnableSequenceAnalysis bool
 }
 
 func (o *Options) translateOptions() translate.Options {
@@ -177,7 +170,6 @@ func (o *Options) translateOptions() translate.Options {
 	if o.DisablePredReorder {
 		t.PredReorder = false
 	}
-	t.SeqProps = o.EnableSequenceAnalysis
 	return t
 }
 

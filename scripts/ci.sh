@@ -46,8 +46,12 @@ go test -race -run 'TestCrashRecovery|TestChaosSoak|TestStringValueEqualsInPlace
 # Differential harness: every corpus query under every translation
 # configuration x document backend, against the reference interpreter.
 # -short selects the small fixed corpus prefix; the full matrix runs in the
-# regular (non-short) go test above as well.
+# regular (non-short) go test above as well. Default plans drop every Pi^D
+# and Sort the sequence analysis proves redundant, so this fast gate also
+# names the tests that would see an unsound claim: relative chains from
+# every element context, and the hand-checked conformance cases.
 go test -short -run TestMatrix ./internal/difftest/
+go test -short -count=1 -run 'TestDifferentialRelativeContexts|TestConformance' .
 
 # Shared-plan gate: goroutines sharing Prepared plans must stay race-free on
 # the batched protocol, every run must return each free-list buffer,
