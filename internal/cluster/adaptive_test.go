@@ -69,7 +69,7 @@ func delayShardQueries(delay time.Duration) func(http.RoundTripper) http.RoundTr
 func waitCoordFlight(t *testing.T, c *Coordinator) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.flights.Len() == 0 {
+	for c.front.Flights() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("coordinator flight never registered")
 		}
@@ -93,9 +93,10 @@ func TestCoordSingleflightCoalesces(t *testing.T) {
 	}, Config{WrapTransport: delayShardQueries(250 * time.Millisecond)})
 	h := coord.Handler()
 
-	// Two spellings of one query: the flight key is canonical, so they
-	// share a single fan-out.
+	// Two spellings of one query, and two of its mode: the flight key is
+	// canonical, so they share a single fan-out.
 	queries := []string{"count(//x)", "count(//x)", "count(/descendant::x)", "count(//x)"}
+	modes := []string{"", "", "", "improved"}
 	type res struct {
 		status    int
 		coalesced bool
@@ -106,7 +107,7 @@ func TestCoordSingleflightCoalesces(t *testing.T) {
 	leaderGo := func(i int) {
 		defer wg.Done()
 		st, data := postCoord(t, h, QueryRequest{QueryRequest: server.QueryRequest{
-			Query: queries[i], Document: "a",
+			Query: queries[i], Document: "a", Mode: modes[i],
 		}})
 		r := &results[i]
 		r.status = st
@@ -317,7 +318,7 @@ func TestCoordLoneShortLeaderCancels(t *testing.T) {
 	if code, _ := coordErr(t, data); st != http.StatusGatewayTimeout || code != httpapi.CodeTimeout {
 		t.Fatalf("50 ms leader: %d %s, want 504 %s", st, data, httpapi.CodeTimeout)
 	}
-	if n := coord.flights.Len(); n != 0 {
+	if n := coord.front.Flights(); n != 0 {
 		t.Fatalf("%d flights after the lone leader left, want 0", n)
 	}
 	select {

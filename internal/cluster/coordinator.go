@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"natix/internal/canon"
 	"natix/internal/client"
-	"natix/internal/flight"
 	"natix/internal/httpapi"
 	"natix/internal/metrics"
 	"natix/internal/server"
@@ -54,7 +52,7 @@ type Config struct {
 	// coordinator from buffering unbounded fan-out state.
 	MaxInflight int
 	// FanOut bounds concurrent shard calls within one scatter-gathered
-	// query (default 4x shard count, at least 4).
+	// query or /reload (default 4x shard count, at least 4).
 	FanOut int
 	// DefaultTimeout applies when a request names none (default 10s).
 	DefaultTimeout time.Duration
@@ -243,24 +241,20 @@ func (st *clusterState) documents(expr string) ([]string, map[string]*shardState
 }
 
 // Coordinator scatter-gathers /query across a topology of natix-serve
-// shards. Use New, mount Handler, call Shutdown then Close.
+// shards: the serving front with the remote executor, plus /topology, the
+// prober and the topology install. Use New, mount Handler, call Shutdown
+// then Close.
 type Coordinator struct {
 	cfg   Config
+	front *server.Front[*QueryRequest, *QueryResponse]
 	state atomic.Pointer[clusterState]
 	httpc *http.Client
 
-	// Coordinator-level singleflight: without it, N clients submitting one
-	// hot query would fan out N identical shard calls, each of which the
-	// shard would then coalesce anyway — paying N round-trips to save
-	// nothing.
-	flights   flight.Group[string, *QueryResponse]
-	canon     canon.Memo
-	coalesced atomic.Int64
-
-	slots    chan struct{}
-	jobWG    sync.WaitGroup
-	draining atomic.Bool
-	start    time.Time
+	// slots bounds concurrently coordinated queries (MaxInflight). The
+	// front's singleflight comes first: without it, N clients submitting
+	// one hot query would fan out N identical shard calls, each of which
+	// the shard would then coalesce anyway.
+	slots chan struct{}
 
 	reloadMu sync.Mutex // serializes topology installs
 	stop     chan struct{}
@@ -269,7 +263,7 @@ type Coordinator struct {
 
 // Coalesced reports how many queries this coordinator answered by joining
 // an in-flight identical fan-out.
-func (c *Coordinator) Coalesced() int64 { return c.coalesced.Load() }
+func (c *Coordinator) Coalesced() int64 { return c.front.Coalesced() }
 
 // New builds a Coordinator over cfg.Topology and starts its health-probe
 // loop. Shards start optimistically healthy: a cold coordinator routes
@@ -287,10 +281,30 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:   cfg,
 		httpc: &http.Client{Transport: rt},
 		slots: make(chan struct{}, cfg.MaxInflight),
-		start: time.Now(),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	c.front = server.NewFront(server.Executor[*QueryRequest, *QueryResponse]{
+		Role:           "coordinator",
+		Features:       server.BuildFeatures{Batch: true},
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		Rejected:       mCoordRejected,
+		Coalesced:      mCoordCoalesced,
+		NewRequest:     func() *QueryRequest { return new(QueryRequest) },
+		Scope: func(req *QueryRequest) server.Scope {
+			return server.Scope{Target: req.Document, Generation: c.state.Load().topo.Generation(), Partial: req.AllowPartial}
+		},
+		Start: c.start,
+		Joined: func(resp *QueryResponse) *QueryResponse {
+			cp := *resp
+			cp.Coalesced = true
+			return &cp
+		},
+		Documents: c.listDocuments,
+		Reload:    c.reload,
+		Health:    c.health,
+	})
 	c.install(cfg.Topology)
 	go c.probeLoop()
 	return c, nil
@@ -352,20 +366,7 @@ func equalStrings(a, b []string) bool {
 
 // Shutdown drains: new queries answer 503, in-flight coordinated queries
 // finish (bounded by their own deadlines). The context bounds the wait.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.draining.Store(true)
-	drained := make(chan struct{})
-	go func() {
-		c.jobWG.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (c *Coordinator) Shutdown(ctx context.Context) error { return c.front.Shutdown(ctx) }
 
 // Close stops the probe loop and releases pooled connections. Call after
 // Shutdown.
@@ -456,148 +457,45 @@ type QueryResponse struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 }
 
-// Handler returns the coordinator's HTTP mux.
+// Handler returns the coordinator's HTTP mux: the front's endpoints and
+// /topology.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", c.handleQuery)
-	mux.HandleFunc("/documents", c.handleDocuments)
-	mux.HandleFunc("/reload", c.handleReload)
+	mux := c.front.Mux()
 	mux.HandleFunc("/topology", c.handleTopology)
-	mux.HandleFunc("/healthz", c.handleHealthz)
-	mux.HandleFunc("/healthz/live", c.handleLive)
-	mux.HandleFunc("/healthz/ready", c.handleReady)
-	mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, _ *http.Request) {
-		httpapi.WriteJSON(w, http.StatusOK, server.NewBuildInfo("coordinator", server.BuildFeatures{Batch: true}))
-	})
-	mux.HandleFunc("/metrics", metrics.ServePrometheus)
 	return mux
 }
 
-// drainErr is the drain verdict of /query: nil while serving, the
-// structured 503 (counted as a rejection) once Shutdown began.
-func (c *Coordinator) drainErr() *httpapi.Error {
-	if !c.draining.Load() {
-		return nil
-	}
-	mCoordRejected.Inc()
-	return httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeShuttingDown, "coordinator is draining")
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !httpapi.ReadQuery(w, r, c.drainErr, &req) {
-		return
-	}
-	c.jobWG.Add(1)
-	defer c.jobWG.Done()
-	// Re-check after jobWG.Add so Shutdown's Wait cannot miss us.
-	if e := c.drainErr(); e != nil {
-		httpapi.WriteError(w, e)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(),
-		httpapi.Timeout(req.TimeoutMS, c.cfg.DefaultTimeout, c.cfg.MaxTimeout))
-	defer cancel()
-
-	// Singleflight: identical in-flight queries share one fan-out, bounded
-	// by MaxTimeout and cancelled when its last waiter leaves. Joining
-	// happens before slot admission — a joiner consumes no shard call, so
-	// it must never be turned away by the inflight bound. The leader fans
-	// out on the flight's detached context and waits like any joiner, so
-	// its own client leaving is one waiter leaving. Admission rejection and
-	// shard failure fan the same typed error out to every waiter.
-	f, leader := c.flights.Join(c.flightKey(&req, c.state.Load().topo.Generation()), c.cfg.MaxTimeout)
-	expired := "request expired while coordinating"
-	if leader {
-		c.jobWG.Add(1)
-		go func() {
-			defer c.jobWG.Done()
-			f.Finish(c.admitAndRoute(f.Context(), &req))
-		}()
-	} else {
-		c.coalesced.Add(1)
-		if metrics.Enabled() {
-			mCoordCoalesced.Inc()
-		}
-		expired = "request expired awaiting a coalesced fan-out"
-	}
-	resp, e, ok := f.Wait(ctx)
-	switch {
-	case !ok:
-		httpapi.WriteError(w, httpapi.Errf(http.StatusGatewayTimeout, httpapi.CodeTimeout, "%s", expired))
-	case e != nil:
-		mCoordErrors.Inc()
-		httpapi.WriteError(w, e)
-	case leader:
-		httpapi.WriteJSON(w, http.StatusOK, resp)
-	default:
-		cp := *resp
-		cp.Coalesced = true
-		httpapi.WriteJSON(w, http.StatusOK, &cp)
-	}
-}
-
-// flightKey builds the coalescing key: canonical query text, the document
-// expression verbatim (a single name, a list, or "*" — each is its own
-// answer shape), the result-affecting request options, and the topology
-// generation so a flight never bridges a topology swap.
-func (c *Coordinator) flightKey(req *QueryRequest, topoGen uint64) string {
-	cq, _ := c.canon.Canonicalize(req.Query)
-	var sb strings.Builder
-	sb.WriteString(cq)
-	sb.WriteByte(0)
-	sb.WriteString(req.Document)
-	sb.WriteByte(0)
-	sb.WriteString(req.Mode)
-	if len(req.Namespaces) > 0 {
-		prefixes := make([]string, 0, len(req.Namespaces))
-		for p := range req.Namespaces {
-			prefixes = append(prefixes, p)
-		}
-		sort.Strings(prefixes)
-		for _, p := range prefixes {
-			sb.WriteByte(0)
-			sb.WriteString(p)
-			sb.WriteByte('=')
-			sb.WriteString(req.Namespaces[p])
-		}
-	}
-	if req.AllowPartial {
-		sb.WriteString("\x00partial")
-	}
-	var gb [8]byte
-	for i := 0; i < 8; i++ {
-		gb[i] = byte(topoGen >> (8 * i))
-	}
-	sb.WriteByte(0)
-	sb.Write(gb[:])
-	return sb.String()
-}
-
-// admitAndRoute applies the inflight bound and dispatches a leader's query.
-// A full coordinator answers a structured 429 immediately: the same
-// contract as a shard's admission queue, one layer up.
-func (c *Coordinator) admitAndRoute(ctx context.Context, req *QueryRequest) (*QueryResponse, *httpapi.Error) {
+// start applies the inflight bound and dispatches a leader's query on its
+// own goroutine. A full coordinator answers a structured 429 immediately:
+// the same contract as a shard's admission queue, one layer up.
+func (c *Coordinator) start(j server.Job[*QueryRequest, *QueryResponse]) *httpapi.Error {
 	select {
 	case c.slots <- struct{}{}:
-		defer func() { <-c.slots }()
 	default:
 		mCoordRejected.Inc()
-		return nil, httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
+		return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
 			"coordinator at max inflight (%d)", c.cfg.MaxInflight)
 	}
+	go func() {
+		resp, e := c.route(j.Context(), j.Req)
+		if e != nil {
+			mCoordErrors.Inc()
+		}
+		<-c.slots // before Finish: a client holding its answer finds the slot free
+		j.Finish(resp, e)
+	}()
+	return nil
+}
+
+// route dispatches one admitted query: single-document to the owning
+// shard, lists and wildcards through the scatter-gather path.
+func (c *Coordinator) route(ctx context.Context, req *QueryRequest) (*QueryResponse, *httpapi.Error) {
 	mCoordRequests.Inc()
 	started := time.Now()
 	if metrics.Enabled() {
 		defer func() { mCoordTime.ObserveDuration(time.Since(started)) }()
 	}
 	st := c.state.Load()
-	return c.route(ctx, st, req, started)
-}
-
-// route dispatches one admitted query: single-document to the owning
-// shard, lists and wildcards through the scatter-gather path.
-func (c *Coordinator) route(ctx context.Context, st *clusterState, req *QueryRequest, started time.Time) (*QueryResponse, *httpapi.Error) {
 	if req.Document != "*" && !strings.Contains(req.Document, ",") {
 		return c.single(ctx, st, req, started)
 	}
@@ -620,12 +518,7 @@ func (c *Coordinator) single(ctx context.Context, st *clusterState, req *QueryRe
 	resp, err := sh.client().Query(ctx, &inner)
 	elapsed := time.Since(t0)
 	noteShardCall(sh, elapsed, err)
-	timing := []ShardTiming{{
-		Shard: sh.id, Endpoint: sh.endpoint(), Calls: 1,
-		ElapsedUS: elapsed.Microseconds(), MaxUS: elapsed.Microseconds(),
-	}}
 	if err != nil {
-		timing[0].Errors = 1
 		return nil, envelopeFrom(err, req.Document, sh.id)
 	}
 	return &QueryResponse{
@@ -635,56 +528,66 @@ func (c *Coordinator) single(ctx context.Context, st *clusterState, req *QueryRe
 		Result:     &resp.Result,
 		Stats:      resp.Stats,
 		ElapsedUS:  time.Since(started).Microseconds(),
-		Shards:     timing,
+		Shards: []ShardTiming{{
+			Shard: sh.id, Endpoint: sh.endpoint(), Calls: 1,
+			ElapsedUS: elapsed.Microseconds(), MaxUS: elapsed.Microseconds(),
+		}},
 	}, nil
 }
 
+// fanOut calls call(i, sh, nil) for each document on the shard serving it
+// (owner's pre-resolution first, when given), each on its own goroutine and
+// at most FanOut at once, and returns when every call has. A document on an
+// unhealthy shard, or still waiting for a turn when ctx ends, gets no shard
+// call: call sees why as err instead.
+func (c *Coordinator) fanOut(ctx context.Context, st *clusterState, docs []string, owner map[string]*shardState, call func(i int, sh *shardState, err error)) {
+	sem := make(chan struct{}, c.cfg.FanOut)
+	var wg sync.WaitGroup
+	for i, doc := range docs {
+		sh := owner[doc]
+		if sh == nil {
+			sh = st.resolve(doc)
+		}
+		if !sh.healthy.Load() {
+			call(i, sh, errShardDown)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case sem <- struct{}{}:
+				defer func() { <-sem }()
+				call(i, sh, nil)
+			case <-ctx.Done():
+				call(i, sh, ctx.Err())
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // scatter fans req out over docs (already in global document order), one
-// shard call per document, bounded by FanOut, and merges the results in
-// sequence order. owner, when non-nil, pre-resolves each document's shard
-// (the wildcard path already walked the placement map).
+// shard call per document, and merges the results in that order.
 func (c *Coordinator) scatter(ctx context.Context, st *clusterState, req *QueryRequest, docs []string, owner map[string]*shardState, started time.Time) (*QueryResponse, *httpapi.Error) {
 	mCoordScatter.Inc()
 	if metrics.Enabled() {
 		mCoordFanout.Observe(float64(len(docs)))
 	}
 	outcomes := make([]docOutcome, len(docs))
-	sem := make(chan struct{}, c.cfg.FanOut)
-	var wg sync.WaitGroup
-	for seq, doc := range docs {
-		out := &outcomes[seq]
-		out.seq, out.doc = seq, doc
-		sh := (*shardState)(nil)
-		if owner != nil {
-			sh = owner[doc]
+	c.fanOut(ctx, st, docs, owner, func(i int, sh *shardState, err error) {
+		out := &outcomes[i]
+		out.doc, out.shard, out.err = docs[i], sh, err
+		if err != nil {
+			return
 		}
-		if sh == nil {
-			sh = st.resolve(doc)
-		}
-		out.shard = sh
-		if !sh.healthy.Load() {
-			out.err = errShardDown
-			continue
-		}
-		wg.Add(1)
-		go func(out *docOutcome) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				out.err = ctx.Err()
-				return
-			}
-			inner := req.QueryRequest
-			inner.Document = out.doc
-			t0 := time.Now()
-			out.resp, out.err = out.shard.client().Query(ctx, &inner)
-			out.elapsed = time.Since(t0)
-			noteShardCall(out.shard, out.elapsed, out.err)
-		}(out)
-	}
-	wg.Wait()
+		inner := req.QueryRequest
+		inner.Document = out.doc
+		t0 := time.Now()
+		out.resp, out.err = sh.client().Query(ctx, &inner)
+		out.elapsed = time.Since(t0)
+		noteShardCall(sh, out.elapsed, out.err)
+	})
 
 	merged := mergeOutcomes(outcomes)
 	if len(merged.failed) > 0 && !req.AllowPartial {
@@ -727,9 +630,6 @@ func shardTimings(outcomes []docOutcome) []ShardTiming {
 	agg := map[string]*ShardTiming{}
 	for i := range outcomes {
 		o := &outcomes[i]
-		if o.shard == nil {
-			continue
-		}
 		t, ok := agg[o.shard.id]
 		if !ok {
 			t = &ShardTiming{Shard: o.shard.id, Endpoint: o.shard.endpoint()}
@@ -768,60 +668,38 @@ type ReloadShardStatus struct {
 	Errors    int    `json:"errors,omitempty"`
 }
 
-// handleReload fans POST /reload?document= out to the shards serving the
-// named documents — a single name, a comma list, or "*" for every observed
+// reload fans POST /reload?document= out to the shards serving the named
+// documents — a single name, a comma list, or "*" for every observed
 // document — and aggregates the reports per shard.
 // Failures are per-document and explicit, never silently dropped: the
 // answer is the cluster-level analogue of a shard's own reload response.
-func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
-	name, ok := httpapi.DocumentParam(w, r)
-	if !ok {
-		return
-	}
+func (c *Coordinator) reload(ctx context.Context, name string) (any, *httpapi.Error) {
 	st := c.state.Load()
 	docs, owner, e := st.documents(name)
 	if e != nil {
-		httpapi.WriteError(w, e)
-		return
+		return nil, e
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.MaxTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.MaxTimeout)
 	defer cancel()
 
 	out := make([]ReloadDocStatus, len(docs))
-	sem := make(chan struct{}, c.cfg.FanOut)
-	var wg sync.WaitGroup
-	for i, doc := range docs {
-		sh := (*shardState)(nil)
-		if owner != nil {
-			sh = owner[doc]
-		}
-		if sh == nil {
-			sh = st.resolve(doc)
-		}
-		out[i] = ReloadDocStatus{Document: doc, Shard: sh.id}
-		if !sh.healthy.Load() {
-			out[i].Error = "shard " + sh.id + " is down"
-			continue
-		}
-		wg.Add(1)
-		go func(out *ReloadDocStatus, doc string, sh *shardState) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				out.Error = ctx.Err().Error()
-				return
-			}
-			res, err := sh.client().Reload(ctx, doc)
+	c.fanOut(ctx, st, docs, owner, func(i int, sh *shardState, err error) {
+		o := &out[i]
+		o.Document, o.Shard = docs[i], sh.id
+		switch {
+		case err == errShardDown:
+			o.Error = "shard " + sh.id + " is down"
+		case err != nil:
+			o.Error = err.Error()
+		default:
+			res, err := sh.client().Reload(ctx, o.Document)
 			if err != nil {
-				out.Error = err.Error()
+				o.Error = err.Error()
 				return
 			}
-			out.Generation = res.Generation
-		}(&out[i], doc, sh)
-	}
-	wg.Wait()
+			o.Generation = res.Generation
+		}
+	})
 
 	agg := map[string]*ReloadShardStatus{}
 	failures := 0
@@ -843,18 +721,16 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 		shards = append(shards, *t)
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"documents": out,
 		"shards":    shards,
 		"errors":    failures,
-	})
+	}, nil
 }
 
-func (c *Coordinator) handleDocuments(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.WriteError(w, httpapi.Errf(http.StatusMethodNotAllowed, httpapi.CodeBadRequest, "GET only"))
-		return
-	}
+// listDocuments is the GET /documents list: every observed document with
+// the shard serving it.
+func (c *Coordinator) listDocuments() any {
 	st := c.state.Load()
 	type docEntry struct {
 		Name       string `json:"name"`
@@ -870,7 +746,7 @@ func (c *Coordinator) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		sh.mu.Unlock()
 		out = append(out, docEntry{Name: n, Shard: sh.id, Generation: gen})
 	}
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"documents": out})
+	return out
 }
 
 // ShardStatus is one shard's row of the GET /topology answer.
@@ -969,46 +845,25 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// health answers the front's probes. A coordinator is ready while it can
+// answer for at least one shard: partial capability beats no capability,
+// and the partial envelope keeps the degradation explicit per query.
+func (c *Coordinator) health(p server.Probe, draining bool) (bool, string, map[string]any) {
 	st := c.state.Load()
 	healthy, shards := st.healthy(), len(st.order)
-	status := "ok"
-	code := http.StatusOK
-	if c.draining.Load() {
-		status = "draining"
-		code = http.StatusServiceUnavailable
-	} else if healthy < shards {
-		status = "degraded"
+	switch p {
+	case server.ProbeHealthz:
+		status := "ok"
+		if healthy < shards {
+			status = "degraded"
+		}
+		return true, status, map[string]any{"role": "coordinator", "healthy_shards": healthy, "shards": shards}
+	case server.ProbeReady:
+		fields := map[string]any{"healthy_shards": healthy, "shards": shards}
+		if draining || healthy == 0 {
+			return false, "unready", fields
+		}
+		return true, "ready", fields
 	}
-	httpapi.WriteJSON(w, code, map[string]any{
-		"status": status, "role": "coordinator",
-		"healthy_shards": healthy, "shards": shards,
-		"uptime_ms": time.Since(c.start).Milliseconds(),
-	})
-}
-
-func (c *Coordinator) handleLive(w http.ResponseWriter, _ *http.Request) {
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
-		"status": "alive", "role": "coordinator",
-		"uptime_ms": time.Since(c.start).Milliseconds(),
-	})
-}
-
-// handleReady: a coordinator is ready while it can answer for at least one
-// shard — partial capability beats no capability, and the partial envelope
-// keeps the degradation explicit per query.
-func (c *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
-	st := c.state.Load()
-	healthy, shards := st.healthy(), len(st.order)
-	code := http.StatusOK
-	status := "ready"
-	if c.draining.Load() || healthy == 0 {
-		code = http.StatusServiceUnavailable
-		status = "unready"
-		w.Header().Set("Retry-After", "1")
-	}
-	httpapi.WriteJSON(w, code, map[string]any{
-		"status": status, "healthy_shards": healthy, "shards": shards,
-		"uptime_ms": time.Since(c.start).Milliseconds(),
-	})
+	return true, "alive", map[string]any{"role": "coordinator"}
 }

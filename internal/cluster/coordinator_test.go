@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -596,19 +597,53 @@ func TestCoordinatorDocumentsAndHealth(t *testing.T) {
 	}
 }
 
+// countQueries returns a Config.WrapTransport that counts the
+// coordinator's shard /query calls in n.
+func countQueries(n *atomic.Int64) func(http.RoundTripper) http.RoundTripper {
+	return func(rt http.RoundTripper) http.RoundTripper {
+		return roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			if strings.HasSuffix(r.URL.Path, "/query") {
+				n.Add(1)
+			}
+			return rt.RoundTrip(r)
+		})
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestCoordinatorRejectsBadRequests: the front answers a malformed request
+// itself, without calling a shard.
 func TestCoordinatorRejectsBadRequests(t *testing.T) {
-	coord, _ := startCluster(t, []map[string]string{{"a": xdoc("a1")}}, Config{})
+	var calls atomic.Int64
+	coord, _ := startCluster(t, []map[string]string{{"a": xdoc("a1")}, {"b": xdoc("b1")}},
+		Config{WrapTransport: countQueries(&calls)})
 	h := coord.Handler()
 	for name, body := range map[string]string{
 		"unknown field": `{"query":"//x","document":"a","bogus":1}`,
 		"missing query": `{"document":"a"}`,
 		"missing doc":   `{"query":"//x"}`,
 		"not JSON":      `nope`,
+		"unknown mode":  `{"query":"//x","document":"*","mode":"bogus"}`,
 	} {
+		calls.Store(0)
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d: %s", name, w.Code, w.Body)
+			continue
+		}
+		code, msg := coordErr(t, w.Body.Bytes())
+		if code != httpapi.CodeBadRequest {
+			t.Errorf("%s: code %s", name, code)
+		}
+		if name == "unknown mode" && msg != `unknown mode "bogus"` {
+			t.Errorf("%s: message %q", name, msg)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("%s: %d shard /query calls, want 0", name, n)
 		}
 	}
 	w := httptest.NewRecorder()

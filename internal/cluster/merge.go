@@ -17,12 +17,11 @@ import (
 // slot on a known-dead endpoint.
 var errShardDown = errors.New("cluster: shard unhealthy")
 
-// docOutcome is one dispatched document of a scatter: the sequence number
-// is the document's index in global document order, and the merge emits
-// strictly in sequence order, so the merged answer is stable no matter
-// which shard replies first.
+// docOutcome is one dispatched document of a scatter, stored at the
+// document's index in global document order; the merge emits strictly in
+// that order, so the merged answer is stable no matter which shard replies
+// first.
 type docOutcome struct {
-	seq     int
 	doc     string
 	shard   *shardState
 	resp    *server.QueryResponse
@@ -44,11 +43,11 @@ type mergedScatter struct {
 	stats  server.QueryStats
 }
 
-// mergeOutcomes folds seq-ordered outcomes into one answer. Iterating the
-// outcomes slice in index order IS the ordered merge: outcome i was tagged
-// with sequence i at dispatch, so per-document results, failures, and the
-// concatenated node-set all come out in global document order no matter
-// which shard answered first.
+// mergeOutcomes folds ordered outcomes into one answer. Iterating the
+// outcomes slice in index order IS the ordered merge: outcome i is the
+// document at position i of global document order, so per-document
+// results, failures, and the concatenated node-set all come out in that
+// order no matter which shard answered first.
 func mergeOutcomes(outcomes []docOutcome) mergedScatter {
 	var m mergedScatter
 	allNodeSets := true

@@ -8,8 +8,10 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -199,4 +201,87 @@ func TestWireIdentity(t *testing.T) {
 	const q = `{"query":"count(//x)","document":"d"}`
 	sameWire(t, "shutting_down", record(sh, q), record(ch, q),
 		http.StatusServiceUnavailable, "shutting_down")
+}
+
+// frontAnswer is what TestFrontEndpointsMatch compares of one answer.
+type frontAnswer struct {
+	status     int
+	code       string // the error envelope's code, "" for any other body
+	retryAfter string
+}
+
+func callFront(t *testing.T, base, method, path string) frontAnswer {
+	t.Helper()
+	var body io.Reader
+	if path == "/query" && method == http.MethodPost {
+		body = strings.NewReader(`{"query":"count(//x)","document":"d"}`)
+	}
+	req, err := http.NewRequest(method, base+path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	json.Unmarshal(data, &env) // a non-JSON body (/metrics) has no code
+	return frontAnswer{resp.StatusCode, env.Error.Code, resp.Header.Get("Retry-After")}
+}
+
+// TestFrontEndpointsMatch: a shard and a coordinator run one front, so
+// every shared endpoint answers its method, and a wrong one, alike on both
+// tiers: the same status, envelope code and Retry-After, while serving and
+// while draining. The health bodies keep their per-tier fields, so bodies
+// are not compared.
+func TestFrontEndpointsMatch(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "d.xml")
+	if err := os.WriteFile(path, []byte(smallDoc(4)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	if err := cat.OpenMemFile("d", path); err != nil {
+		t.Fatal(err)
+	}
+	defer cat.CloseAll()
+	shard := server.New(server.Config{Catalog: cat})
+	shardTS := httptest.NewServer(shard.Handler())
+	defer shardTS.Close()
+	coord := startFileCluster(t, []map[string]string{{"d": smallDoc(4)}}, Config{})
+	coordTS := httptest.NewServer(coord.Handler())
+	defer coordTS.Close()
+
+	paths := []string{"/query", "/documents", "/reload?document=d", "/healthz",
+		"/healthz/live", "/healthz/ready", "/buildinfo", "/metrics"}
+	compare := func(phase string) {
+		for _, p := range paths {
+			for _, m := range []string{http.MethodGet, http.MethodPost} {
+				s, c := callFront(t, shardTS.URL, m, p), callFront(t, coordTS.URL, m, p)
+				if s != c {
+					t.Errorf("%s: %s %s: shard %+v, coordinator %+v", phase, m, p, s, c)
+				}
+			}
+		}
+	}
+	compare("serving")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := shard.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	compare("draining")
 }

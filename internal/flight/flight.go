@@ -1,8 +1,9 @@
 // Package flight is the serving tier's singleflight: concurrent identical
 // requests coalesce into one execution whose outcome fans out to every
-// waiter. The shard server keys it on (canonical query, options, document,
-// generation), the cluster coordinator on (canonical query, document
-// expression, options, topology generation).
+// waiter. The serving front (internal/server) joins it for both tiers, keyed
+// on the canonical query, its options and the tier's scope: the document
+// and its generation on a shard; the document expression, the topology
+// generation and allow_partial on the coordinator.
 //
 // The leader executes on a context detached from every HTTP request and
 // bounded only by the tier's maximum timeout. A waiter refcount keeps it

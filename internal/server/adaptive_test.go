@@ -43,9 +43,9 @@ func occupyWorker(t *testing.T, s *Server, post func(QueryRequest) (int, []byte)
 func waitFlights(t *testing.T, s *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.flights.Len() < n {
+	for s.front.flights.Len() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d flights registered", s.flights.Len(), n)
+			t.Fatalf("%d of %d flights registered", s.front.flights.Len(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -357,10 +357,9 @@ func TestNormalizedCacheSharing(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCostClassFromProfile: a query whose observed run times are
-// slow becomes high-cost for degraded-mode shedding even though its plan's
-// static CostBytes is small — the blended score lets history override the
-// static estimate.
+// TestAdaptiveCostClassFromProfile: degraded-mode shedding classes a query
+// by its cached plan's CostBytes, and a query without a cached plan by its
+// expression length.
 func TestAdaptiveCostClassFromProfile(t *testing.T) {
 	cat := catalog.New()
 	if err := cat.OpenMem("d", strings.NewReader("<r><x>1</x></r>")); err != nil {
@@ -368,33 +367,23 @@ func TestAdaptiveCostClassFromProfile(t *testing.T) {
 	}
 	cache := plancache.New(32, 0)
 	s, ts := newTestService(t, Config{
-		Catalog:         cat,
-		Cache:           cache,
-		HighCostSeconds: 100 * time.Millisecond,
+		Catalog: cat,
+		Cache:   cache,
 	})
 
-	// Execute once so plan and profile entry exist.
+	// Execute once so the plan is cached.
 	if st, data := postQuery(t, ts, QueryRequest{Query: "count(//x)", Document: "d"}); st != http.StatusOK {
 		t.Fatalf("seed query: %d %s", st, data)
 	}
 	req := &QueryRequest{Query: "count(//x)", Document: "d"}
-	cq, _ := s.canon.Canonicalize(req.Query)
+	cq, _ := s.front.canon.Canonicalize(req.Query)
 	if got := s.costClass(req, cq); got != costLow {
 		t.Fatalf("fast small query classed %s, want %s", got, costLow)
 	}
 
-	// Poison the history: pretend the run took 10x the high threshold. The
-	// blended score (tiny bytes + huge ewma) must cross into high.
-	s.profile.observe("d", cq, "", 1.0)
-	s.profile.observe("d", cq, "", 1.0)
-	s.profile.observe("d", cq, "", 1.0)
-	if got := s.costClass(req, cq); got != costHigh {
-		t.Fatalf("slow-history query classed %s, want %s", got, costHigh)
-	}
-
-	// A first-time query without plan or history falls back to length.
+	// A first-time query without a cached plan falls back to length.
 	novel := &QueryRequest{Query: "//x[" + strings.Repeat("@a or ", 40) + "@z]", Document: "d"}
-	ncq, _ := s.canon.Canonicalize(novel.Query)
+	ncq, _ := s.front.canon.Canonicalize(novel.Query)
 	if got := s.costClass(novel, ncq); got != costHigh {
 		t.Fatalf("long novel query classed %s, want %s", got, costHigh)
 	}
@@ -467,12 +456,12 @@ func TestLoneShortLeaderCancels(t *testing.T) {
 	if st != http.StatusGatewayTimeout || errCode(t, data) != httpapi.CodeTimeout {
 		t.Fatalf("50 ms leader: %d %s, want 504 %s", st, data, httpapi.CodeTimeout)
 	}
-	if n := s.flights.Len(); n != 1 {
+	if n := s.front.flights.Len(); n != 1 {
 		t.Fatalf("%d flights after the lone leader left, want 1 (the occupier's)", n)
 	}
 	<-release
 	drained := make(chan struct{})
-	go func() { s.jobWG.Wait(); close(drained) }()
+	go func() { s.front.jobs.Wait(); close(drained) }()
 	select {
 	case <-drained:
 	case <-time.After(5 * time.Second):

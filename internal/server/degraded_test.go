@@ -89,19 +89,23 @@ func TestDegradedShedsByCostClass(t *testing.T) {
 	// Fill the worker and the shrunk queue with heavy low-cost queries, then
 	// the next low-cost query must be shed too. The two differ semantically,
 	// so they occupy a worker and a queue slot each instead of coalescing.
+	// The first takes the worker, the second the queue. Each is sent once
+	// the one before has its place, so that neither is shed for finding
+	// the other still in the queue on its way to the worker.
+	exec0 := s.Counters().Executed
 	release := make(chan int, 2)
+	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; i < 2; i++ {
 		go func() {
 			st, _ := postQuery(t, ts, QueryRequest{Query: distinctHeavyQuery(i), Document: "d"})
 			release <- st
 		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.queued.Load() < int64(s.cfg.DegradedQueueDepth) {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
+		for s.Counters().Executed == exec0 || len(s.jobs) < i {
+			if time.Now().After(deadline) {
+				t.Fatal("worker and queue never filled")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	status, data = postQuery(t, ts, QueryRequest{Query: "count(//x)", Document: "d"})
 	if status != http.StatusTooManyRequests {

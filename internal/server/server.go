@@ -1,7 +1,12 @@
-// Package server is the HTTP/JSON query service over the engine: a bounded
-// worker pool executes compiled plans from the plan cache against documents
-// acquired from the catalog, with per-request deadlines and resource limits
-// mapped onto the engine's RunContext governor.
+// Package server is the HTTP/JSON query service over the engine. Its Front
+// is everything both natix-serve roles, shard and cluster coordinator, do
+// the same way: the mux, the POST /query prelude, canonicalization, the
+// singleflight, the drain and the shared half of the health probes. A tier
+// plugs in an Executor for what differs. The shard is the front with the
+// local executor: a bounded worker pool executes compiled plans from the
+// plan cache against documents acquired from the catalog, with per-request
+// deadlines and resource limits mapped onto the engine's RunContext
+// governor.
 //
 // Endpoints:
 //
@@ -46,10 +51,8 @@ import (
 	"time"
 
 	"natix"
-	"natix/internal/canon"
 	"natix/internal/catalog"
 	"natix/internal/dom"
-	"natix/internal/flight"
 	"natix/internal/httpapi"
 	"natix/internal/metrics"
 	"natix/internal/plancache"
@@ -148,11 +151,6 @@ type Config struct {
 	// served plans (natix.Options.EnablePathIndex). Reported on
 	// GET /buildinfo so cluster operators can verify shard homogeneity.
 	PathIndex bool
-
-	// HighCostSeconds is the profiled EWMA run time at or above which a
-	// query is high-cost on history alone (default 250ms). Admission blends
-	// it with the static CostBytes threshold when both signals exist.
-	HighCostSeconds time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -189,9 +187,6 @@ func (c Config) withDefaults() Config {
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = 3
 	}
-	if c.HighCostSeconds <= 0 {
-		c.HighCostSeconds = 250 * time.Millisecond
-	}
 	return c
 }
 
@@ -199,17 +194,12 @@ func (c Config) withDefaults() Config {
 // mount Handler on an http.Server; call Shutdown to drain.
 type Server struct {
 	cfg   Config
+	front *Front[*QueryRequest, *QueryResponse]
 	jobs  chan *job
-	quit  chan struct{}
 	wg    sync.WaitGroup // worker goroutines
-	jobWG sync.WaitGroup // accepted, not-yet-finished jobs
-
-	draining atomic.Bool
-	start    time.Time
 
 	// Degradation state machine.
 	state    atomic.Int32 // State
-	queued   atomic.Int64 // jobs enqueued, not yet picked up by a worker
 	winRej   atomic.Int64 // queue-full rejections this evaluation window
 	winFault atomic.Int64 // store faults this evaluation window
 	stopEval chan struct{}
@@ -220,41 +210,15 @@ type Server struct {
 	docFaults   map[string]int
 	quarantined map[string]bool
 
-	// Adaptive serving: the singleflight registry, the canonicalization
-	// memo, and the workload profile (profile.go).
-	flights flight.Group[flightKey, *QueryResponse]
-	canon   canon.Memo
-	profile *profile
-
-	// Server-local execution accounting (the registry metrics aggregate
-	// across servers and test runs; these do not).
-	executed  atomic.Int64
-	coalesced atomic.Int64
+	// executed counts engine runs started by this server (the registry
+	// metrics aggregate across servers and test runs; this does not).
+	executed atomic.Int64
 }
 
-// flightKey identifies one coalescable execution. Unlike the plan key it
-// names the document generation: results depend on it, so a flight never
-// serves a superseded generation's answer to a request that arrived after
-// the reload.
-type flightKey struct {
-	query string // canonical text
-	opts  string // plancache.OptionsKey
-	doc   string
-	gen   uint64
-}
-
-// job is one admitted query request: the leader's execution of its flight.
+// job is one admitted query: the leader's execution of its flight.
 type job struct {
-	req      *QueryRequest
+	Job[*QueryRequest, *QueryResponse]
 	enqueued time.Time
-
-	// canonQuery is the canonical query text the plan cache, profile and
-	// flight are keyed under; normalized reports it differs from req.Query.
-	canonQuery string
-	normalized bool
-	// flight runs the job on its execution context and receives its outcome
-	// for every waiter.
-	flight *flight.Flight[flightKey, *QueryResponse]
 }
 
 // New builds a Server and starts its worker pool.
@@ -266,14 +230,45 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		jobs:        make(chan *job, cfg.QueueDepth),
-		quit:        make(chan struct{}),
-		start:       time.Now(),
 		stopEval:    make(chan struct{}),
 		evalDone:    make(chan struct{}),
 		docFaults:   map[string]int{},
 		quarantined: map[string]bool{},
-		profile:     newProfile(),
 	}
+	s.front = NewFront(Executor[*QueryRequest, *QueryResponse]{
+		Role:           "shard",
+		Features:       BuildFeatures{Batch: true, PathIndex: cfg.PathIndex},
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		Rejected:       mRejected,
+		Coalesced:      mCoalesced,
+		NewRequest:     func() *QueryRequest { return new(QueryRequest) },
+		Scope: func(req *QueryRequest) Scope {
+			gen, _ := cfg.Catalog.Generation(req.Document)
+			return Scope{Target: req.Document, Generation: gen}
+		},
+		Start: s.admit,
+		Joined: func(resp *QueryResponse) *QueryResponse {
+			cp := *resp
+			cp.Coalesced = true
+			return &cp
+		},
+		Documents: func() any { return cfg.Catalog.List() },
+		Reload:    s.reload,
+		Health:    s.health,
+		Drain: func() {
+			// Stop the evaluation loop first, so that it cannot overwrite
+			// the terminal state.
+			close(s.stopEval)
+			<-s.evalDone
+			s.setState(StateDraining)
+		},
+		// Nothing sends on jobs once the front has drained every job.
+		Stop: func() {
+			close(s.jobs)
+			s.wg.Wait()
+		},
+	})
 	mState.Set(int64(StateHealthy))
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -282,6 +277,15 @@ func New(cfg Config) *Server {
 	go s.evalLoop()
 	return s
 }
+
+// Handler returns the service's HTTP mux.
+func (s *Server) Handler() http.Handler { return s.front.Mux() }
+
+// Shutdown drains the service: new queries get 503, queued and in-flight
+// queries finish (bounded by their own deadlines), workers exit. The
+// context bounds the wait; its expiry abandons the drain and returns the
+// context's error.
+func (s *Server) Shutdown(ctx context.Context) error { return s.front.Shutdown(ctx) }
 
 // State returns the server's current serving state.
 func (s *Server) State() State { return State(s.state.Load()) }
@@ -294,8 +298,8 @@ func (s *Server) setState(st State) {
 
 // evalLoop judges the window counters every EvalWindow: a window that
 // crossed a degrade threshold keeps (or makes) the server degraded, a quiet
-// window restores healthy. Draining is terminal; the loop exits when
-// Shutdown closes stopEval.
+// window restores healthy. The loop exits when the drain closes stopEval,
+// before the state turns draining.
 func (s *Server) evalLoop() {
 	defer close(s.evalDone)
 	t := time.NewTicker(s.cfg.EvalWindow)
@@ -318,8 +322,6 @@ func (s *Server) evalLoop() {
 			if !tripped {
 				s.setState(StateHealthy)
 			}
-		case StateDraining:
-			return
 		}
 	}
 }
@@ -382,53 +384,10 @@ func (s *Server) liftQuarantine(doc string) {
 	delete(s.docFaults, doc)
 }
 
-// Shutdown drains the service: new queries get 503, queued and in-flight
-// queries finish (bounded by their own deadlines), workers exit. The
-// context bounds the wait; its expiry abandons the drain and returns the
-// context's error.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.draining.CompareAndSwap(false, true) {
-		s.setState(StateDraining)
-		close(s.stopEval)
-		go func() {
-			s.jobWG.Wait()
-			close(s.quit)
-			s.wg.Wait()
-		}()
-	}
-	drained := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		<-s.evalDone
-		close(drained)
-	}()
-	select {
-	case <-drained:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.jobs:
-			s.execute(j)
-		case <-s.quit:
-			// Drain anything that slipped in between jobWG.Wait observing
-			// zero and quit closing (cannot happen today — quit closes only
-			// after the job WaitGroup drains — but cheap insurance).
-			for {
-				select {
-				case j := <-s.jobs:
-					s.execute(j)
-				default:
-					return
-				}
-			}
-		}
+	for j := range s.jobs {
+		s.execute(j)
 	}
 }
 
@@ -522,183 +481,56 @@ func classify(err error) *httpapi.Error {
 	return httpapi.Errf(http.StatusInternalServerError, httpapi.CodeStoreFault, "%v", err)
 }
 
-// Handler returns the service's HTTP mux.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/documents", s.handleDocuments)
-	mux.HandleFunc("/reload", s.handleReload)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/healthz/live", s.handleLive)
-	mux.HandleFunc("/healthz/ready", s.handleReady)
-	mux.HandleFunc("/buildinfo", s.handleBuildInfo)
-	mux.HandleFunc("/metrics", metrics.ServePrometheus)
-	return mux
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// health answers the front's probes from the state machine: ready only
+// while healthy, so load balancers steer new traffic away while the server
+// recovers or drains.
+func (s *Server) health(p Probe, _ bool) (bool, string, map[string]any) {
 	st := s.State()
-	status := "ok"
-	code := http.StatusOK
-	if st == StateDraining {
-		status = "draining"
-		code = http.StatusServiceUnavailable
+	switch p {
+	case ProbeHealthz:
+		return true, "ok", map[string]any{"state": st.String(), "documents": len(s.cfg.Catalog.List())}
+	case ProbeReady:
+		return st == StateHealthy, st.String(), nil
 	}
-	httpapi.WriteJSON(w, code, map[string]any{
-		"status":    status,
-		"state":     st.String(),
-		"uptime_ms": time.Since(s.start).Milliseconds(),
-		"documents": len(s.cfg.Catalog.List()),
-	})
+	return true, "alive", nil
 }
 
-// handleLive is the liveness probe: 200 while the process can answer HTTP
-// at all, whatever the serving state — a degraded or draining server must
-// not be restarted by an orchestrator, only taken out of rotation.
-func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
-		"status":    "alive",
-		"uptime_ms": time.Since(s.start).Milliseconds(),
-	})
-}
-
-// handleReady is the readiness probe: 200 only in the healthy state, 503
-// (with the state's name) while degraded or draining, so load balancers
-// steer new traffic away while the server recovers or drains.
-func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	st := s.State()
-	code := http.StatusOK
-	if st != StateHealthy {
-		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "1")
-	}
-	httpapi.WriteJSON(w, code, map[string]any{
-		"status":    st.String(),
-		"uptime_ms": time.Since(s.start).Milliseconds(),
-	})
-}
-
-func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpapi.WriteError(w, httpapi.Errf(http.StatusMethodNotAllowed, httpapi.CodeBadRequest, "GET only"))
-		return
-	}
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"documents": s.cfg.Catalog.List()})
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	name, ok := httpapi.DocumentParam(w, r)
-	if !ok {
-		return
-	}
+// reload opens a new generation of the named document.
+func (s *Server) reload(_ context.Context, name string) (any, *httpapi.Error) {
 	gen, err := s.cfg.Catalog.Reload(name)
 	if err != nil {
 		// A failed reload leaves the previous generation serving; the
 		// caller learns the attempt failed, queries keep working.
-		httpapi.WriteError(w, catalogErr(err))
-		return
+		return nil, catalogErr(err)
 	}
 	// A fresh generation starts with a clean bill of health. Cached plans
 	// hold nothing per document, so they serve it as they are.
 	s.liftQuarantine(name)
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
-		"document":   name,
-		"generation": gen,
-	})
-}
-
-// drainErr is the drain verdict of /query: nil while serving, the
-// structured 503 (counted as a rejection) once Shutdown began.
-func (s *Server) drainErr() *httpapi.Error {
-	if !s.draining.Load() {
-		return nil
-	}
-	mRejected.Inc()
-	return httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeShuttingDown, "server is draining")
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !httpapi.ReadQuery(w, r, s.drainErr, &req) {
-		return
-	}
-	switch req.Mode {
-	case "", "improved", "canonical":
-	default:
-		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBadRequest, "unknown mode %q", req.Mode))
-		return
-	}
-
-	// Quarantine fast-path: a document whose store keeps tripping sticky
-	// faults answers a structured store_fault immediately instead of
-	// burning a worker on an I/O path known to fail.
-	if s.isQuarantined(req.Document) {
-		mQuarHits.Inc()
-		httpapi.WriteError(w, httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeStoreFault,
-			"document %q quarantined after repeated store faults; POST /reload?document=%s to restore",
-			req.Document, req.Document))
-		return
-	}
-
-	// ctx is this waiter's own deadline: it bounds how long the client
-	// waits, never how long a shared execution may run.
-	ctx, cancel := context.WithTimeout(r.Context(),
-		httpapi.Timeout(req.TimeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer cancel()
-
-	// Singleflight: identical (canonical query, options, document
-	// generation) requests share one execution, bounded by MaxTimeout and
-	// cancelled when its last waiter leaves. An unknown document keys
-	// generation 0, so its requests coalesce on one 404. Joining precedes
-	// the degraded-mode shed — a join costs no worker, so shedding it would
-	// only lose the coalescing win. The leader registers before its own
-	// admission checks: a shed or queue-full verdict then fans out to
-	// everyone who coalesced behind it, which is exactly the admission
-	// decision one execution of that query deserves.
-	canonQuery, normalized := s.canon.Canonicalize(req.Query)
-	gen, _ := s.cfg.Catalog.Generation(req.Document)
-	f, leader := s.flights.Join(flightKey{query: canonQuery, opts: plancache.OptionsKey(s.compileOpts(&req)),
-		doc: req.Document, gen: gen}, s.cfg.MaxTimeout)
-	expired := "request expired while executing"
-	if leader {
-		if e := s.admit(&job{req: &req, canonQuery: canonQuery, normalized: normalized, flight: f}); e != nil {
-			f.Finish(nil, e)
-		}
-	} else {
-		s.coalesced.Add(1)
-		mCoalesced.Inc()
-		expired = "request expired awaiting a coalesced execution"
-	}
-	resp, e, ok := f.Wait(ctx)
-	switch {
-	case !ok:
-		httpapi.WriteError(w, httpapi.Errf(http.StatusGatewayTimeout, httpapi.CodeTimeout, "%s", expired))
-	case e != nil:
-		httpapi.WriteError(w, e)
-	case leader:
-		httpapi.WriteJSON(w, http.StatusOK, resp)
-	default:
-		// Shallow copy: waiters share result slices (read-only from here)
-		// but flag their own coalesced delivery.
-		cp := *resp
-		cp.Coalesced = true
-		httpapi.WriteJSON(w, http.StatusOK, &cp)
-	}
+	return map[string]any{"document": name, "generation": gen}, nil
 }
 
 // admit queues a leader's job, or returns the admission verdict against it.
-func (s *Server) admit(j *job) *httpapi.Error {
+func (s *Server) admit(j Job[*QueryRequest, *QueryResponse]) *httpapi.Error {
+	// Quarantine fast-path: a document whose store keeps tripping sticky
+	// faults answers a structured store_fault immediately instead of
+	// burning a worker on an I/O path known to fail.
+	if doc := j.Req.Document; s.isQuarantined(doc) {
+		mQuarHits.Inc()
+		return httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeStoreFault,
+			"document %q quarantined after repeated store faults; POST /reload?document=%s to restore", doc, doc)
+	}
 	// Degraded mode sheds by cost class before touching the queue: the
 	// expensive queries go first, and what remains competes for a shrunk
 	// queue so the latency of admitted work stays bounded.
 	if s.State() == StateDegraded {
-		if s.costClass(j.req, j.canonQuery) == costHigh {
+		if s.costClass(j.Req, j.Canon) == costHigh {
 			mShed.With(costHigh).Inc()
 			mRejected.Inc()
 			return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
 				"degraded: shedding high-cost queries")
 		}
-		if s.queued.Load() >= int64(s.cfg.DegradedQueueDepth) {
+		// len(s.jobs) counts the jobs no worker has picked up yet.
+		if len(s.jobs) >= s.cfg.DegradedQueueDepth {
 			mShed.With(costLow).Inc()
 			mRejected.Inc()
 			return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
@@ -708,20 +540,11 @@ func (s *Server) admit(j *job) *httpapi.Error {
 
 	// Admission: the jobs channel is the queue; a full channel answers an
 	// immediate structured 429 rather than stalling the client.
-	j.enqueued = time.Now()
-	s.jobWG.Add(1)
-	// Re-check after jobWG.Add so Shutdown's Wait cannot miss us.
-	if e := s.drainErr(); e != nil {
-		s.jobWG.Done()
-		return e
-	}
 	select {
-	case s.jobs <- j:
-		s.queued.Add(1)
+	case s.jobs <- &job{Job: j, enqueued: time.Now()}:
 		mInFlight.Add(1)
 		return nil
 	default:
-		s.jobWG.Done()
 		s.noteReject()
 		return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
 			"admission queue full (%d executing, %d queued)", s.cfg.Workers, s.cfg.QueueDepth)
@@ -733,55 +556,28 @@ func (s *Server) admit(j *job) *httpapi.Error {
 // the same canonical key execute compiles under, so any drift between the
 // two would silently misclassify every cached plan.
 func (s *Server) compileOpts(req *QueryRequest) natix.Options {
-	opt := natix.Options{
+	mode, _ := parseMode(req.Mode) // the front answered an unknown mode
+	return natix.Options{
+		Mode:            mode,
 		Namespaces:      req.Namespaces,
 		Limits:          s.cfg.Limits,
 		EnablePathIndex: s.cfg.PathIndex,
 	}
-	if req.Mode == "canonical" {
-		opt.Mode = natix.Canonical
-	}
-	return opt
 }
 
-// costClass classifies a query for degraded-mode shedding from two
-// signals: the cached plan's static CostBytes and the workload profile's
-// EWMA of this query's observed run times on this document. With both, the
-// blended score 0.5·(bytes/HighCostBytes) + 0.5·(ewma/HighCostSeconds)
-// crosses into high at 1.0 — a query can earn the class on either
-// dimension alone at 2× its threshold, or on both at their thresholds. One
-// signal classifies by its own threshold; neither falls back to expression
-// length (an unknown query is only high-cost when its source alone says so
-// — degraded mode must not starve cheap first-time queries).
+// costClass classifies a query for degraded-mode shedding: by its cached
+// plan's CostBytes when there is one, else by expression length. An unknown
+// query is only high-cost when its source alone says so: degraded mode must
+// not starve cheap first-time queries.
 func (s *Server) costClass(req *QueryRequest, canonQuery string) string {
-	costBytes := int64(-1)
+	high := len(req.Query) >= 192
 	if s.cfg.Cache != nil {
 		k := plancache.Key{Query: canonQuery, Opts: plancache.OptionsKey(s.compileOpts(req))}
 		if plan, ok := s.cfg.Cache.Peek(k); ok {
-			costBytes = plan.CostBytes()
+			high = plan.CostBytes() >= s.cfg.HighCostBytes
 		}
 	}
-	ewma, haveHist := s.profile.ewma(req.Document, canonQuery, req.Mode)
-	highSecs := s.cfg.HighCostSeconds.Seconds()
-	switch {
-	case costBytes >= 0 && haveHist:
-		score := 0.5*float64(costBytes)/float64(s.cfg.HighCostBytes) + 0.5*ewma/highSecs
-		if score >= 1 {
-			return costHigh
-		}
-		return costLow
-	case haveHist:
-		if ewma >= highSecs {
-			return costHigh
-		}
-		return costLow
-	case costBytes >= 0:
-		if costBytes >= s.cfg.HighCostBytes {
-			return costHigh
-		}
-		return costLow
-	}
-	if int64(len(req.Query)) >= 192 {
+	if high {
 		return costHigh
 	}
 	return costLow
@@ -790,19 +586,17 @@ func (s *Server) costClass(req *QueryRequest, canonQuery string) string {
 // execute runs one admitted job on a worker goroutine and publishes its
 // outcome to every waiter of the job's flight, the leader included.
 func (s *Server) execute(j *job) {
-	defer s.jobWG.Done()
 	resp, err := s.run(j)
 	if err != nil {
 		mErrors.Inc()
 	}
-	j.flight.Finish(resp, err)
 	mInFlight.Add(-1)
+	j.Finish(resp, err)
 }
 
 // run evaluates one job on its flight's execution context.
 func (s *Server) run(j *job) (*QueryResponse, *httpapi.Error) {
-	ctx := j.flight.Context()
-	s.queued.Add(-1)
+	ctx := j.Context()
 	if metrics.Enabled() {
 		mRequests.Inc()
 		mQueueWait.ObserveDuration(time.Since(j.enqueued))
@@ -813,48 +607,40 @@ func (s *Server) run(j *job) (*QueryResponse, *httpapi.Error) {
 		return nil, httpapi.Errf(http.StatusGatewayTimeout, httpapi.CodeTimeout, "request expired while queued")
 	}
 
-	h, err := s.cfg.Catalog.Acquire(j.req.Document)
+	h, err := s.cfg.Catalog.Acquire(j.Req.Document)
 	if err != nil {
 		e := catalogErr(err)
 		if e.Code == httpapi.CodeStoreFault {
 			// The document exists but its store would not open: counted
 			// toward degradation and quarantine.
-			s.noteStoreFault(j.req.Document)
+			s.noteStoreFault(j.Req.Document)
 		}
 		return nil, e
 	}
 	defer h.Release()
 
-	opt := s.compileOpts(j.req)
+	opt := s.compileOpts(j.Req)
 	var plan *natix.Prepared
 	cached := false
 	if s.cfg.Cache != nil {
-		plan, cached, err = s.cfg.Cache.GetOrCompileNormalized(j.canonQuery, j.normalized, opt)
+		plan, cached, err = s.cfg.Cache.GetOrCompileNormalized(j.Canon, j.Normalized, opt)
 	} else {
-		plan, err = natix.CompileWith(j.canonQuery, opt)
+		plan, err = natix.CompileWith(j.Canon, opt)
 	}
 	if err != nil {
 		return nil, httpapi.Errf(http.StatusBadRequest, httpapi.CodeParseError, "%v", err)
 	}
 
 	s.executed.Add(1)
-	runStart := time.Now()
 	res, err := plan.RunContext(ctx, natix.RootNode(h.Doc), nil)
-	runSecs := time.Since(runStart).Seconds()
 	if err != nil {
 		e := classify(err)
 		if e.Code == httpapi.CodeStoreFault {
-			s.noteStoreFault(j.req.Document)
-		} else if e.Code == httpapi.CodeTimeout || e.Code == httpapi.CodeLimit {
-			// A run that blew its deadline or budget is the strongest
-			// possible expensive signal — fold the elapsed time in so
-			// admission reclassifies it.
-			s.profile.observe(j.req.Document, j.canonQuery, j.req.Mode, runSecs)
+			s.noteStoreFault(j.Req.Document)
 		}
 		return nil, e
 	}
-	s.noteStoreOK(j.req.Document)
-	s.profile.observe(j.req.Document, j.canonQuery, j.req.Mode, runSecs)
+	s.noteStoreOK(j.Req.Document)
 	return &QueryResponse{
 		Document:   h.Name,
 		Generation: h.Generation,
@@ -884,7 +670,7 @@ type ServeCounters struct {
 
 // Counters returns the server-local execution counters.
 func (s *Server) Counters() ServeCounters {
-	return ServeCounters{Executed: s.executed.Load(), Coalesced: s.coalesced.Load()}
+	return ServeCounters{Executed: s.executed.Load(), Coalesced: s.front.Coalesced()}
 }
 
 // serialize converts a result value into the JSON payload. Node-sets are
