@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"natix/internal/dom"
-	"natix/internal/xval"
 )
 
 // Op is a sequence-valued logical operator (Fig. 1 of the paper, plus the
@@ -435,63 +434,3 @@ func (o *VarScan) Produced() []string { return []string{o.Attr} }
 
 // String implements fmt.Stringer.
 func (o *VarScan) String() string { return fmt.Sprintf("Scan[$%s as %s]", o.Name, o.Attr) }
-
-// Cross is the independent product × of Fig. 1: every left tuple is
-// combined with every right tuple. The translator never emits it (the
-// d-join subsumes it for dependent evaluation); it completes the algebra
-// for hand-built plans and future cost-based optimization.
-type Cross struct {
-	L, R Op
-}
-
-// Children implements Op.
-func (o *Cross) Children() []Op { return []Op{o.L, o.R} }
-
-// Produced implements Op.
-func (o *Cross) Produced() []string { return nil }
-
-// String implements fmt.Stringer.
-func (o *Cross) String() string { return "×" }
-
-// Unnest is μ of Fig. 1: it unnests a node-set-valued attribute, emitting
-// one tuple per member node bound to OutAttr.
-type Unnest struct {
-	In      Op
-	Attr    string
-	OutAttr string
-}
-
-// Children implements Op.
-func (o *Unnest) Children() []Op { return []Op{o.In} }
-
-// Produced implements Op.
-func (o *Unnest) Produced() []string { return []string{o.OutAttr} }
-
-// String implements fmt.Stringer.
-func (o *Unnest) String() string { return fmt.Sprintf("μ[%s:%s]", o.OutAttr, o.Attr) }
-
-// Group is the binary grouping Γ of Fig. 1: each left tuple is extended
-// with attribute OutAttr holding f(σ_{L.LAttr θ R.RAttr}(R)). The paper
-// defines Tmp^cs_c in terms of Γ (section 4.3.1); the engine implements
-// that operator directly, and Γ itself is available for hand-built plans.
-type Group struct {
-	L, R         Op
-	OutAttr      string
-	LAttr, RAttr string
-	Theta        xval.CompareOp
-	Agg          AggKind
-	// AggAttr is the right-side attribute the aggregate consumes (for
-	// count it may equal RAttr).
-	AggAttr string
-}
-
-// Children implements Op.
-func (o *Group) Children() []Op { return []Op{o.L, o.R} }
-
-// Produced implements Op.
-func (o *Group) Produced() []string { return []string{o.OutAttr} }
-
-// String implements fmt.Stringer.
-func (o *Group) String() string {
-	return fmt.Sprintf("Γ[%s; %s %s %s; %s(%s)]", o.OutAttr, o.LAttr, o.Theta, o.RAttr, o.Agg, o.AggAttr)
-}

@@ -22,7 +22,6 @@ import (
 
 	"natix/internal/dom"
 	"natix/internal/metrics"
-	"natix/internal/pathindex"
 	"natix/internal/store"
 )
 
@@ -90,18 +89,6 @@ func (g *generation) closeAll() {
 		g.src.Close()
 	}
 	g.pool = nil
-}
-
-// retire releases everything a fully drained generation owns: its store
-// file and, for in-memory documents, the process-wide path-index cache
-// entry (the registry is keyed by DocID, so a retired generation's index
-// would otherwise linger for the process lifetime). Caller holds the entry
-// lock.
-func (g *generation) retire() {
-	g.closeAll()
-	if g.mem != nil {
-		pathindex.Drop(g.mem.DocID())
-	}
 }
 
 // entry is one named document: the live generation plus any retired
@@ -207,7 +194,7 @@ func (h *Handle) Release() {
 			}
 		}
 		if g.retired && g.refs == 0 {
-			g.retire()
+			g.closeAll()
 			for i, og := range h.e.old {
 				if og == g {
 					h.e.old = append(h.e.old[:i], h.e.old[i+1:]...)
@@ -407,7 +394,7 @@ func (c *Catalog) Reload(name string) (uint64, error) {
 	e.live = next
 	old.retired = true
 	if old.refs == 0 {
-		old.retire()
+		old.closeAll()
 	} else {
 		e.old = append(e.old, old)
 		mRetired.Add(1)
@@ -434,7 +421,7 @@ func (c *Catalog) Close(name string) error {
 	defer e.mu.Unlock()
 	e.live.retired = true
 	if e.live.refs == 0 {
-		e.live.retire()
+		e.live.closeAll()
 	} else {
 		e.old = append(e.old, e.live)
 		mRetired.Add(1)

@@ -142,12 +142,6 @@ func (g *generator) readsOnly(pred algebra.Scalar, col int) bool {
 			reads[g.regFor(n.Attr)] = struct{}{}
 		case *algebra.Sort:
 			reads[g.regFor(n.Attr)] = struct{}{}
-		case *algebra.Unnest:
-			reads[g.regFor(n.Attr)] = struct{}{}
-		case *algebra.Group:
-			reads[g.regFor(n.LAttr)] = struct{}{}
-			reads[g.regFor(n.RAttr)] = struct{}{}
-			reads[g.regFor(n.AggAttr)] = struct{}{}
 		case *algebra.ExistsJoin:
 			reads[g.regFor(n.LAttr)] = struct{}{}
 			reads[g.regFor(n.RAttr)] = struct{}{}

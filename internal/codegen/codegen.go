@@ -625,52 +625,6 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 			return &physical.DerefIter{Ex: ex, In: in(ex), Prog: prog, OutReg: outReg}
 		}, nil
 
-	case *algebra.Cross:
-		l, err := g.compile(o.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := g.compile(o.R)
-		if err != nil {
-			return nil, err
-		}
-		save := g.producedRegs(o.R)
-		return func(ex *physical.Exec) physical.Iter {
-			return &physical.CrossIter{Ex: ex, L: l(ex), R: r(ex), RSaveRegs: save}
-		}, nil
-
-	case *algebra.Unnest:
-		in, err := g.compile(o.In)
-		if err != nil {
-			return nil, err
-		}
-		attrReg := g.regFor(o.Attr)
-		outReg := g.regFor(o.OutAttr)
-		return func(ex *physical.Exec) physical.Iter {
-			return &physical.UnnestIter{Ex: ex, In: in(ex), AttrReg: attrReg, OutReg: outReg}
-		}, nil
-
-	case *algebra.Group:
-		l, err := g.compile(o.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := g.compile(o.R)
-		if err != nil {
-			return nil, err
-		}
-		outReg := g.regFor(o.OutAttr)
-		lReg := g.regFor(o.LAttr)
-		rReg := g.regFor(o.RAttr)
-		aggReg := g.regFor(o.AggAttr)
-		theta, agg := o.Theta, aggCode(o.Agg)
-		return func(ex *physical.Exec) physical.Iter {
-			return &physical.GroupIter{
-				Ex: ex, L: l(ex), R: r(ex), OutReg: outReg,
-				LReg: lReg, RReg: rReg, AggReg: aggReg, Theta: theta, Agg: agg,
-			}
-		}, nil
-
 	case *algebra.ExistsJoin:
 		l, err := g.compile(o.L)
 		if err != nil {

@@ -246,12 +246,6 @@ func (p *Plan) readsOutside(chain map[algebra.Op]bool, interior map[int]bool) bo
 			read(n.Attr)
 		case *algebra.Sort:
 			read(n.Attr)
-		case *algebra.Unnest:
-			read(n.Attr)
-		case *algebra.Group:
-			read(n.LAttr)
-			read(n.RAttr)
-			read(n.AggAttr)
 		case *algebra.ExistsJoin:
 			read(n.LAttr)
 			read(n.RAttr)

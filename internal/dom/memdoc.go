@@ -39,6 +39,9 @@ type MemDoc struct {
 
 	idsOnce sync.Once
 	ids     map[string]NodeID // ElementByID's map, built on first use
+
+	ixOnce sync.Once
+	ix     any // the structural path index (CachedIndex), built on first use
 }
 
 var _ Document = (*MemDoc)(nil)
@@ -77,6 +80,15 @@ func (d *MemDoc) Root() NodeID { return 1 }
 func (d *MemDoc) ElementByID(s string) NodeID {
 	d.idsOnce.Do(func() { d.ids = BuildIDMap(d) })
 	return d.ids[s]
+}
+
+// CachedIndex returns the document's structural index, calling build on
+// the first use only. The index lives and dies with the document; the slot
+// is an any because the index package imports this one. Safe for
+// concurrent use once the document is built.
+func (d *MemDoc) CachedIndex(build func(*MemDoc) any) any {
+	d.ixOnce.Do(func() { d.ix = build(d) })
+	return d.ix
 }
 
 // NodeCount implements Document.

@@ -3,7 +3,9 @@ package pathindex
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"natix/internal/dom"
 )
@@ -316,18 +318,37 @@ func walkChain(d dom.Document, chain []Step) []dom.NodeID {
 	return ctx
 }
 
+// TestRegistryBuildsOncePerDoc: For builds an in-memory document's index
+// once and hands every caller that one; another document gets its own.
 func TestRegistryBuildsOncePerDoc(t *testing.T) {
 	d := mustParse(t, `<r><a/></r>`)
-	r := NewRegistry()
-	ix1 := r.For(d)
-	ix2 := r.For(d)
+	ix1 := For(d)
+	ix2 := For(d)
 	if ix1 == nil || ix1 != ix2 {
-		t.Fatalf("registry returned distinct indexes: %p %p", ix1, ix2)
+		t.Fatalf("For returned distinct indexes: %p %p", ix1, ix2)
 	}
-	r.Drop(d.DocID())
-	if ix3 := r.For(d); ix3 == ix1 {
-		t.Fatal("Drop did not evict the cached index")
+	if ix3 := For(mustParse(t, `<r><a/></r>`)); ix3 == nil || ix3 == ix1 {
+		t.Fatalf("a second document shares the first one's index: %p", ix3)
 	}
+}
+
+// TestIndexDiesWithDocument: the index For builds for an in-memory
+// document is held by that document alone, so it is collected with it.
+func TestIndexDiesWithDocument(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		d := mustParse(t, `<r><a/><b/></r>`)
+		runtime.SetFinalizer(For(d), func(*Index) { close(freed) })
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the index outlived its document")
 }
 
 type fakeProvider struct {

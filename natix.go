@@ -179,10 +179,11 @@ func (o *Options) translateOptions() translate.Options {
 // concurrent Run/RunContext calls — every execution gets its own register
 // file, NVM machine, iterator tree and governor, so the only state shared
 // between two simultaneous runs is read-only (the plan, its subscript
-// programs) or internally synchronized (the path-index registry). Compiling
-// once and running many times amortizes the whole pipeline, which is the
-// expensive part of short queries; internal/plancache builds an LRU of
-// Prepared plans on top of this contract.
+// programs) or internally synchronized (an in-memory document's lazily
+// built path index, once per document). Compiling once and running many
+// times amortizes the whole pipeline, which is the expensive part of short
+// queries; internal/plancache builds an LRU of Prepared plans on top of
+// this contract.
 //
 // Concurrency caveat: the safety statement covers the plan, not the
 // document. In-memory documents (ParseDocument) are immutable and support

@@ -123,7 +123,7 @@ var memoQueries = []string{
 }
 
 // TestPathIndexMemoConcurrent: 8 goroutines share cached plans over one cold
-// index — a MemDoc's registry index, and the decoded index pages that 8
+// index — a MemDoc's own index, and the decoded index pages that 8
 // clones of one store image share — so the first runs race to decode and
 // to fill the memo. Every run must answer as navigation does.
 func TestPathIndexMemoConcurrent(t *testing.T) {

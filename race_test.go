@@ -11,8 +11,8 @@ import (
 )
 
 // raceDoc has both id attributes (exercising the document's ID map) and
-// root-anchored name chains for path-index plans (the pathindex.Global
-// registry).
+// root-anchored name chains for path-index plans (the document's lazily
+// built path index).
 func raceDoc(t *testing.T) Node {
 	t.Helper()
 	var sb []byte
@@ -30,11 +30,11 @@ func raceDoc(t *testing.T) Node {
 
 // TestConcurrentQuerySharing runs the same compiled queries from 8
 // goroutines against one document. The document's lazily built ID map and
-// the process-wide path-index registry are both cold at the start, so every
-// goroutine races to build them — the access-path decision resolves the
-// index through pathindex.Global.For before it prices the chain, so even
-// this small document builds one; run under -race this pins down the
-// sync.Once-per-document construction of both caches.
+// path index are both cold at the start, so every goroutine races to build
+// them — the access-path decision resolves the index through pathindex.For
+// before it prices the chain, so even this small document builds one; run
+// under -race this pins down the sync.Once-per-document construction of
+// both.
 func TestConcurrentQuerySharing(t *testing.T) {
 	root := raceDoc(t)
 	queries := []*Query{
@@ -231,10 +231,9 @@ func TestConcurrentSharedPreparedBatched(t *testing.T) {
 	}
 }
 
-// TestConcurrentDistinctDocuments drives the process-wide path-index
-// registry (pathindex.Global) with several distinct documents at once: entry
-// insertion (write-locked) and builds (per-entry once) overlap across
-// goroutines.
+// TestConcurrentDistinctDocuments resolves the path index of several
+// distinct documents at once: each document's once-guarded build overlaps
+// the others' across goroutines.
 func TestConcurrentDistinctDocuments(t *testing.T) {
 	q := MustCompileWith("//person", Options{Mode: Improved, EnablePathIndex: true})
 	const goroutines = 8
@@ -261,12 +260,12 @@ func TestConcurrentDistinctDocuments(t *testing.T) {
 		}(docs[g])
 	}
 	wg.Wait()
-	// The race above is on the registry only if the plan resolves the index.
+	// The race above is on the index builds only if the plan resolves the index.
 	a, err := q.ExplainAnalyze(t.Context(), docs[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(a.Tree, "=> access path:") {
-		t.Errorf("no access-path decision, so no registry lookup:\n%s", a.Tree)
+		t.Errorf("no access-path decision, so no index lookup:\n%s", a.Tree)
 	}
 }

@@ -55,8 +55,9 @@ go test -short -count=1 -run 'TestDifferentialRelativeContexts|TestConformance' 
 
 # Shared-plan gate: goroutines sharing Prepared plans must stay race-free on
 # the batched protocol, every run must return each free-list buffer,
-# stepper and column it took, however it ends, and cold lookups in the process-wide
-# path-index registry must build each document's index exactly once. The
+# stepper and column it took, however it ends, and cold lookups of the path
+# index, which each document holds itself, must build it exactly once per
+# document, and an in-memory document's index must be collected with it. The
 # visited-set steps ride along: every axis's walk against the dedup of plain
 # walks, and the Fig. 5 counters pinned, under a WrapIter hook and under
 # analyze.
@@ -74,7 +75,7 @@ go test -short -count=1 -run 'TestDifferentialRelativeContexts|TestConformance' 
 # the fused step, its byte charge and allocation-free re-open, and a union
 # across two documents with coinciding NodeIDs. Three rounds, for the
 # interleavings.
-go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage|TestPathIndexMemo|TestPathIndexWarmRunAllocs|TestMatchMemo|TestCloneSharesPersistedIndex|TestIDMapSharedPlanConcurrent|TestVisitedStepMatchesDupElim|TestVisitedStepByteBudget|TestVisitedStepReopenAllocs|TestTwoDocumentVisitedStep' -count=3 . ./internal/dom/ ./internal/codegen/ ./internal/pathindex/ ./internal/store/ ./internal/physical/
+go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage|TestPathIndexMemo|TestPathIndexWarmRunAllocs|TestMatchMemo|TestCloneSharesPersistedIndex|TestIDMapSharedPlanConcurrent|TestVisitedStepMatchesDupElim|TestVisitedStepByteBudget|TestVisitedStepReopenAllocs|TestTwoDocumentVisitedStep|TestIndexDiesWithDocument' -count=3 . ./internal/dom/ ./internal/codegen/ ./internal/pathindex/ ./internal/store/ ./internal/physical/
 
 # Index guard: the path-index access path must hit at least 5x over
 # navigation on the selective //name probes of the skewed corpus at 8000
