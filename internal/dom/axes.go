@@ -483,22 +483,3 @@ func (s *Stepper) initNamespace() {
 		s.done = true
 	}
 }
-
-// Ancestors collects the ancestor chain of n (excluding n), nearest first.
-func Ancestors(d Document, n NodeID) []NodeID {
-	var out []NodeID
-	for p := d.Parent(n); p != NilNode; p = d.Parent(p) {
-		out = append(out, p)
-	}
-	return out
-}
-
-// IsDescendantOf reports whether n is a (strict) descendant of anc.
-func IsDescendantOf(d Document, n, anc NodeID) bool {
-	for p := d.Parent(n); p != NilNode; p = d.Parent(p) {
-		if p == anc {
-			return true
-		}
-	}
-	return false
-}

@@ -403,21 +403,6 @@ func TestBuilderDirect(t *testing.T) {
 	}
 }
 
-func TestAncestorsHelpers(t *testing.T) {
-	d := mustParse(t, sampleDoc)
-	g := findElem(d, "g")
-	anc := Ancestors(d, g)
-	if names(d, anc) != "f c a #doc" {
-		t.Errorf("Ancestors: %q", names(d, anc))
-	}
-	if !IsDescendantOf(d, g, findElem(d, "a")) {
-		t.Error("g should be descendant of a")
-	}
-	if IsDescendantOf(d, findElem(d, "a"), g) {
-		t.Error("a is not descendant of g")
-	}
-}
-
 // TestSerializeParseProperty: random built documents survive
 // serialize→parse with identical structure and values.
 func TestSerializeParseProperty(t *testing.T) {

@@ -1,7 +1,8 @@
 // Serialized form of an Index, used by the store to persist the structural
 // index alongside the document pages. The blob is self-validating: magic,
-// version and node count are checked against the opened document, and a
-// trailing CRC32 over the whole payload catches corruption — any mismatch
+// version and node count are checked against the opened document, a
+// trailing CRC32 over the whole payload catches corruption, and every node
+// list must be ascending within the document's node range — any mismatch
 // makes Decode fail and the caller rebuild from the document.
 package pathindex
 
@@ -17,24 +18,23 @@ import (
 const (
 	// BlobMagic opens every serialized index.
 	BlobMagic = "NXPI"
-	// BlobVersion is the current serialization version. Decode rejects
-	// other versions, which triggers a rebuild, not an error surface.
-	BlobVersion = 1
+	// BlobVersion is the current serialization version. Decode also reads
+	// version 1, which carried 6 bytes of per-node interval encoding per
+	// node after the header; it rejects any other version, which triggers a
+	// rebuild, not an error surface.
+	BlobVersion = 2
 )
 
 // Encode serializes the index. Layout (all little-endian):
 //
 //	magic "NXPI" | u32 version | u32 nodeCount | u32 pathCount
-//	post[1..nodeCount]  u32 each
-//	level[1..nodeCount] u16 each
 //	per path: i32 parent | u64 others | str uri | str local |
 //	          u32 nodeCount | u32 NodeID each
 //	u32 CRC32 (IEEE, over everything preceding)
 //
-// Strings are u32 length + bytes. Path depth is not stored; Decode derives
-// it from the parent chain.
+// Strings are u32 length + bytes.
 func (ix *Index) Encode() []byte {
-	size := 4 + 4 + 4 + 4 + ix.nodeCount*6
+	size := 4 + 4 + 4 + 4
 	for i := range ix.paths {
 		p := &ix.paths[i]
 		size += 4 + 8 + 4 + len(p.URI) + 4 + len(p.Local) + 4 + 4*len(p.Nodes)
@@ -45,12 +45,6 @@ func (ix *Index) Encode() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, BlobVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.nodeCount))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ix.paths)))
-	for _, p := range ix.post[1:] {
-		buf = binary.LittleEndian.AppendUint32(buf, p)
-	}
-	for _, l := range ix.level[1:] {
-		buf = binary.LittleEndian.AppendUint16(buf, l)
-	}
 	for i := range ix.paths {
 		p := &ix.paths[i]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Parent))
@@ -72,8 +66,8 @@ func appendStr(buf []byte, s string) []byte {
 }
 
 // Decode deserializes a blob produced by Encode, validating magic, version,
-// the expected node count and the CRC. Any mismatch returns an error; the
-// caller should fall back to Build.
+// the expected node count, the CRC, the parent links and the node lists.
+// Any mismatch returns an error; the caller should fall back to Build.
 func Decode(blob []byte, nodeCount int) (*Index, error) {
 	if len(blob) < 16+4 {
 		return nil, fmt.Errorf("pathindex: blob truncated (%d bytes)", len(blob))
@@ -86,7 +80,8 @@ func Decode(blob []byte, nodeCount int) (*Index, error) {
 	if string(r.bytes(4)) != BlobMagic {
 		return nil, fmt.Errorf("pathindex: bad magic")
 	}
-	if v := r.u32(); v != BlobVersion {
+	v := r.u32()
+	if v != 1 && v != BlobVersion {
 		return nil, fmt.Errorf("pathindex: unsupported version %d", v)
 	}
 	n := int(r.u32())
@@ -97,29 +92,20 @@ func Decode(blob []byte, nodeCount int) (*Index, error) {
 	if pathCount < 1 || pathCount > len(body)/4 {
 		return nil, fmt.Errorf("pathindex: implausible path count %d", pathCount)
 	}
-	ix := &Index{
-		nodeCount: n,
-		post:      make([]uint32, n+1),
-		level:     make([]uint16, n+1),
-		paths:     make([]Path, 0, pathCount),
+	if v == 1 {
+		r.bytes(6 * n) // per-node post (u32) and level (u16), unread
 	}
-	for i := 1; i <= n; i++ {
-		ix.post[i] = r.u32()
-	}
-	for i := 1; i <= n; i++ {
-		ix.level[i] = r.u16()
-	}
+	ix := &Index{nodeCount: n, paths: make([]Path, 0, pathCount)}
 	for i := 0; i < pathCount && r.err == nil; i++ {
 		var p Path
 		p.Parent = int32(r.u32())
 		p.Others = int64(r.u64())
 		p.URI = r.str()
 		p.Local = r.str()
-		if p.Parent >= 0 {
-			if int(p.Parent) >= i {
-				return nil, fmt.Errorf("pathindex: path %d: parent %d out of order", i, p.Parent)
-			}
-			p.Depth = ix.paths[p.Parent].Depth + 1
+		// Only the document path (0) has no parent, and every other
+		// parent precedes its child, as deriveSubtreeCounts relies on.
+		if (i == 0) != (p.Parent < 0) || int(p.Parent) >= i {
+			return nil, fmt.Errorf("pathindex: path %d: parent %d out of order", i, p.Parent)
 		}
 		k := int(r.u32())
 		if k > (len(r.buf)-r.off)/4 {
@@ -127,8 +113,13 @@ func Decode(blob []byte, nodeCount int) (*Index, error) {
 		}
 		if k > 0 {
 			p.Nodes = make([]dom.NodeID, k)
+			prev := dom.NilNode
 			for j := 0; j < k; j++ {
-				p.Nodes[j] = dom.NodeID(r.u32())
+				id := dom.NodeID(r.u32())
+				if id <= prev || int(id) > n {
+					return nil, fmt.Errorf("pathindex: path %d: node %d out of order or range", i, id)
+				}
+				p.Nodes[j], prev = id, id
 			}
 		}
 		ix.paths = append(ix.paths, p)
@@ -166,7 +157,6 @@ func (r *reader) bytes(n int) []byte {
 	return b
 }
 
-func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.bytes(2)) }
 func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.bytes(4)) }
 func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.bytes(8)) }
 func (r *reader) str() string { return string(r.bytes(int(r.u32()))) }

@@ -1,6 +1,7 @@
 package pathindex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
@@ -9,39 +10,74 @@ import (
 	"natix/internal/dom"
 )
 
+// sameSummary fails unless two indexes hold the same summary: paths, node
+// lists and derived subtree counts.
+func sameSummary(t *testing.T, label string, a, b *Index) {
+	t.Helper()
+	if a.NodeCount() != b.NodeCount() || a.PathCount() != b.PathCount() {
+		t.Fatalf("%s: counts differ: nodes %d/%d paths %d/%d",
+			label, a.NodeCount(), b.NodeCount(), a.PathCount(), b.PathCount())
+	}
+	for i := 0; i < a.PathCount(); i++ {
+		p, q := &a.paths[i], &b.paths[i]
+		if p.Parent != q.Parent || p.URI != q.URI || p.Local != q.Local ||
+			p.Others != q.Others || len(p.Nodes) != len(q.Nodes) {
+			t.Fatalf("%s: path %d differs: %+v vs %+v", label, i, p, q)
+		}
+		for j := range p.Nodes {
+			if p.Nodes[j] != q.Nodes[j] {
+				t.Fatalf("%s: path %d node %d differs", label, i, j)
+			}
+		}
+		if a.subCount[i] != b.subCount[i] || a.subOther[i] != b.subOther[i] {
+			t.Fatalf("%s: path %d derived counts differ", label, i)
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 10; round++ {
 		d := buildRandom(rng, 120)
 		ix := Build(d)
-		blob := ix.Encode()
-		dec, err := Decode(blob, d.NodeCount())
+		dec, err := Decode(ix.Encode(), d.NodeCount())
 		if err != nil {
 			t.Fatalf("round %d: Decode: %v", round, err)
 		}
-		if dec.NodeCount() != ix.NodeCount() || dec.PathCount() != ix.PathCount() {
-			t.Fatalf("round %d: counts differ: nodes %d/%d paths %d/%d",
-				round, dec.NodeCount(), ix.NodeCount(), dec.PathCount(), ix.PathCount())
+		sameSummary(t, "round trip", ix, dec)
+	}
+}
+
+// TestDecodeReadsVersion1: a version-1 blob, which carries 6 bytes of
+// per-node interval encoding per node after the header, decodes to the same
+// summary as the version-2 blob of the same index.
+func TestDecodeReadsVersion1(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 10; round++ {
+		d := buildRandom(rng, 120)
+		v2 := Build(d).Encode()
+		n := d.NodeCount()
+		v1 := append([]byte(nil), v2[:16]...)
+		binary.LittleEndian.PutUint32(v1[4:], 1)
+		v1 = append(v1, bytes.Repeat([]byte{0xA5}, 6*n)...)
+		v1 = reseal(append(v1, v2[16:]...))
+		want, err := Decode(v2, n)
+		if err != nil {
+			t.Fatalf("round %d: v2: %v", round, err)
 		}
-		for id := dom.NodeID(1); int(id) <= d.NodeCount(); id++ {
-			if dec.Post(id) != ix.Post(id) || dec.Level(id) != ix.Level(id) {
-				t.Fatalf("round %d: node %d: post/level differ", round, id)
-			}
+		got, err := Decode(v1, n)
+		if err != nil {
+			t.Fatalf("round %d: v1: %v", round, err)
 		}
-		for i := 0; i < ix.PathCount(); i++ {
-			a, b := &ix.paths[i], &dec.paths[i]
-			if a.Parent != b.Parent || a.URI != b.URI || a.Local != b.Local ||
-				a.Depth != b.Depth || a.Others != b.Others || len(a.Nodes) != len(b.Nodes) {
-				t.Fatalf("round %d: path %d differs: %+v vs %+v", round, i, a, b)
-			}
-			for j := range a.Nodes {
-				if a.Nodes[j] != b.Nodes[j] {
-					t.Fatalf("round %d: path %d node %d differs", round, i, j)
-				}
-			}
-			if ix.subCount[i] != dec.subCount[i] || ix.subOther[i] != dec.subOther[i] {
-				t.Fatalf("round %d: path %d derived counts differ", round, i)
-			}
+		sameSummary(t, "v1 vs v2", want, got)
+		if !bytes.Equal(got.Encode(), v2) {
+			t.Fatalf("round %d: a decoded v1 blob re-encodes differently from v2", round)
+		}
+		// Without the per-node arrays the v1 header claims, the blob is short.
+		short := append([]byte(nil), v2...)
+		binary.LittleEndian.PutUint32(short[4:], 1)
+		if _, err := Decode(reseal(short), n); err == nil {
+			t.Fatalf("round %d: v1 blob without its per-node arrays accepted", round)
 		}
 	}
 }
@@ -74,6 +110,28 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	mut = reseal(mut)
 	if _, err := Decode(mut, d.NodeCount()); err == nil {
 		t.Error("future version accepted")
+	}
+
+	// Well-checksummed blobs whose summary is wrong: Encode seals whatever
+	// the index holds. Paths: (doc), /r, /r/a with two nodes, /r/a/b.
+	for _, c := range []struct {
+		name string
+		bend func(ps []Path)
+	}{
+		{"swapped node pair", func(ps []Path) { ps[2].Nodes[0], ps[2].Nodes[1] = ps[2].Nodes[1], ps[2].Nodes[0] }},
+		{"node id past nodeCount", func(ps []Path) { ps[3].Nodes[0] = dom.NodeID(ix.NodeCount() + 1) }},
+		{"duplicate node", func(ps []Path) { ps[2].Nodes[1] = ps[2].Nodes[0] }},
+		{"nil node", func(ps []Path) { ps[3].Nodes[0] = 0 }},
+		{"second root path", func(ps []Path) { ps[1].Parent = -1 }},
+	} {
+		bent := &Index{nodeCount: ix.nodeCount, paths: append([]Path(nil), ix.paths...)}
+		for i := range bent.paths {
+			bent.paths[i].Nodes = append([]dom.NodeID(nil), ix.paths[i].Nodes...)
+		}
+		c.bend(bent.paths)
+		if _, err := Decode(bent.Encode(), d.NodeCount()); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 

@@ -56,92 +56,45 @@ func mustParse(t *testing.T, s string) *dom.MemDoc {
 	return d
 }
 
-// TestBuildCoversEveryNode asserts the traversal assigns a post rank to
-// every node of the document, and that post ranks are a permutation.
+// TestBuildCoversEveryNode checks the summary against the document on
+// random documents with attributes, namespaces, text, comments and PIs:
+// every element (and the document node) sits in exactly one path's
+// ascending node list, under its parent's path and with its own name, and
+// each path's Others counts the non-element children of its nodes.
 func TestBuildCoversEveryNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
 		d := buildRandom(rng, 60)
 		ix := Build(d)
-		seen := make([]bool, d.NodeCount()+1)
+		pathOf := make([]int, d.NodeCount()+1) // path index + 1; 0: none
+		for i, p := range ix.paths {
+			var others int64
+			for j, id := range p.Nodes {
+				if j > 0 && id <= p.Nodes[j-1] {
+					t.Fatalf("round %d: path %d: node list not ascending at %d", round, i, j)
+				}
+				if pathOf[id] != 0 {
+					t.Fatalf("round %d: node %d in paths %d and %d", round, id, pathOf[id]-1, i)
+				}
+				pathOf[id] = i + 1
+				if i > 0 && (d.LocalName(id) != p.Local || pathOf[d.Parent(id)] != int(p.Parent)+1) {
+					t.Fatalf("round %d: node %d does not match path %d", round, id, i)
+				}
+				for c := d.FirstChild(id); c != dom.NilNode; c = d.NextSibling(c) {
+					if d.Kind(c) != dom.KindElement {
+						others++
+					}
+				}
+			}
+			if others != p.Others {
+				t.Fatalf("round %d: path %d: Others = %d, children say %d", round, i, p.Others, others)
+			}
+		}
 		for id := dom.NodeID(1); int(id) <= d.NodeCount(); id++ {
-			p := ix.Post(id)
-			if p == 0 || int(p) > d.NodeCount() {
-				t.Fatalf("node %d: post rank %d out of range", id, p)
+			k := d.Kind(id)
+			if in := pathOf[id] != 0; in != (k == dom.KindElement || k == dom.KindDocument) {
+				t.Fatalf("round %d: node %d (%s): in a path = %v", round, id, k, in)
 			}
-			if seen[p] {
-				t.Fatalf("post rank %d assigned twice", p)
-			}
-			seen[p] = true
-		}
-	}
-}
-
-// TestIntervalContainmentMatchesAxes is the property test of the interval
-// encoding: over random documents, Contains must agree with the dom
-// descendant and ancestor axes exactly (modulo attribute/namespace nodes,
-// which nest inside their element's interval but are not on the
-// descendant axis).
-func TestIntervalContainmentMatchesAxes(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for round := 0; round < 15; round++ {
-		d := buildRandom(rng, 50)
-		ix := Build(d)
-		n := dom.NodeID(d.NodeCount())
-		for x := dom.NodeID(1); x <= n; x++ {
-			// Descendant axis agreement.
-			want := map[dom.NodeID]bool{}
-			st := dom.NewStepper(dom.AxisDescendant)
-			st.Reset(d, x)
-			for {
-				id, ok := st.Next()
-				if !ok {
-					break
-				}
-				want[id] = true
-			}
-			for y := dom.NodeID(1); y <= n; y++ {
-				k := d.Kind(y)
-				inInterval := ix.Contains(x, y) && k != dom.KindAttribute && k != dom.KindNamespace
-				if inInterval != want[y] {
-					t.Fatalf("round %d: Contains(%d,%d)=%v but descendant-axis membership=%v",
-						round, x, y, inInterval, want[y])
-				}
-			}
-			// Ancestor axis agreement (namespace records have no parent link).
-			if d.Kind(x) == dom.KindNamespace {
-				continue
-			}
-			anc := map[dom.NodeID]bool{}
-			for p := d.Parent(x); p != dom.NilNode; p = d.Parent(p) {
-				anc[p] = true
-			}
-			for y := dom.NodeID(1); y <= n; y++ {
-				if got := ix.Contains(y, x); got != anc[y] {
-					t.Fatalf("round %d: Contains(%d,%d)=%v but ancestor membership=%v",
-						round, y, x, got, anc[y])
-				}
-			}
-		}
-	}
-}
-
-// TestLevelMatchesParentChain checks the level encoding against the parent
-// chain for every node with a parent link.
-func TestLevelMatchesParentChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := buildRandom(rng, 80)
-	ix := Build(d)
-	for id := dom.NodeID(1); int(id) <= d.NodeCount(); id++ {
-		if d.Kind(id) == dom.KindNamespace {
-			continue
-		}
-		depth := 0
-		for p := d.Parent(id); p != dom.NilNode; p = d.Parent(p) {
-			depth++
-		}
-		if int(ix.Level(id)) != depth {
-			t.Fatalf("node %d (%s): level %d, parent chain %d", id, d.Kind(id), ix.Level(id), depth)
 		}
 	}
 }

@@ -292,14 +292,3 @@ func Translate(s, from, to string) string {
 	}
 	return sb.String()
 }
-
-// LangMatches implements the matching rule of the lang() function: the
-// xml:lang value equals the argument or is a sublanguage of it, ignoring
-// case.
-func LangMatches(xmlLang, want string) bool {
-	if xmlLang == "" {
-		return false
-	}
-	xl, w := strings.ToLower(xmlLang), strings.ToLower(want)
-	return xl == w || strings.HasPrefix(xl, w+"-")
-}

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"testing"
 
 	"natix/internal/dom"
@@ -158,7 +160,8 @@ func TestPathIndexSurvivesUpdateReopen(t *testing.T) {
 
 // TestCloneSharesPersistedIndex: clones of an image share its decoded index
 // pages, and with them the match memo, whichever handle asks first; they
-// never decode the pages again.
+// never decode the pages again. That holds for pages carrying a version-1
+// index blob too.
 func TestCloneSharesPersistedIndex(t *testing.T) {
 	mem, err := dom.ParseString(storeSample)
 	if err != nil {
@@ -196,5 +199,42 @@ func TestCloneSharesPersistedIndex(t *testing.T) {
 	c2 := d2.Clone()
 	if ix2 := c2.PathIndex(); ix2 == nil || d2.PathIndex() != ix2 || ix2 == ix {
 		t.Fatal("a clone's decode is not shared with its original alone")
+	}
+
+	// An image whose index pages carry a version-1 blob (with the per-node
+	// interval arrays that version 2 dropped) takes the same shared decode
+	// path, not a rebuild per handle. testdata/v3-nxpi1.natix is storeSample
+	// written at MinPageSize by the last writer of version-1 blobs; it is a
+	// fixed artifact, never regenerated.
+	old, err := os.ReadFile("testdata/v3-nxpi1.natix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := OpenReaderAt(bytes.NewReader(old), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d3.h.version != 3 || d3.h.indexBytes == 0 {
+		t.Fatalf("fixture is v%d with indexBytes=%d; want v3 with index pages", d3.h.version, d3.h.indexBytes)
+	}
+	probe := d3.Clone()
+	blob, err := probe.buf.readStream(probe.h.indexStart, 0, int(probe.h.indexBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(blob[4:]); v != 1 {
+		t.Fatalf("fixture carries an index blob of version %d, want 1", v)
+	}
+	c3 := d3.Clone()
+	ix3 := c3.PathIndex()
+	if ix3 == nil || d3.persisted.ix != ix3 {
+		t.Fatal("the version-1 blob was not decoded (rebuilt or absent)")
+	}
+	misses := d3.BufferStats().Misses
+	if d3.PathIndex() != ix3 || d3.BufferStats().Misses != misses {
+		t.Fatal("the version-1 decode is not shared with the original handle")
+	}
+	if !bytes.Equal(ix3.Encode(), pathindex.Build(mem).Encode()) {
+		t.Fatal("the version-1 blob decodes to a different summary than a fresh build")
 	}
 }

@@ -38,10 +38,13 @@ go test -race ./...
 # and the in-place string comparison on the store: its property test against
 # the materialized string-value, and Fig. 10's value queries on failing and
 # corrupt text pages (fault returned, never a result, no page left pinned).
+# So does the path index's promise: a version-1 index blob is still read,
+# and a corrupt or out-of-order one degrades to a rebuild, never to an
+# unopenable store or a wrong answer.
 # All already run inside the full -race suite above; this step re-runs them
 # under a pinned time budget so a recovery hang or soak deadlock fails the
 # gate quickly instead of eating the whole CI slot.
-go test -race -run 'TestCrashRecovery|TestChaosSoak|TestStringValueEqualsInPlace|TestTextPageFaultsFailValueQueries' -timeout 5m -count=1 ./internal/chaos/ ./internal/store/ .
+go test -race -run 'TestCrashRecovery|TestChaosSoak|TestStringValueEqualsInPlace|TestTextPageFaultsFailValueQueries|TestDecodeRejectsCorruption|TestDecodeReadsVersion1|TestPathIndexOldFormatsRebuild|TestPathIndexFaultedDocYieldsNil' -timeout 5m -count=1 ./internal/chaos/ ./internal/store/ ./internal/pathindex/ .
 
 # Differential harness: every corpus query under every translation
 # configuration x document backend, against the reference interpreter.
