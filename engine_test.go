@@ -216,6 +216,19 @@ func TestConformanceStoreBacked(t *testing.T) {
 	conformance.Run(t, &storeEngine{})
 }
 
+// TestConformanceWindows runs the positional-window edge cases under every
+// configuration and on the store.
+func TestConformanceWindows(t *testing.T) {
+	for _, cfg := range engineConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			conformance.RunCases(t, cfg, conformance.WindowCases)
+		})
+	}
+	t.Run("improved-store", func(t *testing.T) {
+		conformance.RunCases(t, &storeEngine{}, conformance.WindowCases)
+	})
+}
+
 // TestCrossDocumentVariables: node-set variables may hold nodes of another
 // document; set operations and ordering must stay coherent.
 func TestCrossDocumentVariables(t *testing.T) {

@@ -2,7 +2,8 @@
 // (paper sections 3.3.3, 3.3.4, 4.3.1) with the counting map χ_cp and the
 // context-size operator Tmp^cs, including the stacked-translation variant
 // Tmp^cs_c that detects context boundaries inside one pipelined tuple
-// stream.
+// stream, and the positional windows with which the improved translation
+// answers [k] and [last()] inside the location step instead.
 package main
 
 import (
@@ -60,11 +61,16 @@ func main() {
 	show("//e[. = 'f']/../preceding-sibling::day[1]/@date")
 	show("//e[. = 'f']/../preceding-sibling::day[last()]/@date")
 
-	// The plans make the machinery visible: Tmp^cs appears only when
-	// last() is used, and carries the per-context variant in stacked
-	// pipelines.
-	for _, expr := range []string{"//day/e[2]", "//day/e[last()]"} {
+	// The plans make the machinery visible. The improved translation
+	// answers [2] and [last()] on the child axis inside the step, as a
+	// positional window (the last() one walks each day's children from
+	// the last); where no window applies, as for last() on the descendant
+	// axis, Tmp^cs appears with its per-context variant in the stacked
+	// pipeline. The canonical translation keeps χ_cp and Tmp^cs.
+	for _, expr := range []string{"//day/e[2]", "//day/e[last()]", "/log/descendant::e[last()]"} {
 		fmt.Printf("\nplan for %s:\n", expr)
 		fmt.Print(natix.MustCompile(expr).ExplainAlgebra())
 	}
+	canon := natix.MustCompileWith("//day/e[last()]", natix.Options{Mode: natix.Canonical})
+	fmt.Printf("\ncanonical plan for //day/e[last()]:\n%s", canon.ExplainAlgebra())
 }

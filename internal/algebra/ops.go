@@ -37,6 +37,12 @@ type UnnestMap struct {
 	// boundaries exactly, even for duplicate adjacent context nodes
 	// (section 4.3.1).
 	EpochAttr string
+	// Window, when active, restricts the output per input tuple to the
+	// matches at the window's proximity positions: the improved
+	// translation absorbs a step's first predicate into it when that
+	// predicate is [k], [position() < k], [position() <= k], [last()] or
+	// [last() - k], so no χ_cp, σ or Tmp^cs is built for it.
+	Window dom.Window
 }
 
 // VarScan emits one tuple per node of a node-set-valued XPath $ variable,
@@ -280,6 +286,9 @@ func (*SingletonScan) String() string { return "□" }
 
 // String implements fmt.Stringer.
 func (o *UnnestMap) String() string {
+	if o.Window.Active() {
+		return fmt.Sprintf("Υ[%s:%s/%s::%s; %s]", o.OutAttr, o.InAttr, o.Axis, o.Test, o.Window)
+	}
 	return fmt.Sprintf("Υ[%s:%s/%s::%s]", o.OutAttr, o.InAttr, o.Axis, o.Test)
 }
 

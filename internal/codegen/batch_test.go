@@ -105,6 +105,9 @@ func TestBatchSizeEquivalence(t *testing.T) {
 // TestTmpCSMatchesInterp runs positional predicates whose Tmp^cs buffers
 // many multi-tuple contexts, each entered through a lookahead row, at batch
 // sizes 1 and the default under both translations, against the interpreter.
+// The improved translation answers a first [last()] or [last() - k] on a
+// sibling axis with a window instead; the rows after the first six keep its
+// Tmp^cs (a second predicate, descendant and ancestor axes).
 func TestTmpCSMatchesInterp(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<a>")
@@ -124,6 +127,7 @@ func TestTmpCSMatchesInterp(t *testing.T) {
 	for _, q := range []string{
 		"//b/c[position() = last()]", "//b/c[last() - 1]/@k", "/a/b[position() = last() - 2]",
 		"//c[position() = last()]", "//b[c][position() = last()]/c[1]", "//b/c[position() < last()]",
+		"//b/c[@k][position() = last()]", "/a/descendant::c[last() - 1]/@k", "//c/ancestor::*[last()]",
 	} {
 		ref, err := interp.Compile(q, nil, interp.Options{DedupSteps: true})
 		if err != nil {

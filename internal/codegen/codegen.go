@@ -430,14 +430,14 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 		if o.EpochAttr != "" {
 			epochReg = g.regFor(o.EpochAttr)
 		}
-		axis, test := o.Axis, o.Test
+		axis, test, win := o.Axis, o.Test, o.Window
 		plan := g.plan
 		return func(ex *physical.Exec) physical.Iter {
 			_, batch := plan.batchCol[op]
 			return &physical.UnnestMap{
 				Ex: ex, In: in(ex), InReg: inReg, OutReg: outReg,
 				EpochReg: epochReg, Axis: axis, Test: test, Batch: batch,
-				Visited: plan.visited[op],
+				Visited: plan.visited[op], Window: win,
 			}
 		}, nil
 
@@ -541,7 +541,9 @@ func (g *generator) compileOp(op algebra.Op) (builder, error) {
 		// output, the Π^D is fused into the Υ: a visited-set step emits
 		// exactly the Π^D's output and never walks a node twice. The Π^D
 		// keeps its operator slot as a pass-through of the Υ's iterator.
-		if u, ok := o.In.(*algebra.UnnestMap); ok && u.EpochAttr == "" && g.regFor(u.OutAttr) == attrReg {
+		// A windowed Υ is never fused: its positions count every node of
+		// each context's walk, including those an earlier context reached.
+		if u, ok := o.In.(*algebra.UnnestMap); ok && u.EpochAttr == "" && !u.Window.Active() && g.regFor(u.OutAttr) == attrReg {
 			if g.plan.visited == nil {
 				g.plan.visited = map[algebra.Op]bool{}
 			}

@@ -195,7 +195,9 @@ func TestStrEqPeephole(t *testing.T) {
 }
 
 func TestExplainPhysical(t *testing.T) {
-	plan := compileQuery(t, "/a/b[last()][@k = '1']", translate.Improved())
+	// [last()] second, so that it stays a Tmp^cs and is not absorbed into
+	// the step's positional window.
+	plan := compileQuery(t, "/a/b[@k = '1'][last()]", translate.Improved())
 	out := plan.ExplainPhysical()
 	for _, want := range []string{
 		"registers:", "cn=r0", "Tmp^cs", "cmp", "loadr", "strval",

@@ -73,11 +73,12 @@ func (p *Plan) markPathOp(op algebra.Op) {
 // matchChain recognizes a candidate chain topped at op and returns its
 // record, or nil. The shape, top to bottom: {UnnestMap | DupElim | Rename |
 // alias-Map}* over χ[c:root(ctx)] over □, where every UnnestMap uses a
-// child/descendant/descendant-or-self axis with an element name test and no
-// epoch attribute, the register plumbing is contiguous, and the root()
-// argument resolves to the top context register (so the scan's document is
-// provably the execution's context document). Interior registers must be
-// dead outside the chain — the scan writes only the output register.
+// child/descendant/descendant-or-self axis with an element name test, no
+// epoch attribute and no positional window, the register plumbing is
+// contiguous, and the root() argument resolves to the top context register
+// (so the scan's document is provably the execution's context document).
+// Interior registers must be dead outside the chain — the scan writes only
+// the output register.
 func (p *Plan) matchChain(op algebra.Op) *pathCand {
 	var steps []pathindex.Step
 	chain := map[algebra.Op]bool{}
@@ -89,7 +90,9 @@ func (p *Plan) matchChain(op algebra.Op) *pathCand {
 		chain[cur] = true
 		switch o := cur.(type) {
 		case *algebra.UnnestMap:
-			if o.EpochAttr != "" || !pathAxisOK(o.Axis) || !pathTestOK(o.Test) {
+			// A path-index scan answers the chain's node set, which knows
+			// no per-context positions: a windowed step ends the match.
+			if o.EpochAttr != "" || o.Window.Active() || !pathAxisOK(o.Axis) || !pathTestOK(o.Test) {
 				return nil
 			}
 			r, ok := p.reg(o.OutAttr)

@@ -163,8 +163,11 @@ func (c *Case) Vars() map[string]xval.Value {
 }
 
 // Run executes every case against the engine.
-func Run(t *testing.T, eng Engine) {
-	for i, c := range Cases {
+func Run(t *testing.T, eng Engine) { RunCases(t, eng, Cases) }
+
+// RunCases executes the given cases against the engine, one subtest each.
+func RunCases(t *testing.T, eng Engine, cases []Case) {
+	for i, c := range cases {
 		c := c
 		name := fmt.Sprintf("%03d_%s", i, sanitize(c.Expr))
 		t.Run(name, func(t *testing.T) {

@@ -1,6 +1,9 @@
 package dom
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Axis is one of the thirteen XPath location step axes.
 type Axis uint8
@@ -97,6 +100,48 @@ func (a Axis) PPD() bool {
 	return false
 }
 
+// FromEndOK reports whether a walk of the axis can start at its far end
+// (Stepper.ResetFromEnd): the axes that walk one sibling list.
+func (a Axis) FromEndOK() bool {
+	switch a {
+	case AxisChild, AxisFollowingSibling, AxisPrecedingSibling:
+		return true
+	}
+	return false
+}
+
+// Window is a positional window of a location step: per context it admits
+// only the matches (nodes passing the step's node test) at proximity
+// positions Lo..Hi, 1-based and inclusive. FromEnd counts from the last
+// match, position 1 being last(); it holds one position (Lo == Hi) and
+// applies to the FromEndOK axes, walked from their far end. The zero Window
+// admits everything.
+type Window struct {
+	Lo, Hi  int
+	FromEnd bool
+}
+
+// Active reports whether w restricts the step.
+func (w Window) Active() bool { return w.Lo > 0 }
+
+// Admit classifies the match at position pos of a windowed walk, counted
+// in the direction of the walk: whether it is emitted, and whether the walk
+// of this context is over once it has been.
+func (w Window) Admit(pos int) (emit, done bool) { return pos >= w.Lo, pos >= w.Hi }
+
+// String renders the window as Explain shows it on the step: #3, #1..99,
+// #1 from end.
+func (w Window) String() string {
+	s := "#" + strconv.Itoa(w.Lo)
+	if w.Hi != w.Lo {
+		s += ".." + strconv.Itoa(w.Hi)
+	}
+	if w.FromEnd {
+		s += " from end"
+	}
+	return s
+}
+
 // Stepper enumerates the nodes of one axis from a context node, in axis
 // order (document order for forward axes, reverse document order for
 // reverse axes). A Stepper is reusable: call Reset, then Next until it
@@ -108,6 +153,7 @@ type Stepper struct {
 	ctx  NodeID
 	cur  NodeID
 	done bool
+	back bool     // a from-end walk (ResetFromEnd)
 	vis  *Visited // nil for a plain walk
 
 	// Pruned counts the marked nodes a visited-set walk met instead of
@@ -142,7 +188,7 @@ func (s *Stepper) Reset(doc Document, ctx NodeID) { s.ResetVisited(doc, ctx, nil
 // already reached" (visit; DESIGN.md §5 has the proof per axis). v must
 // hold nodes of doc only, reached by walks of this axis only.
 func (s *Stepper) ResetVisited(doc Document, ctx NodeID, v *Visited) {
-	s.doc, s.ctx, s.done, s.vis = doc, ctx, false, v
+	s.doc, s.ctx, s.done, s.vis, s.back = doc, ctx, false, v, false
 	switch s.axis {
 	case AxisSelf, AxisAncestorOrSelf, AxisDescendantOrSelf:
 		s.cur = ctx
@@ -179,6 +225,45 @@ func (s *Stepper) ResetVisited(doc Document, ctx NodeID, v *Visited) {
 		if s.cur == NilNode {
 			s.done = true
 		}
+	}
+}
+
+// ResetFromEnd positions the stepper at the far end of a sibling-list axis
+// (FromEndOK) from context node (doc, ctx) and walks it backwards: Next and
+// NextBatch yield the axis in reverse axis order, so the k-th node is the
+// k-th from last(). child starts at the last child; following-sibling at the
+// parent's last child and preceding-sibling at its first child, each
+// stopping short of ctx.
+func (s *Stepper) ResetFromEnd(doc Document, ctx NodeID) {
+	s.doc, s.ctx, s.done, s.vis, s.back = doc, ctx, false, nil, true
+	s.cur = NilNode
+	switch s.axis {
+	case AxisChild:
+		s.cur = doc.LastChild(ctx)
+	case AxisFollowingSibling:
+		if s.siblingStart(true) != NilNode {
+			s.cur = doc.LastChild(doc.Parent(ctx))
+		}
+	case AxisPrecedingSibling:
+		if s.siblingStart(false) != NilNode {
+			s.cur = doc.FirstChild(doc.Parent(ctx))
+		}
+	}
+	if s.cur == NilNode {
+		s.done = true
+	}
+}
+
+// moveBack steps cur one node towards the context of a from-end walk; the
+// walk of a sibling axis ends at the context itself.
+func (s *Stepper) moveBack() {
+	if s.axis == AxisPrecedingSibling {
+		s.cur = s.doc.NextSibling(s.cur)
+	} else {
+		s.cur = s.doc.PrevSibling(s.cur)
+	}
+	if s.cur == s.ctx {
+		s.cur = NilNode
 	}
 }
 
@@ -259,8 +344,16 @@ func (s *Stepper) move() {
 	case AxisSelf, AxisParent:
 		s.cur = NilNode
 	case AxisChild, AxisFollowingSibling:
+		if s.back {
+			s.moveBack()
+			return
+		}
 		s.cur = d.NextSibling(s.cur)
 	case AxisPrecedingSibling:
+		if s.back {
+			s.moveBack()
+			return
+		}
 		s.cur = d.PrevSibling(s.cur)
 	case AxisAncestor, AxisAncestorOrSelf:
 		s.cur = d.Parent(s.cur)

@@ -196,6 +196,131 @@ func TestAxesAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// windowed walks axis from ctx under window w the way a windowed step
+// does: from the far end for a from-end window, counting the matches of
+// test and stopping at the last one the window admits. It returns the
+// admitted matches and the number of nodes walked.
+func windowed(d Document, ctx NodeID, axis Axis, test NodeTest, w Window) ([]NodeID, int) {
+	st := NewStepper(axis)
+	if w.FromEnd {
+		st.ResetFromEnd(d, ctx)
+	} else {
+		st.Reset(d, ctx)
+	}
+	var out []NodeID
+	pos, steps := 0, 0
+	for {
+		id, ok := st.Next()
+		if !ok {
+			return out, steps
+		}
+		steps++
+		if !test.Matches(d, id, axis.Principal()) {
+			continue
+		}
+		pos++
+		emit, done := w.Admit(pos)
+		if emit {
+			out = append(out, id)
+		}
+		if done {
+			return out, steps
+		}
+	}
+}
+
+// TestWindowedWalksAgainstBruteForce checks positional windows against the
+// brute-force axis lists: a windowed walk yields exactly the matches of the
+// node test at the window's positions, from the start on every axis and
+// from the end on the sibling-list axes, and walks no node past the last
+// position it admits. A full from-end walk, by Next and by NextBatch, is the
+// brute-force list reversed.
+func TestWindowedWalksAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	axes := []Axis{
+		AxisSelf, AxisParent, AxisAncestor, AxisAncestorOrSelf, AxisChild,
+		AxisDescendant, AxisDescendantOrSelf, AxisFollowingSibling,
+		AxisPrecedingSibling, AxisFollowing, AxisPreceding, AxisAttribute,
+	}
+	tests := []NodeTest{
+		AnyNode, {Kind: TestAnyName}, {Kind: TestText}, NameTest("", "e1"),
+	}
+	var windows []Window
+	for lo := 1; lo <= 4; lo++ {
+		for hi := lo; hi <= 5; hi++ {
+			windows = append(windows, Window{Lo: lo, Hi: hi})
+		}
+		windows = append(windows, Window{Lo: lo, Hi: lo, FromEnd: true})
+	}
+	for iter := 0; iter < 8; iter++ {
+		d := buildRandom(rng, 60)
+		for id := NodeID(1); int(id) <= d.NodeCount(); id++ {
+			if d.Kind(id) == KindNamespace {
+				continue
+			}
+			for _, axis := range axes {
+				all := brute(d, id, axis)
+				if axis.FromEndOK() {
+					want := append([]NodeID(nil), all...)
+					reverse(want)
+					st := NewStepper(axis)
+					st.ResetFromEnd(d, id)
+					var got []NodeID
+					for n, ok := st.Next(); ok; n, ok = st.Next() {
+						got = append(got, n)
+					}
+					st.ResetFromEnd(d, id)
+					buf := make([]NodeID, 3)
+					var gotB []NodeID
+					for k := st.NextBatch(buf); k > 0; k = st.NextBatch(buf) {
+						gotB = append(gotB, buf[:k]...)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(gotB) != fmt.Sprint(want) {
+						t.Fatalf("iter %d node #%d axis %s from end: got %v (batched %v), want %v",
+							iter, id, axis, got, gotB, want)
+					}
+				}
+				for _, test := range tests {
+					// walk[i] is the index in all of the i-th match, in
+					// the direction of the walk.
+					var walk []int
+					for i, n := range all {
+						if test.Matches(d, n, axis.Principal()) {
+							walk = append(walk, i)
+						}
+					}
+					for _, w := range windows {
+						if w.FromEnd && !axis.FromEndOK() {
+							continue
+						}
+						var want []NodeID
+						steps := len(all)
+						if w.FromEnd {
+							if w.Lo <= len(walk) {
+								i := walk[len(walk)-w.Lo]
+								want = []NodeID{all[i]}
+								steps = len(all) - i
+							}
+						} else {
+							for p := w.Lo; p <= w.Hi && p <= len(walk); p++ {
+								want = append(want, all[walk[p-1]])
+							}
+							if w.Hi <= len(walk) {
+								steps = walk[w.Hi-1] + 1
+							}
+						}
+						got, gotSteps := windowed(d, id, axis, test, w)
+						if fmt.Sprint(got) != fmt.Sprint(want) || gotSteps != steps {
+							t.Fatalf("iter %d node #%d axis %s test %s window %s: got %v in %d steps, want %v in %d",
+								iter, id, axis, test, w, got, gotSteps, want, steps)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFollowingOfAttributeBrute pins the document-order interpretation for
 // attribute contexts: following starts inside the owner element.
 func TestFollowingOfAttributeBrute(t *testing.T) {

@@ -33,6 +33,12 @@ func TestConformanceNaive(t *testing.T) {
 	conformance.Run(t, engine{name: "interp-naive", opt: Options{DedupSteps: false}})
 }
 
+// TestConformanceWindows holds the interpreter, the engine's reference, to
+// the hand-computed answers of the positional-window edge cases.
+func TestConformanceWindows(t *testing.T) {
+	conformance.RunCases(t, engine{name: "interp-dedup", opt: Options{DedupSteps: true}}, conformance.WindowCases)
+}
+
 func TestRelativeContext(t *testing.T) {
 	d := conformance.Doc(t, "basic")
 	// Find element a#5 and evaluate relative paths from it.

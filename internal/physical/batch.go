@@ -137,6 +137,21 @@ func (u *UnnestMap) NextBatch(out []dom.Node) (int, error) {
 	n := 0
 	var steps int64
 	for n < len(out) {
+		if u.active && u.Window.Active() {
+			// A windowed walk steps one node at a time, so that it stops
+			// exactly where the scalar loop does.
+			id, ok := u.stepper.Next()
+			if !ok {
+				u.active = false
+				continue
+			}
+			steps++
+			if u.Test.Matches(u.curDoc, id, u.principal) && u.admit() {
+				out[n] = dom.Node{Doc: u.curDoc, ID: id}
+				n++
+			}
+			continue
+		}
 		if u.active {
 			room := len(out) - n
 			if room > len(u.ids) {
@@ -177,7 +192,7 @@ func (u *UnnestMap) NextBatch(out []dom.Node) (int, error) {
 		if ctx.IsNil() {
 			continue // non-node context (e.g. empty deref): no output
 		}
-		u.stepper.ResetVisited(ctx.Doc, ctx.ID, u.visitedFor(ctx.Doc))
+		u.reset(ctx)
 		u.curDoc = ctx.Doc
 		u.active = true
 	}

@@ -179,11 +179,17 @@ type UnnestMap struct {
 	// emitted once per evaluation (dom.Stepper.ResetVisited). Set by the
 	// code generator, never with an epoch register.
 	Visited bool
+	// Window, when active, emits per context only the matches at its
+	// positions and leaves the context once past them; a from-end window
+	// walks the axis backwards (dom.Stepper.ResetFromEnd). Never set on a
+	// visited-set step.
+	Window dom.Window
 
 	stepper   *dom.Stepper
 	principal dom.NodeKind
 	active    bool
 	epoch     int64
+	pos       int // matches of the active context so far (windowed)
 
 	seen visitSets // a visited-set step's sets
 
@@ -245,7 +251,7 @@ func (u *UnnestMap) Next() (bool, error) {
 			if n.IsNil() {
 				continue // non-node context (e.g. empty deref): no output
 			}
-			u.stepper.ResetVisited(n.Doc, n.ID, u.visitedFor(n.Doc))
+			u.reset(n)
 			u.epoch++
 			if u.EpochReg >= 0 {
 				regs[u.EpochReg] = nvm.NumVal(float64(u.epoch))
@@ -274,6 +280,9 @@ func (u *UnnestMap) Next() (bool, error) {
 			}
 			n := regs[u.InReg].Node()
 			if u.Test.Matches(n.Doc, id, u.principal) {
+				if u.Window.Active() && !u.admit() {
+					continue
+				}
 				regs[u.OutReg] = nvm.NodeVal(dom.Node{Doc: n.Doc, ID: id})
 				if u.EpochReg >= 0 {
 					// Rewrite on every tuple, not only on input advance: a
@@ -289,6 +298,28 @@ func (u *UnnestMap) Next() (bool, error) {
 			}
 		}
 	}
+}
+
+// reset starts the walk of context node n: a visited-set walk, a plain
+// one, or for a from-end window one from the far end of the axis.
+func (u *UnnestMap) reset(n dom.Node) {
+	u.pos = 0
+	if u.Window.FromEnd {
+		u.stepper.ResetFromEnd(n.Doc, n.ID)
+		return
+	}
+	u.stepper.ResetVisited(n.Doc, n.ID, u.visitedFor(n.Doc))
+}
+
+// admit counts a match of a windowed walk and reports whether the window
+// emits it; the context's walk ends at the window's last position.
+func (u *UnnestMap) admit() bool {
+	u.pos++
+	emit, done := u.Window.Admit(u.pos)
+	if done {
+		u.active = false
+	}
+	return emit
 }
 
 // visitedFor returns the visited set of doc for a visited-set step, nil

@@ -30,6 +30,16 @@ func WriteTo(w io.Writer, d dom.Document) error {
 	return writeDoc(w, d, DefaultPageSize, FormatVersion)
 }
 
+// WriteToPageSize is WriteTo with pages of pageSize bytes, MinPageSize or
+// more: small pages spread even a small document over many, so that its
+// sibling and child links cross pages.
+func WriteToPageSize(w io.Writer, d dom.Document, pageSize int) error {
+	if pageSize < MinPageSize {
+		return fmt.Errorf("store: page size %d below minimum %d", pageSize, MinPageSize)
+	}
+	return writeDoc(w, d, pageSize, FormatVersion)
+}
+
 // ImportXML parses XML from r and writes it as a store file at path.
 func ImportXML(path string, r io.Reader) error {
 	doc, err := dom.Parse(r)

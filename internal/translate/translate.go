@@ -9,11 +9,13 @@ package translate
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"natix/internal/algebra"
 	"natix/internal/dom"
 	"natix/internal/sem"
+	"natix/internal/xval"
 )
 
 // Options select between the canonical translation and the improvements of
@@ -30,7 +32,8 @@ type Options struct {
 	MemoX bool
 	// PredReorder evaluates cheap predicate clauses before expensive ones
 	// and materializes expensive clause results per context node
-	// (section 4.3.2).
+	// (section 4.3.2). It also answers a step's first predicate inside the
+	// step when that predicate is a positional window (window).
 	PredReorder bool
 }
 
@@ -187,11 +190,21 @@ func (tr *translator) pathBase(p *sem.Path, sc scope) (seq, error) {
 func (tr *translator) step(cur seq, step *sem.Step, sc scope, prevPPD bool) (seq, error) {
 	out := tr.attr("c")
 
+	// With predicate reordering the first predicate may be a positional
+	// window, answered inside the Υ instead of by χ_cp, σ and Tmp^cs.
+	preds := step.Preds
+	var win dom.Window
+	if tr.opt.PredReorder && len(preds) > 0 {
+		if w, ok := window(preds[0], step.Axis); ok {
+			win, preds = w, preds[1:]
+		}
+	}
+
 	// Predicates need position counting per context; in the stacked
 	// translation context boundaries are detected with an epoch attribute
 	// bound by the unnest-map (section 4.3.1).
 	needPos := false
-	for _, pr := range step.Preds {
+	for _, pr := range preds {
 		if pr.UsesPosition || pr.UsesLast {
 			needPos = true
 		}
@@ -199,11 +212,11 @@ func (tr *translator) step(cur seq, step *sem.Step, sc scope, prevPPD bool) (seq
 
 	res := seq{attr: out, pr: cur.pr.step(step.Axis)}
 	if tr.opt.Stacked && !sc.inner {
-		um := &algebra.UnnestMap{In: cur.op, InAttr: cur.attr, OutAttr: out, Axis: step.Axis, Test: step.Test}
+		um := &algebra.UnnestMap{In: cur.op, InAttr: cur.attr, OutAttr: out, Axis: step.Axis, Test: step.Test, Window: win}
 		if needPos {
 			um.EpochAttr = tr.attr("e")
 		}
-		op, err := tr.preds(algebra.Op(um), step.Preds, scope{
+		op, err := tr.preds(algebra.Op(um), preds, scope{
 			ctxAttr: out, inner: true,
 		}, um.EpochAttr)
 		if err != nil {
@@ -217,9 +230,9 @@ func (tr *translator) step(cur seq, step *sem.Step, sc scope, prevPPD bool) (seq
 		// resets on Open (empty epoch attribute).
 		dep := algebra.Op(&algebra.UnnestMap{
 			In: &algebra.SingletonScan{}, InAttr: cur.attr, OutAttr: out,
-			Axis: step.Axis, Test: step.Test,
+			Axis: step.Axis, Test: step.Test, Window: win,
 		})
-		dep, err := tr.preds(dep, step.Preds, scope{ctxAttr: out, inner: true}, "")
+		dep, err := tr.preds(dep, preds, scope{ctxAttr: out, inner: true}, "")
 		if err != nil {
 			return seq{}, err
 		}
@@ -235,6 +248,67 @@ func (tr *translator) step(cur seq, step *sem.Step, sc scope, prevPPD bool) (seq
 		res.pr = res.pr.afterDupElim()
 	}
 	return res, nil
+}
+
+// window returns the positional window a step's first predicate is, if it
+// is one: a single clause position() = k, position() < k, position() <= k,
+// position() = last() or position() = last() - k, with an integer literal
+// k >= 1 and a window that is not empty. A from-end window needs an axis
+// the stepper walks from its far end (dom.Axis.FromEndOK).
+func window(pred *sem.Predicate, axis dom.Axis) (dom.Window, bool) {
+	if len(pred.Clauses) != 1 {
+		return dom.Window{}, false
+	}
+	c, ok := pred.Clauses[0].Expr.(*sem.Compare)
+	if !ok || !isCall(c.Left, sem.FnPosition) {
+		return dom.Window{}, false
+	}
+	if k, ok := intLiteral(c.Right); ok {
+		switch {
+		case c.Op == xval.OpEq:
+			return dom.Window{Lo: k, Hi: k}, true
+		case c.Op == xval.OpLt && k > 1:
+			return dom.Window{Lo: 1, Hi: k - 1}, true
+		case c.Op == xval.OpLe:
+			return dom.Window{Lo: 1, Hi: k}, true
+		}
+		return dom.Window{}, false
+	}
+	if c.Op != xval.OpEq || !axis.FromEndOK() {
+		return dom.Window{}, false
+	}
+	k := 0
+	if a, ok := c.Right.(*sem.Arith); ok && a.Op == sem.OpSub && isCall(a.Left, sem.FnLast) {
+		if k, ok = intLiteral(a.Right); !ok {
+			return dom.Window{}, false
+		}
+	} else if !isCall(c.Right, sem.FnLast) {
+		return dom.Window{}, false
+	}
+	return dom.Window{Lo: k + 1, Hi: k + 1, FromEnd: true}, true
+}
+
+// isCall reports whether e is a call of the function fn.
+func isCall(e sem.Expr, fn sem.FuncID) bool {
+	c, ok := e.(*sem.Call)
+	return ok && c.Fn.ID == fn
+}
+
+// maxWindow bounds a window's positions, so that they fit an int anywhere.
+const maxWindow = 1 << 30
+
+// intLiteral returns the value of an integer number literal in
+// 1..maxWindow.
+func intLiteral(e sem.Expr) (int, bool) {
+	l, ok := e.(*sem.Literal)
+	if !ok || l.Val.Kind != xval.KindNumber {
+		return 0, false
+	}
+	n := l.Val.N
+	if n < 1 || n > maxWindow || n != math.Trunc(n) {
+		return 0, false
+	}
+	return int(n), true
 }
 
 // filterPreds applies the predicates of a filter expression (section 3.4):

@@ -134,12 +134,14 @@ func TestInnerPathsUseDJoinsAndMemoX(t *testing.T) {
 }
 
 func TestPositionalPredicateOperators(t *testing.T) {
-	res := trans(t, "/a/b[position() = 2]", Improved())
+	// Positional predicates that are not a window of their step: χ_cp for
+	// position(), Tmp^cs for last().
+	res := trans(t, "/a/b[position() mod 2 = 0]", Improved())
 	c := countOps(res.Plan)
 	if c["posmap"] != 1 || c["tmpcs"] != 0 {
 		t.Errorf("posmap=%d tmpcs=%d, want 1/0", c["posmap"], c["tmpcs"])
 	}
-	res2 := trans(t, "/a/b[last()]", Improved())
+	res2 := trans(t, "/a/b[@k][last()]", Improved())
 	c2 := countOps(res2.Plan)
 	if c2["posmap"] != 1 || c2["tmpcs"] != 1 {
 		t.Errorf("last(): posmap=%d tmpcs=%d, want 1/1", c2["posmap"], c2["tmpcs"])
@@ -373,5 +375,85 @@ func TestSeqPropsTransitions(t *testing.T) {
 	// self preserves everything.
 	if s := seed.step(dom.AxisSelf); s != seed {
 		t.Errorf("self: %+v", s)
+	}
+}
+
+// windows lists the positional windows of a plan's unnest-maps, in plan
+// pre-order ("-" for a step without one).
+func windows(op algebra.Op) []string {
+	var out []string
+	algebra.Walk(op, func(o algebra.Op) {
+		if um, ok := o.(*algebra.UnnestMap); ok {
+			w := "-"
+			if um.Window.Active() {
+				w = um.Window.String()
+			}
+			out = append(out, w)
+		}
+	})
+	return out
+}
+
+func TestPositionalWindows(t *testing.T) {
+	noReorder := Improved()
+	noReorder.PredReorder = false
+	for _, tc := range []struct {
+		expr string
+		opt  Options
+		// want is the window of the final step, "-" for none; the
+		// operator counts and the epoch attribute are the whole plan's.
+		want          string
+		posmap, tmpcs int
+		epoch         bool
+	}{
+		{"/a/b[2]", Improved(), "#2", 0, 0, false},
+		{"/a/b[position() = 2]", Improved(), "#2", 0, 0, false},
+		{"/a/b[position() < 3]", Improved(), "#1..2", 0, 0, false},
+		{"/a/b[position() <= 3]", Improved(), "#1..3", 0, 0, false},
+		{"/a/b[last()]", Improved(), "#1 from end", 0, 0, false},
+		{"/a/b[position() = last()]", Improved(), "#1 from end", 0, 0, false},
+		{"/a/b[last() - 2]", Improved(), "#3 from end", 0, 0, false},
+		{"/a/following-sibling::b[last() - 1]", Improved(), "#2 from end", 0, 0, false},
+		{"/a/preceding-sibling::*[last()]", Improved(), "#1 from end", 0, 0, false},
+		{"/a/ancestor::*[1]", Improved(), "#1", 0, 0, false},
+		{"/a/descendant::b[position() < 4]", Improved(), "#1..3", 0, 0, false},
+		// The inner d-join form takes windows too.
+		{"/a[b[2]]", Improved(), "#2", 0, 0, false},
+		// Later predicates keep their χ_cp and Tmp^cs, counted within
+		// the window's output.
+		{"/a/b[1][last()]", Improved(), "#1", 1, 1, true},
+		{"/a/b[@k][1]", Improved(), "-", 1, 0, true},
+		// Forms that are not windows.
+		{"/a/descendant::b[last()]", Improved(), "-", 1, 1, true},
+		{"/a/ancestor::b[last() - 1]", Improved(), "-", 1, 1, true},
+		{"/a/b[0]", Improved(), "-", 1, 0, true},
+		{"/a/b[2.5]", Improved(), "-", 1, 0, true},
+		{"/a/b[-1]", Improved(), "-", 1, 0, true},
+		{"/a/b[position() < 1]", Improved(), "-", 1, 0, true},
+		{"/a/b[position() <= 0]", Improved(), "-", 1, 0, true},
+		{"/a/b[position() > 1]", Improved(), "-", 1, 0, true},
+		{"/a/b[position() = $k]", Improved(), "-", 1, 0, true},
+		{"/a/b[last() - 0]", Improved(), "-", 1, 1, true},
+		{"/a/b[position() = 2 and @k]", Improved(), "-", 1, 0, true},
+		// The paper's plans stay where they are compared against.
+		{"/a/b[2]", Canonical(), "-", 1, 0, false},
+		{"/a/b[last()]", Canonical(), "-", 1, 1, false},
+		{"/a/b[last()]", noReorder, "-", 1, 1, true},
+	} {
+		res := trans(t, tc.expr, tc.opt)
+		ws := windows(res.Plan)
+		c := countOps(res.Plan)
+		epoch := false
+		algebra.Walk(res.Plan, func(o algebra.Op) {
+			if um, ok := o.(*algebra.UnnestMap); ok && um.EpochAttr != "" {
+				epoch = true
+			}
+		})
+		last := ws[0] // the final step, or the one nested in a predicate
+		if last != tc.want || c["posmap"] != tc.posmap || c["tmpcs"] != tc.tmpcs || epoch != tc.epoch {
+			t.Errorf("%s: window %s posmap %d tmpcs %d epoch %v, want %s %d %d %v\n%s",
+				tc.expr, last, c["posmap"], c["tmpcs"], epoch,
+				tc.want, tc.posmap, tc.tmpcs, tc.epoch, algebra.Explain(res.Plan))
+		}
 	}
 }

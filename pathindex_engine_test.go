@@ -1,9 +1,13 @@
 package natix
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
+
+	"natix/internal/interp"
+	"natix/internal/store"
 )
 
 // pathIndexCorpus builds a document where //b is selective enough for the
@@ -218,5 +222,73 @@ func TestPathIndexAgreesOnQueryMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPathIndexRefusesWindowedSteps: a path-index scan answers a chain's
+// node set and knows no per-context positions, so a windowed step is never
+// part of a candidate chain. On indexed documents, a MemDoc and its store
+// image, the answers equal the interpreter's.
+func TestPathIndexRefusesWindowedSteps(t *testing.T) {
+	var dblp, ab strings.Builder
+	dblp.WriteString("<dblp>")
+	ab.WriteString("<a>")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&dblp, `<article><title>t%d</title></article><inproceedings><title/></inproceedings>`, i)
+		fmt.Fprintf(&ab, `<b n="%d"/><c/>`, i)
+	}
+	dblp.WriteString("</dblp>")
+	ab.WriteString("</a>")
+	for _, c := range []struct{ xml, expr, step string }{
+		{dblp.String(), "/dblp/article[1]/title", "article"},
+		{dblp.String(), "/dblp/article[last()]/title", "article"},
+		{ab.String(), "/a/b[last()]", "child::b"},
+		{ab.String(), "/a/b[position() < 3]/@n", "child::b"},
+	} {
+		mem, err := ParseDocumentString(c.xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var img bytes.Buffer
+		if err := store.WriteTo(&img, mem); err != nil {
+			t.Fatal(err)
+		}
+		sd, err := store.OpenReaderAt(bytes.NewReader(img.Bytes()), store.Options{BufferPages: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := MustCompileWith(c.expr, Options{EnablePathIndex: true})
+		for _, line := range strings.Split(q.ExplainPhysical(), "\n") {
+			if strings.Contains(line, "path-index candidate") && strings.Contains(line, c.step) {
+				t.Errorf("%s: a candidate takes in the windowed step: %s", c.expr, line)
+			}
+		}
+		ref, err := interp.Compile(c.expr, nil, interp.Options{DedupSteps: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Eval(RootNode(mem), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []Document{mem, sd} {
+			a, err := q.ExplainAnalyze(t.Context(), RootNode(d), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(a.Tree, "\n") {
+				if strings.Contains(line, "PathIndexScan[") && strings.Contains(line, c.step) {
+					t.Errorf("%s on %T: a scan takes in the windowed step:\n%s", c.expr, d, a.Tree)
+				}
+			}
+			res, err := q.Run(RootNode(d), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, w := renderIDs(res.Value), renderIDs(want); got != w || len(want.Nodes) == 0 {
+				t.Errorf("%s on %T: got %s, want %s", c.expr, d, got, w)
+			}
+		}
+		sd.Close()
 	}
 }

@@ -180,18 +180,32 @@ func TestConcurrentSharedPreparedBatched(t *testing.T) {
 	// Node-set plans whose hot chains mark batch-capable: a bare step
 	// chain, a filtered chain (exists predicate batches via the Select
 	// kernel), and a duplicate-producing descendant walk.
-	plans := []*Prepared{
-		setBatchSize(MustCompile("/site/people/person/age"), 8),
-		setBatchSize(MustCompile("//person[age]/@id"), 8),
-		setBatchSize(MustCompile("//person/descendant-or-self::*"), 8),
+	// Windowed steps batch too, each stopping where its scalar loop does:
+	// their answers must be the Canonical plans' (χ_cp, Tmp^cs) ones.
+	exprs := []string{
+		"/site/people/person/age",
+		"//person[age]/@id",
+		"//person/descendant-or-self::*",
+		"/site/people/person[position() < 40]/age",
+		"/site/people/person[last() - 3]/@id",
+		"//person[7]/age",
 	}
+	plans := make([]*Prepared, len(exprs))
 	want := make([]string, len(plans))
-	for i, p := range plans {
-		res, err := p.Run(RootNode(mem), nil)
+	for i, expr := range exprs {
+		plans[i] = setBatchSize(MustCompile(expr), 8)
+		res, err := plans[i].Run(RootNode(mem), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = res.Value.String()
+		want[i] = renderIDs(res.Value)
+		canon, err := MustCompileWith(expr, Options{Mode: Canonical}).Run(RootNode(mem), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderIDs(canon.Value); got != want[i] {
+			t.Fatalf("%s: canonical %q, improved %q", expr, got, want[i])
+		}
 	}
 
 	const goroutines = 8
@@ -216,7 +230,7 @@ func TestConcurrentSharedPreparedBatched(t *testing.T) {
 						errs <- fmt.Errorf("plan %d: %w", i, err)
 						return
 					}
-					if got := res.Value.String(); got != want[i] {
+					if got := renderIDs(res.Value); got != want[i] {
 						errs <- fmt.Errorf("plan %d: got %q want %q", i, got, want[i])
 						return
 					}

@@ -52,9 +52,13 @@ go test -race -run 'TestCrashRecovery|TestChaosSoak|TestStringValueEqualsInPlace
 # regular (non-short) go test above as well. Default plans drop every Pi^D
 # and Sort the sequence analysis proves redundant, so this fast gate also
 # names the tests that would see an unsound claim: relative chains from
-# every element context, and the hand-checked conformance cases.
+# every element context, and the hand-checked conformance cases. Positional
+# windows ride along: every window shape on every axis against the
+# interpreter, in both modes, on a MemDoc and a small-page store image, with
+# and without the path index, and the windowed walks against the
+# brute-force axis lists.
 go test -short -run TestMatrix ./internal/difftest/
-go test -short -count=1 -run 'TestDifferentialRelativeContexts|TestConformance' .
+go test -short -count=1 -run 'TestDifferentialRelativeContexts|TestConformance|TestPositionalWindowsAgainstInterp|TestWindowedWalksAgainstBruteForce' . ./internal/dom/
 
 # Shared-plan gate: goroutines sharing Prepared plans must stay race-free on
 # the batched protocol, every run must return each free-list buffer,
