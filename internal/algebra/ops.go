@@ -402,6 +402,57 @@ func Scalars(op Op) []Scalar {
 	return nil
 }
 
+// Reads calls read with each attribute op reads itself: the input
+// attributes of the operator and, in its scalar subscripts, attribute
+// references, memo keys and nested aggregates' output attributes. It
+// descends into neither op's children nor nested plans; each nested
+// aggregate's plan goes to nested.
+func Reads(op Op, read func(attr string), nested func(plan Op)) {
+	switch n := op.(type) {
+	case *UnnestMap:
+		read(n.InAttr)
+	case *PosMap:
+		if n.CtxAttr != "" {
+			read(n.CtxAttr)
+		}
+	case *TmpCS:
+		read(n.PosAttr)
+		if n.CtxAttr != "" {
+			read(n.CtxAttr)
+		}
+	case *MemoX:
+		read(n.KeyAttr)
+	case *MemoMap:
+		if n.KeyAttr != "" {
+			read(n.KeyAttr)
+		}
+	case *DupElim:
+		read(n.Attr)
+	case *Sort:
+		read(n.Attr)
+	case *ExistsJoin:
+		read(n.LAttr)
+		read(n.RAttr)
+	}
+	for _, s := range Scalars(op) {
+		WalkScalar(s, func(x Scalar) {
+			switch n := x.(type) {
+			case *AttrRef:
+				read(n.Name)
+			case *Memo:
+				if n.KeyAttr != "" {
+					read(n.KeyAttr)
+				}
+			case *NestedAgg:
+				// The aggregate reads its plan's output attribute per
+				// produced tuple.
+				read(n.Attr)
+				nested(n.Plan)
+			}
+		})
+	}
+}
+
 // WalkScalar visits a scalar expression tree in pre-order (without
 // descending into nested plans; use Walk for that).
 func WalkScalar(s Scalar, fn func(Scalar)) {

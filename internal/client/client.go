@@ -68,8 +68,7 @@ func IsTimeout(err error) bool { return hasCode(err, httpapi.CodeTimeout) }
 // IsStoreFault reports document I/O failure, corruption or quarantine.
 func IsStoreFault(err error) bool { return hasCode(err, httpapi.CodeStoreFault) }
 
-// IsOverload reports admission rejection: queue full, degraded-mode
-// shedding, or drain.
+// IsOverload reports admission rejection: a full queue or a drain.
 func IsOverload(err error) bool {
 	return hasCode(err, httpapi.CodeOverloaded) || hasCode(err, httpapi.CodeShuttingDown)
 }
@@ -97,7 +96,7 @@ func Retryable(err error) bool {
 	case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusGatewayTimeout:
 		return e.Code != httpapi.CodeTimeout // a server-side deadline will just trip again
 	case http.StatusServiceUnavailable:
-		// Drain, degraded shedding and injected faults are transient;
+		// Drain and injected faults are transient;
 		// quarantine is sticky until an operator reloads.
 		return e.Code != httpapi.CodeStoreFault
 	}

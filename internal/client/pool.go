@@ -23,15 +23,15 @@ type Pool struct {
 	// file descriptors one misbehaving shard can absorb (default 64;
 	// negative means unlimited).
 	MaxConnsPerHost int
-	// DialTimeout bounds TCP connection establishment (default 2s) — a
-	// black-holed shard must fail the dial fast, not hold a fan-out slot
-	// for the OS connect timeout.
-	DialTimeout time.Duration
-	// TLSHandshakeTimeout bounds the TLS handshake (default 2s).
-	TLSHandshakeTimeout time.Duration
-	// IdleConnTimeout closes idle pooled connections (default 90s).
-	IdleConnTimeout time.Duration
 }
+
+// The timeouts of a pooled transport. A black-holed shard must fail the
+// dial fast, not hold a fan-out slot for the OS connect timeout.
+const (
+	dialTimeout         = 2 * time.Second
+	tlsHandshakeTimeout = 2 * time.Second
+	idleConnTimeout     = 90 * time.Second // closes idle pooled connections
+)
 
 func (p Pool) withDefaults() Pool {
 	if p.MaxIdleConnsPerHost <= 0 {
@@ -41,15 +41,6 @@ func (p Pool) withDefaults() Pool {
 		p.MaxConnsPerHost = 64
 	} else if p.MaxConnsPerHost < 0 {
 		p.MaxConnsPerHost = 0 // http.Transport: 0 = unlimited
-	}
-	if p.DialTimeout <= 0 {
-		p.DialTimeout = 2 * time.Second
-	}
-	if p.TLSHandshakeTimeout <= 0 {
-		p.TLSHandshakeTimeout = 2 * time.Second
-	}
-	if p.IdleConnTimeout <= 0 {
-		p.IdleConnTimeout = 90 * time.Second
 	}
 	return p
 }
@@ -61,22 +52,14 @@ func (p Pool) Transport() *http.Transport {
 	p = p.withDefaults()
 	return &http.Transport{
 		Proxy:               http.ProxyFromEnvironment,
-		DialContext:         (&net.Dialer{Timeout: p.DialTimeout, KeepAlive: 30 * time.Second}).DialContext,
+		DialContext:         (&net.Dialer{Timeout: dialTimeout, KeepAlive: 30 * time.Second}).DialContext,
 		MaxIdleConnsPerHost: p.MaxIdleConnsPerHost,
 		// MaxIdleConns defaults to 100 in http.Transport and would silently
 		// cap a wide fleet below the per-host budget; scale it out.
 		MaxIdleConns:        0,
 		MaxConnsPerHost:     p.MaxConnsPerHost,
-		TLSHandshakeTimeout: p.TLSHandshakeTimeout,
-		IdleConnTimeout:     p.IdleConnTimeout,
+		TLSHandshakeTimeout: tlsHandshakeTimeout,
+		IdleConnTimeout:     idleConnTimeout,
 		ForceAttemptHTTP2:   true,
 	}
-}
-
-// NewPooled returns a client for the service at baseURL whose transport
-// uses a dedicated keep-alive pool instead of http.DefaultClient.
-func NewPooled(baseURL string, seed int64, p Pool) *Client {
-	c := New(baseURL, seed)
-	c.HTTPClient = &http.Client{Transport: p.Transport()}
-	return c
 }

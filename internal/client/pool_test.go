@@ -35,7 +35,8 @@ func TestPooledClientReusesConnections(t *testing.T) {
 	const calls = 32
 
 	// Pooled: sequential calls ride one keep-alive connection.
-	pooled := NewPooled(ts.URL, 1, Pool{})
+	pooled := New(ts.URL, 1)
+	pooled.HTTPClient = &http.Client{Transport: Pool{}.Transport()}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < calls; i++ {
@@ -96,7 +97,8 @@ func TestPoolBoundsConcurrentConnections(t *testing.T) {
 	ts.Start()
 	defer ts.Close()
 
-	cl := NewPooled(ts.URL, 1, Pool{MaxConnsPerHost: 2})
+	cl := New(ts.URL, 1)
+	cl.HTTPClient = &http.Client{Transport: Pool{MaxConnsPerHost: 2}.Transport()}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	errs := make(chan error, 8)

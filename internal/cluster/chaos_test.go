@@ -31,19 +31,13 @@ func TestCoordinatorChaosDropRetriesThenPartial(t *testing.T) {
 	coord, shards := startCluster(t, []map[string]string{
 		{"alpha": xdoc("a1")},
 		{"beta": xdoc("b1"), "delta": xdoc("dd")},
-	}, Config{
-		WrapTransport: plan.ShardTransport,
-		// Keep the prober from demoting the chaos-killed shard: this test
-		// exercises the retry and partial paths, not health demotion.
-		UnhealthyAfter: 1000,
-		MaxRetries:     2,
-	})
+	}, Config{WrapTransport: plan.ShardTransport})
 	h := coord.Handler()
 	plan.Set(chaos.SiteShardDrop, 1)
 	plan.SetShardHost(chaos.SiteShardDrop, hostOf(t, shards[1].URL))
 
 	// Single document on the faulted shard: the client retries the
-	// transport error MaxRetries times before the coordinator gives up.
+	// transport error maxRetries times before the coordinator gives up.
 	before := plan.Injected(chaos.SiteShardDrop)
 	status, data := postCoord(t, h, QueryRequest{QueryRequest: server.QueryRequest{Query: "//x", Document: "beta"}})
 	if status != http.StatusBadGateway {
@@ -99,11 +93,7 @@ func TestCoordinatorChaos503Passthrough(t *testing.T) {
 	plan := chaos.New(7)
 	coord, _ := startCluster(t, []map[string]string{
 		{"alpha": xdoc("a1")},
-	}, Config{
-		WrapTransport:  plan.ShardTransport,
-		UnhealthyAfter: 1000,
-		MaxRetries:     2,
-	})
+	}, Config{WrapTransport: plan.ShardTransport})
 	plan.Set(chaos.SiteShard503, 1)
 
 	before := plan.Injected(chaos.SiteShard503)
@@ -127,7 +117,7 @@ func TestCoordinatorChaosLatencyStillAnswers(t *testing.T) {
 	coord, _ := startCluster(t, []map[string]string{
 		{"alpha": xdoc("a1")},
 		{"beta": xdoc("b1")},
-	}, Config{WrapTransport: plan.ShardTransport, UnhealthyAfter: 1000})
+	}, Config{WrapTransport: plan.ShardTransport})
 	plan.Set(chaos.SiteShardLatency, 1)
 
 	status, data := postCoord(t, coord.Handler(), QueryRequest{

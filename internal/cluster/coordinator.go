@@ -61,24 +61,7 @@ type Config struct {
 
 	// ProbeInterval is the health-probe period (default 500ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round (default 2s).
-	ProbeTimeout time.Duration
-	// UnhealthyAfter flips a shard unhealthy after this many consecutive
-	// failed probe rounds (default 2); HealthyAfter flips it back after
-	// this many consecutive successes (default 2). The hysteresis keeps a
-	// flapping shard from oscillating in and out of the routing table on
-	// every probe.
-	UnhealthyAfter int
-	HealthyAfter   int
 
-	// MaxRetries bounds the per-call retry attempts of the shard clients
-	// (default 2; the coordinator sits on the request path, so its retry
-	// budget is deliberately smaller than the standalone client's 4).
-	MaxRetries int
-	// ClientSeed seeds the shard clients' backoff jitter (default 1).
-	ClientSeed int64
-	// Pool configures the shared coordinator->shard connection pool.
-	Pool client.Pool
 	// WrapTransport, when non-nil, wraps the shard transport — the chaos
 	// plan's ShardTransport injects coordinator->shard faults here.
 	WrapTransport func(http.RoundTripper) http.RoundTripper
@@ -104,23 +87,26 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.UnhealthyAfter <= 0 {
-		c.UnhealthyAfter = 2
-	}
-	if c.HealthyAfter <= 0 {
-		c.HealthyAfter = 2
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.ClientSeed == 0 {
-		c.ClientSeed = 1
-	}
 	return c
 }
+
+// The fixed probe and shard-client settings.
+const (
+	// probeTimeout bounds one probe round.
+	probeTimeout = 2 * time.Second
+	// unhealthyAfter flips a shard unhealthy after this many consecutive
+	// failed probe rounds; healthyAfter flips it back after this many
+	// consecutive successes. The hysteresis keeps a flapping shard from
+	// oscillating in and out of the routing table on every probe.
+	unhealthyAfter = 2
+	healthyAfter   = 2
+	// maxRetries bounds the per-call retry attempts of the shard clients:
+	// the coordinator sits on the request path, so its retry budget is
+	// smaller than the standalone client's 4.
+	maxRetries = 2
+	// clientSeed seeds the shard clients' backoff jitter.
+	clientSeed = 1
+)
 
 // shardState is the coordinator's live view of one shard: clients, health
 // hysteresis, and the observed document placement.
@@ -273,7 +259,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: Config.Topology is required")
 	}
 	cfg = cfg.withDefaults()
-	var rt http.RoundTripper = cfg.Pool.Transport()
+	var rt http.RoundTripper = client.Pool{}.Transport()
 	if cfg.WrapTransport != nil {
 		rt = cfg.WrapTransport(rt)
 	}
@@ -314,17 +300,17 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) newShardState(sh ShardSpec, seq int) *shardState {
 	st := &shardState{id: sh.ID, endpoints: sh.Endpoints, docs: map[string]uint64{}}
 	for i, ep := range sh.Endpoints {
-		cl := client.New(ep, c.cfg.ClientSeed+int64(seq*16+i))
+		cl := client.New(ep, clientSeed+int64(seq*16+i))
 		cl.HTTPClient = c.httpc
-		cl.MaxRetries = c.cfg.MaxRetries
+		cl.MaxRetries = maxRetries
 		st.clients = append(st.clients, cl)
-		pr := client.New(ep, c.cfg.ClientSeed+int64(seq*16+i)+7)
+		pr := client.New(ep, clientSeed+int64(seq*16+i)+7)
 		pr.HTTPClient = c.httpc
 		pr.MaxRetries = -1 // probes never retry: a failed round IS the signal
 		st.probes = append(st.probes, pr)
 	}
 	st.healthy.Store(true)
-	st.consecOK = c.cfg.HealthyAfter
+	st.consecOK = healthyAfter
 	return st
 }
 
@@ -833,7 +819,7 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 		// Probe the new topology promptly so fresh shards demote fast if
 		// dead. The caller's answer does not wait for it.
 		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			c.ProbeNow(ctx)
 		}()

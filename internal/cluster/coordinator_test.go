@@ -278,11 +278,11 @@ func killShard(t *testing.T, coord *Coordinator, ts *httptest.Server, id string)
 	ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for i := 0; i < coord.cfg.UnhealthyAfter; i++ {
+	for i := 0; i < unhealthyAfter; i++ {
 		coord.ProbeNow(ctx)
 	}
 	if coord.state.Load().shards[id].healthy.Load() {
-		t.Fatalf("shard %s still healthy after %d failed probes", id, coord.cfg.UnhealthyAfter)
+		t.Fatalf("shard %s still healthy after %d failed probes", id, unhealthyAfter)
 	}
 }
 

@@ -21,7 +21,7 @@ func (c *Coordinator) probeLoop() {
 			return
 		case <-t.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		c.ProbeNow(ctx)
 		cancel()
 	}
@@ -47,8 +47,8 @@ func (c *Coordinator) ProbeNow(ctx context.Context) {
 
 // probeShard runs one probe round against one shard: endpoints are tried
 // in preference order; the first that answers HTTP at all makes the round
-// a success (readiness is recorded separately — a degraded shard still
-// serves, it just sheds). A successful round also refreshes the shard's
+// a success (readiness is recorded separately — a shard that is not ready
+// still answers HTTP). A successful round also refreshes the shard's
 // observed document catalog, which is what wildcard fan-out and observed
 // placement route on.
 func (c *Coordinator) probeShard(ctx context.Context, sh *shardState) {
@@ -63,8 +63,8 @@ func (c *Coordinator) probeShard(ctx context.Context, sh *shardState) {
 			return
 		case errors.As(err, &ce):
 			// The endpoint answered HTTP — reachable, but not ready
-			// (degraded or draining). It still serves queries, shedding by
-			// its own policy; routing keeps it.
+			// (draining). Routing keeps it: its in-flight work finishes,
+			// and new queries get the structured 503 the clients retry.
 			sh.epIdx.Store(int32(i))
 			c.noteProbeOK(sh, pc, ctx, false)
 			return
@@ -76,7 +76,7 @@ func (c *Coordinator) probeShard(ctx context.Context, sh *shardState) {
 }
 
 // noteProbeOK records a reachable probe round and refreshes the shard's
-// document catalog. Hysteresis: an unhealthy shard needs HealthyAfter
+// document catalog. Hysteresis: an unhealthy shard needs healthyAfter
 // consecutive reachable rounds before routing trusts it again.
 func (c *Coordinator) noteProbeOK(sh *shardState, pc *client.Client, ctx context.Context, ready bool) {
 	sh.ready.Store(ready)
@@ -86,7 +86,7 @@ func (c *Coordinator) noteProbeOK(sh *shardState, pc *client.Client, ctx context
 	sh.consecOK++
 	sh.lastErr = ""
 	sh.lastProbe = time.Now()
-	promote := !sh.healthy.Load() && sh.consecOK >= c.cfg.HealthyAfter
+	promote := !sh.healthy.Load() && sh.consecOK >= healthyAfter
 	if derr == nil {
 		// Replace, not merge: a document dropped from the shard's catalog
 		// must drop from the routing table too.
@@ -103,7 +103,7 @@ func (c *Coordinator) noteProbeOK(sh *shardState, pc *client.Client, ctx context
 }
 
 // noteProbeFail records an unreachable probe round. Hysteresis: a healthy
-// shard survives UnhealthyAfter-1 consecutive failures before routing
+// shard survives unhealthyAfter-1 consecutive failures before routing
 // gives up on it, so one dropped probe never evicts a live shard.
 func (c *Coordinator) noteProbeFail(sh *shardState, err error) {
 	sh.ready.Store(false)
@@ -114,7 +114,7 @@ func (c *Coordinator) noteProbeFail(sh *shardState, err error) {
 		sh.lastErr = err.Error()
 	}
 	sh.lastProbe = time.Now()
-	demote := sh.healthy.Load() && sh.consecFail >= c.cfg.UnhealthyAfter
+	demote := sh.healthy.Load() && sh.consecFail >= unhealthyAfter
 	sh.mu.Unlock()
 	if demote {
 		sh.healthy.Store(false)

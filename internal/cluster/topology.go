@@ -1,7 +1,7 @@
 // Package cluster scales natix-serve past one process: a topology of
 // shard instances, each serving a disjoint slice of the document catalog
-// with the full single-node engine (admission queue, plan cache, degraded
-// mode and per-shard indexes unchanged), and a coordinator that routes
+// with the full single-node engine (admission queue, plan cache,
+// quarantine and per-shard indexes unchanged), and a coordinator that routes
 // single-document queries to the owning shard and scatter-gathers
 // multi-document or wildcard-corpus queries across all healthy shards,
 // merging per-shard document-ordered results into one globally ordered

@@ -58,7 +58,7 @@ func (g *generator) markBatch(op algebra.Op, col int) {
 		// — including any nested aggregate subplans — reads no register but
 		// the column, so staging each candidate node into that register
 		// reproduces the scalar evaluation exactly.
-		if !g.readsOnly(o.Pred, col) {
+		if !g.readsOnly(o, col) {
 			return
 		}
 		g.plan.batchCol[op] = col
@@ -88,72 +88,29 @@ func (g *generator) markBatch(op algebra.Op, col int) {
 	}
 }
 
-// readsOnly reports whether a predicate scalar's free register reads are
-// confined to col. Free means: registers produced inside a nested
-// aggregate's own subplan don't count — they are internal to its
+// readsOnly reports whether a selection's free register reads in its
+// predicate are confined to col. Free means: registers produced inside a
+// nested aggregate's own subplan don't count — they are internal to its
 // evaluation — but everything the subplan consumes from its environment
 // does. The walk resolves attribute names through the attribute manager,
 // so register aliases (renames, pure attribute maps) compare correctly.
-func (g *generator) readsOnly(pred algebra.Scalar, col int) bool {
+func (g *generator) readsOnly(sel *algebra.Select, col int) bool {
 	reads := map[int]struct{}{}
 	produced := map[int]struct{}{}
+	read := func(a string) { reads[g.regFor(a)] = struct{}{} }
 	var walkPlan func(algebra.Op)
-	var walkScalar func(algebra.Scalar)
-	walkScalar = func(s algebra.Scalar) {
-		algebra.WalkScalar(s, func(x algebra.Scalar) {
-			switch n := x.(type) {
-			case *algebra.AttrRef:
-				reads[g.regFor(n.Name)] = struct{}{}
-			case *algebra.Memo:
-				if n.KeyAttr != "" {
-					reads[g.regFor(n.KeyAttr)] = struct{}{}
-				}
-			case *algebra.NestedAgg:
-				// The OpAgg instruction reads the subplan's output
-				// register per produced tuple; the subplan produces it.
-				reads[g.regFor(n.Attr)] = struct{}{}
-				walkPlan(n.Plan)
-			}
-		})
-	}
 	walkPlan = func(o algebra.Op) {
 		for _, a := range o.Produced() {
 			produced[g.regFor(a)] = struct{}{}
 		}
-		switch n := o.(type) {
-		case *algebra.UnnestMap:
-			reads[g.regFor(n.InAttr)] = struct{}{}
-		case *algebra.PosMap:
-			if n.CtxAttr != "" {
-				reads[g.regFor(n.CtxAttr)] = struct{}{}
-			}
-		case *algebra.TmpCS:
-			reads[g.regFor(n.PosAttr)] = struct{}{}
-			if n.CtxAttr != "" {
-				reads[g.regFor(n.CtxAttr)] = struct{}{}
-			}
-		case *algebra.MemoX:
-			reads[g.regFor(n.KeyAttr)] = struct{}{}
-		case *algebra.MemoMap:
-			if n.KeyAttr != "" {
-				reads[g.regFor(n.KeyAttr)] = struct{}{}
-			}
-		case *algebra.DupElim:
-			reads[g.regFor(n.Attr)] = struct{}{}
-		case *algebra.Sort:
-			reads[g.regFor(n.Attr)] = struct{}{}
-		case *algebra.ExistsJoin:
-			reads[g.regFor(n.LAttr)] = struct{}{}
-			reads[g.regFor(n.RAttr)] = struct{}{}
-		}
-		for _, sc := range algebra.Scalars(o) {
-			walkScalar(sc)
-		}
+		algebra.Reads(o, read, walkPlan)
 		for _, c := range o.Children() {
 			walkPlan(c)
 		}
 	}
-	walkScalar(pred)
+	// The selection itself reads only its predicate; its input is not
+	// part of the predicate's environment.
+	algebra.Reads(sel, read, walkPlan)
 	for r := range produced {
 		delete(reads, r)
 	}

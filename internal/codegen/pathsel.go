@@ -207,55 +207,11 @@ func (p *Plan) readsOutside(chain map[algebra.Op]bool, interior map[int]bool) bo
 		}
 	}
 	var walkPlan func(algebra.Op)
-	var walkScalar func(algebra.Scalar)
-	walkScalar = func(s algebra.Scalar) {
-		algebra.WalkScalar(s, func(x algebra.Scalar) {
-			switch n := x.(type) {
-			case *algebra.AttrRef:
-				read(n.Name)
-			case *algebra.Memo:
-				if n.KeyAttr != "" {
-					read(n.KeyAttr)
-				}
-			case *algebra.NestedAgg:
-				read(n.Attr)
-				walkPlan(n.Plan)
-			}
-		})
-	}
 	walkPlan = func(o algebra.Op) {
 		if chain[o] {
 			return
 		}
-		switch n := o.(type) {
-		case *algebra.UnnestMap:
-			read(n.InAttr)
-		case *algebra.PosMap:
-			if n.CtxAttr != "" {
-				read(n.CtxAttr)
-			}
-		case *algebra.TmpCS:
-			read(n.PosAttr)
-			if n.CtxAttr != "" {
-				read(n.CtxAttr)
-			}
-		case *algebra.MemoX:
-			read(n.KeyAttr)
-		case *algebra.MemoMap:
-			if n.KeyAttr != "" {
-				read(n.KeyAttr)
-			}
-		case *algebra.DupElim:
-			read(n.Attr)
-		case *algebra.Sort:
-			read(n.Attr)
-		case *algebra.ExistsJoin:
-			read(n.LAttr)
-			read(n.RAttr)
-		}
-		for _, sc := range algebra.Scalars(o) {
-			walkScalar(sc)
-		}
+		algebra.Reads(o, read, walkPlan)
 		for _, c := range o.Children() {
 			walkPlan(c)
 		}

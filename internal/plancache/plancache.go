@@ -173,19 +173,6 @@ func (c *Cache) Get(k Key) (*natix.Prepared, bool) {
 	return el.Value.(*centry).plan, true
 }
 
-// Peek returns the cached plan for k without touching recency or hit/miss
-// accounting. Admission control uses it to read a plan's cost class; those
-// lookups must not skew the cache's serving statistics or evict order.
-func (c *Cache) Peek(k Key) (*natix.Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*centry).plan, true
-}
-
 // Put admits a plan under k, evicting least-recently-used entries until
 // both budgets hold. Re-admitting an existing key refreshes its recency.
 func (c *Cache) Put(k Key, p *natix.Prepared) {
@@ -302,15 +289,4 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Keys returns the cached keys from most to least recently used (tests).
-func (c *Cache) Keys() []Key {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]Key, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*centry).key)
-	}
-	return keys
 }

@@ -357,38 +357,6 @@ func TestNormalizedCacheSharing(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCostClassFromProfile: degraded-mode shedding classes a query
-// by its cached plan's CostBytes, and a query without a cached plan by its
-// expression length.
-func TestAdaptiveCostClassFromProfile(t *testing.T) {
-	cat := catalog.New()
-	if err := cat.OpenMem("d", strings.NewReader("<r><x>1</x></r>")); err != nil {
-		t.Fatal(err)
-	}
-	cache := plancache.New(32, 0)
-	s, ts := newTestService(t, Config{
-		Catalog: cat,
-		Cache:   cache,
-	})
-
-	// Execute once so the plan is cached.
-	if st, data := postQuery(t, ts, QueryRequest{Query: "count(//x)", Document: "d"}); st != http.StatusOK {
-		t.Fatalf("seed query: %d %s", st, data)
-	}
-	req := &QueryRequest{Query: "count(//x)", Document: "d"}
-	cq, _ := s.front.canon.Canonicalize(req.Query)
-	if got := s.costClass(req, cq); got != costLow {
-		t.Fatalf("fast small query classed %s, want %s", got, costLow)
-	}
-
-	// A first-time query without a cached plan falls back to length.
-	novel := &QueryRequest{Query: "//x[" + strings.Repeat("@a or ", 40) + "@z]", Document: "d"}
-	ncq, _ := s.front.canon.Canonicalize(novel.Query)
-	if got := s.costClass(novel, ncq); got != costHigh {
-		t.Fatalf("long novel query classed %s, want %s", got, costHigh)
-	}
-}
-
 // TestJoinerOutlivesShortLeader: a joiner never inherits the leader's
 // deadline. The leader gives up after 50 ms and gets its own 504; the
 // execution it started keeps running for the 5 s joiner, who gets the

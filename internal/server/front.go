@@ -83,8 +83,8 @@ const (
 	// ProbeHealthz is GET /healthz, the summary: 503 while draining.
 	ProbeHealthz Probe = iota
 	// ProbeLive is GET /healthz/live: 200 while the process answers HTTP
-	// at all, whatever the serving state. A degraded or draining tier must
-	// not be restarted by an orchestrator, only taken out of rotation.
+	// at all, whatever the serving state. A draining tier must not be
+	// restarted by an orchestrator, only taken out of rotation.
 	ProbeLive
 	// ProbeReady is GET /healthz/ready: 503 with Retry-After unless the
 	// tier is ready, so load balancers steer new traffic away.

@@ -32,174 +32,6 @@ func retryEnvelope(t *testing.T, data []byte) (code string, retryMS int64) {
 	return env.Error.Code, env.Error.RetryAfterMS
 }
 
-// longQuery is a valid expression past the 192-byte uncached high-cost
-// threshold.
-var longQuery = "//x[" + strings.Repeat("1 = 1 and ", 20) + "1 = 1]"
-
-// TestDegradedShedsByCostClass forces the server into the degraded state and
-// checks the shedding order: high-cost queries are 429'd outright, low-cost
-// queries still run until the shrunk queue fills, and both rejections carry
-// the machine-readable retry hint.
-func TestDegradedShedsByCostClass(t *testing.T) {
-	if len(longQuery) < 192 {
-		t.Fatalf("longQuery only %d bytes", len(longQuery))
-	}
-	cat := catalog.New()
-	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(1500))); err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestService(t, Config{
-		Catalog:            cat,
-		Workers:            1,
-		QueueDepth:         8,
-		DegradedQueueDepth: 1,
-		DegradeFaults:      2,
-		EvalWindow:         time.Hour, // no recovery during this test
-		DefaultTimeout:     30 * time.Second,
-	})
-
-	shedHigh0 := mShed.Value(costHigh)
-	shedLow0 := mShed.Value(costLow)
-
-	// Two store faults inside one window cross the threshold immediately.
-	s.noteStoreFault("other")
-	s.noteStoreFault("other")
-	if got := s.State(); got != StateDegraded {
-		t.Fatalf("state after faults = %v, want degraded", got)
-	}
-
-	// High-cost queries are shed before touching the queue.
-	status, data := postQuery(t, ts, QueryRequest{Query: longQuery, Document: "d"})
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("high-cost while degraded: %d %s", status, data)
-	}
-	if code, retry := retryEnvelope(t, data); code != httpapi.CodeOverloaded || retry <= 0 {
-		t.Fatalf("high-cost envelope: code=%s retry_after_ms=%d", code, retry)
-	}
-	if got := mShed.Value(costHigh) - shedHigh0; got != 1 {
-		t.Fatalf("shed{high} = %d, want 1", got)
-	}
-
-	// A low-cost query still runs while the shrunk queue has room.
-	status, data = postQuery(t, ts, QueryRequest{Query: "count(//x)", Document: "d"})
-	if status != http.StatusOK {
-		t.Fatalf("low-cost while degraded: %d %s", status, data)
-	}
-
-	// Fill the worker and the shrunk queue with heavy low-cost queries, then
-	// the next low-cost query must be shed too. The two differ semantically,
-	// so they occupy a worker and a queue slot each instead of coalescing.
-	// The first takes the worker, the second the queue. Each is sent once
-	// the one before has its place, so that neither is shed for finding
-	// the other still in the queue on its way to the worker.
-	exec0 := s.Counters().Executed
-	release := make(chan int, 2)
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; i < 2; i++ {
-		go func() {
-			st, _ := postQuery(t, ts, QueryRequest{Query: distinctHeavyQuery(i), Document: "d"})
-			release <- st
-		}()
-		for s.Counters().Executed == exec0 || len(s.jobs) < i {
-			if time.Now().After(deadline) {
-				t.Fatal("worker and queue never filled")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	status, data = postQuery(t, ts, QueryRequest{Query: "count(//x)", Document: "d"})
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("low-cost over shrunk queue: %d %s", status, data)
-	}
-	if code, retry := retryEnvelope(t, data); code != httpapi.CodeOverloaded || retry <= 0 {
-		t.Fatalf("low-cost envelope: code=%s retry_after_ms=%d", code, retry)
-	}
-	if got := mShed.Value(costLow) - shedLow0; got < 1 {
-		t.Fatalf("shed{low} = %d, want >= 1", got)
-	}
-	for i := 0; i < 2; i++ {
-		if st := <-release; st != http.StatusOK {
-			t.Errorf("occupying query finished with %d", st)
-		}
-	}
-}
-
-// TestDegradedRecoversAfterQuietWindow degrades the server, watches the
-// readiness probe flip, and checks one quiet evaluation window restores
-// healthy serving.
-func TestDegradedRecoversAfterQuietWindow(t *testing.T) {
-	cat := catalog.New()
-	if err := cat.OpenMem("d", strings.NewReader("<r><x>1</x></r>")); err != nil {
-		t.Fatal(err)
-	}
-	const window = 100 * time.Millisecond
-	s, ts := newTestService(t, Config{
-		Catalog:       cat,
-		DegradeFaults: 1,
-		EvalWindow:    window,
-	})
-
-	ready := func() (int, string) {
-		resp, err := ts.Client().Get(ts.URL + "/healthz/ready")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body struct {
-			Status string `json:"status"`
-		}
-		json.NewDecoder(resp.Body).Decode(&body)
-		return resp.StatusCode, body.Status
-	}
-	if code, st := ready(); code != http.StatusOK || st != "healthy" {
-		t.Fatalf("ready while healthy: %d %s", code, st)
-	}
-	liveResp, err := ts.Client().Get(ts.URL + "/healthz/live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveResp.Body.Close()
-	if liveResp.StatusCode != http.StatusOK {
-		t.Fatalf("live = %d", liveResp.StatusCode)
-	}
-
-	s.noteStoreFault("d")
-	if s.State() != StateDegraded {
-		t.Fatal("single fault at threshold 1 did not degrade")
-	}
-	if code, st := ready(); code != http.StatusServiceUnavailable || st != "degraded" {
-		t.Fatalf("ready while degraded: %d %s", code, st)
-	}
-	// Liveness is unaffected by the state machine.
-	liveResp, err = ts.Client().Get(ts.URL + "/healthz/live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveResp.Body.Close()
-	if liveResp.StatusCode != http.StatusOK {
-		t.Fatalf("live while degraded = %d", liveResp.StatusCode)
-	}
-
-	// With no further faults the server must return to healthy after one
-	// quiet window (two ticks at most: one to flush the tripped window, one
-	// quiet). Allow generous wall-clock slack, but bound it.
-	start := time.Now()
-	deadline := start.Add(20 * window)
-	for s.State() != StateHealthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("still %v after %v", s.State(), time.Since(start))
-		}
-		time.Sleep(window / 10)
-	}
-	if code, st := ready(); code != http.StatusOK || st != "healthy" {
-		t.Fatalf("ready after recovery: %d %s", code, st)
-	}
-	// Normal serving resumed.
-	if status, data := postQuery(t, ts, QueryRequest{Query: "string(/r/x)", Document: "d"}); status != http.StatusOK {
-		t.Fatalf("query after recovery: %d %s", status, data)
-	}
-}
-
 // TestQuarantineEndToEnd drives a store-backed document through real
 // injected read faults: repeated failing queries quarantine it (fast-path
 // 503 store_fault without burning a worker), and a successful reload lifts
@@ -228,12 +60,7 @@ func TestQuarantineEndToEnd(t *testing.T) {
 	if err := cat.OpenStore("d", path, store.Options{BufferPages: 2}); err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newTestService(t, Config{
-		Catalog:         cat,
-		QuarantineAfter: 3,
-		DegradeFaults:   1000, // isolate quarantining from degradation
-		EvalWindow:      time.Hour,
-	})
+	s, ts := newTestService(t, Config{Catalog: cat})
 
 	// Healthy first: the document serves.
 	if status, data := postQuery(t, ts, QueryRequest{Query: "count(//x)", Document: "d"}); status != http.StatusOK {
@@ -244,7 +71,7 @@ func TestQuarantineEndToEnd(t *testing.T) {
 	quarHits0 := mQuarHits.Value()
 	// Three consecutive store faults quarantine the document. Each query
 	// reaches a worker and fails against the faulting medium (500).
-	for i := 0; i < s.cfg.QuarantineAfter; i++ {
+	for i := 0; i < quarantineAfter; i++ {
 		status, data := postQuery(t, ts, QueryRequest{Query: "//x[@n > 1]", Document: "d"})
 		if status != http.StatusInternalServerError || errCode(t, data) != httpapi.CodeStoreFault {
 			t.Fatalf("fault %d: %d %s", i, status, data)
@@ -300,9 +127,9 @@ func TestReloadFailureKeepsQuarantine(t *testing.T) {
 	}
 	boom := fmt.Errorf("boom")
 	cat.ReloadHook = func(name string, p catalog.ReloadPoint) error { return boom }
-	s, ts := newTestService(t, Config{Catalog: cat, EvalWindow: time.Hour})
+	s, ts := newTestService(t, Config{Catalog: cat})
 
-	for i := 0; i < s.cfg.QuarantineAfter; i++ {
+	for i := 0; i < quarantineAfter; i++ {
 		s.noteStoreFault("d")
 	}
 	if !s.isQuarantined("d") {

@@ -15,7 +15,7 @@
 //	POST /reload         reload a named document (new generation; cached plans keep serving)
 //	GET  /healthz        legacy probe (liveness + state summary)
 //	GET  /healthz/live   liveness: 200 while the process serves at all
-//	GET  /healthz/ready  readiness: 200 only in the healthy state
+//	GET  /healthz/ready  readiness: 200 until the drain begins
 //	GET  /buildinfo      build identity (version, store format, features)
 //	GET  /metrics        Prometheus text dump of the default registry
 //
@@ -25,18 +25,9 @@
 // and queued queries before returning; requests arriving during the drain
 // get a structured 503.
 //
-// # Degraded mode
-//
-// The server runs a healthy → degraded → draining state machine. Sustained
-// overload (queue-full rejections) or repeated store faults within one
-// evaluation window flip it to degraded; a full quiet window flips it back.
-// While degraded the server sheds load by cost class — queries whose cached
-// plan's CostBytes marks them expensive are 429'd first — and shrinks the
-// admission queue so latency stays bounded for the work it still accepts.
 // A document whose store trips several consecutive faults is quarantined:
 // its queries get an immediate structured store_fault error instead of
-// burning workers, until a successful /reload restores it. Draining (set by
-// Shutdown) is terminal.
+// burning workers, until a successful /reload restores it.
 package server
 
 import (
@@ -67,8 +58,7 @@ var (
 	mQueueWait = metrics.Default.Histogram("natix_serve_queue_seconds", "Time requests spent queued before a worker picked them up.")
 	mServeTime = metrics.Default.Histogram("natix_serve_request_seconds", "End-to-end /query latency (queue + compile/lookup + run).")
 	mInFlight  = metrics.Default.Gauge("natix_serve_inflight", "Queries currently queued or executing.")
-	mState     = metrics.Default.Gauge("natix_serve_state", "Server state: 0 healthy, 1 degraded, 2 draining.")
-	mShed      = metrics.Default.CounterVec("natix_serve_shed_total", "Queries shed while degraded, by cost class.", "class")
+	mState     = metrics.Default.Gauge("natix_serve_state", "Server state: 0 healthy, 2 draining.")
 	mQuarDocs  = metrics.Default.Gauge("natix_serve_quarantined_documents", "Documents currently quarantined after repeated store faults.")
 	mQuarHits  = metrics.Default.Counter("natix_serve_quarantine_rejects_total", "Queries answered by the quarantine fast-path (structured store_fault).")
 	mCoalesced = metrics.Default.Counter("natix_singleflight_coalesced_total", "Query requests served by joining an identical in-flight execution instead of running.")
@@ -77,11 +67,11 @@ var (
 // State is the server's serving state.
 type State int32
 
-// The states, in escalation order. Draining is terminal.
+// The states, with the values the natix_serve_state gauge exports.
+// Draining is terminal.
 const (
-	StateHealthy State = iota
-	StateDegraded
-	StateDraining
+	StateHealthy  State = 0
+	StateDraining State = 2
 )
 
 // String returns the state's wire name.
@@ -89,19 +79,11 @@ func (s State) String() string {
 	switch s {
 	case StateHealthy:
 		return "healthy"
-	case StateDegraded:
-		return "degraded"
 	case StateDraining:
 		return "draining"
 	}
 	return fmt.Sprintf("state(%d)", int32(s))
 }
-
-// Cost classes of the shed accounting.
-const (
-	costHigh = "high"
-	costLow  = "low"
-)
 
 // Config configures a Server. Zero fields take the documented defaults.
 type Config struct {
@@ -123,29 +105,6 @@ type Config struct {
 	// MaxResultNodes truncates the serialized node list of huge results;
 	// the count field still reports the full cardinality (default 10000).
 	MaxResultNodes int
-
-	// EvalWindow is the degradation evaluation period: overload/fault
-	// counters are judged and reset every window, and a degraded server
-	// returns to healthy after one quiet window (default 1s).
-	EvalWindow time.Duration
-	// DegradeRejects flips the server to degraded when at least this many
-	// queue-full rejections land within one window (default 2x QueueDepth).
-	DegradeRejects int64
-	// DegradeFaults flips the server to degraded when at least this many
-	// store faults land within one window (default 4).
-	DegradeFaults int64
-	// HighCostBytes is the plan CostBytes at or above which a query is in
-	// the high cost class, shed first while degraded (default 16 KiB).
-	// Queries whose plan is not cached are classed by expression length
-	// (>= 192 bytes is high).
-	HighCostBytes int64
-	// DegradedQueueDepth is the shrunk admission queue while degraded
-	// (default QueueDepth/4, at least 1).
-	DegradedQueueDepth int
-	// QuarantineAfter quarantines a document after this many consecutive
-	// store faults (default 3). Zero takes the default; negative disables
-	// quarantining.
-	QuarantineAfter int
 
 	// PathIndex enables cost-based path-index access-path selection in
 	// served plans (natix.Options.EnablePathIndex). Reported on
@@ -169,26 +128,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxResultNodes <= 0 {
 		c.MaxResultNodes = 10000
 	}
-	if c.EvalWindow <= 0 {
-		c.EvalWindow = time.Second
-	}
-	if c.DegradeRejects <= 0 {
-		c.DegradeRejects = 2 * int64(c.QueueDepth)
-	}
-	if c.DegradeFaults <= 0 {
-		c.DegradeFaults = 4
-	}
-	if c.HighCostBytes <= 0 {
-		c.HighCostBytes = 16 << 10
-	}
-	if c.DegradedQueueDepth <= 0 {
-		c.DegradedQueueDepth = max(1, c.QueueDepth/4)
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 3
-	}
 	return c
 }
+
+// quarantineAfter is the number of consecutive store faults that
+// quarantines a document.
+const quarantineAfter = 3
 
 // Server executes queries through a bounded worker pool. Use New, then
 // mount Handler on an http.Server; call Shutdown to drain.
@@ -198,12 +143,7 @@ type Server struct {
 	jobs  chan *job
 	wg    sync.WaitGroup // worker goroutines
 
-	// Degradation state machine.
-	state    atomic.Int32 // State
-	winRej   atomic.Int64 // queue-full rejections this evaluation window
-	winFault atomic.Int64 // store faults this evaluation window
-	stopEval chan struct{}
-	evalDone chan struct{}
+	state atomic.Int32 // State
 
 	// Document health: consecutive store-fault counts and quarantines.
 	healthMu    sync.Mutex
@@ -230,8 +170,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		jobs:        make(chan *job, cfg.QueueDepth),
-		stopEval:    make(chan struct{}),
-		evalDone:    make(chan struct{}),
 		docFaults:   map[string]int{},
 		quarantined: map[string]bool{},
 	}
@@ -256,13 +194,7 @@ func New(cfg Config) *Server {
 		Documents: func() any { return cfg.Catalog.List() },
 		Reload:    s.reload,
 		Health:    s.health,
-		Drain: func() {
-			// Stop the evaluation loop first, so that it cannot overwrite
-			// the terminal state.
-			close(s.stopEval)
-			<-s.evalDone
-			s.setState(StateDraining)
-		},
+		Drain:     func() { s.setState(StateDraining) },
 		// Nothing sends on jobs once the front has drained every job.
 		Stop: func() {
 			close(s.jobs)
@@ -274,7 +206,6 @@ func New(cfg Config) *Server {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	go s.evalLoop()
 	return s
 }
 
@@ -296,60 +227,13 @@ func (s *Server) setState(st State) {
 	mState.Set(int64(st))
 }
 
-// evalLoop judges the window counters every EvalWindow: a window that
-// crossed a degrade threshold keeps (or makes) the server degraded, a quiet
-// window restores healthy. The loop exits when the drain closes stopEval,
-// before the state turns draining.
-func (s *Server) evalLoop() {
-	defer close(s.evalDone)
-	t := time.NewTicker(s.cfg.EvalWindow)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopEval:
-			return
-		case <-t.C:
-		}
-		rej := s.winRej.Swap(0)
-		faults := s.winFault.Swap(0)
-		tripped := rej >= s.cfg.DegradeRejects || faults >= s.cfg.DegradeFaults
-		switch s.State() {
-		case StateHealthy:
-			if tripped {
-				s.setState(StateDegraded)
-			}
-		case StateDegraded:
-			if !tripped {
-				s.setState(StateHealthy)
-			}
-		}
-	}
-}
-
-// noteReject records one queue-full rejection and degrades immediately when
-// the window threshold is crossed (sustained overload must not wait for the
-// window tick to start shedding).
-func (s *Server) noteReject() {
-	mRejected.Inc()
-	if s.winRej.Add(1) >= s.cfg.DegradeRejects && s.State() == StateHealthy {
-		s.setState(StateDegraded)
-	}
-}
-
-// noteStoreFault records one store fault against doc, degrading on the
-// window threshold and quarantining the document after QuarantineAfter
-// consecutive faults.
+// noteStoreFault records one store fault against doc, quarantining the
+// document after quarantineAfter consecutive faults.
 func (s *Server) noteStoreFault(doc string) {
-	if s.winFault.Add(1) >= s.cfg.DegradeFaults && s.State() == StateHealthy {
-		s.setState(StateDegraded)
-	}
-	if s.cfg.QuarantineAfter < 0 {
-		return
-	}
 	s.healthMu.Lock()
 	defer s.healthMu.Unlock()
 	s.docFaults[doc]++
-	if s.docFaults[doc] >= s.cfg.QuarantineAfter && !s.quarantined[doc] {
+	if s.docFaults[doc] >= quarantineAfter && !s.quarantined[doc] {
 		s.quarantined[doc] = true
 		mQuarDocs.Add(1)
 	}
@@ -481,16 +365,15 @@ func classify(err error) *httpapi.Error {
 	return httpapi.Errf(http.StatusInternalServerError, httpapi.CodeStoreFault, "%v", err)
 }
 
-// health answers the front's probes from the state machine: ready only
-// while healthy, so load balancers steer new traffic away while the server
-// recovers or drains.
+// health answers the front's probes: ready until the drain begins, so load
+// balancers steer new traffic away from a draining server.
 func (s *Server) health(p Probe, _ bool) (bool, string, map[string]any) {
 	st := s.State()
 	switch p {
 	case ProbeHealthz:
 		return true, "ok", map[string]any{"state": st.String(), "documents": len(s.cfg.Catalog.List())}
 	case ProbeReady:
-		return st == StateHealthy, st.String(), nil
+		return st != StateDraining, st.String(), nil
 	}
 	return true, "alive", nil
 }
@@ -519,25 +402,6 @@ func (s *Server) admit(j Job[*QueryRequest, *QueryResponse]) *httpapi.Error {
 		return httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeStoreFault,
 			"document %q quarantined after repeated store faults; POST /reload?document=%s to restore", doc, doc)
 	}
-	// Degraded mode sheds by cost class before touching the queue: the
-	// expensive queries go first, and what remains competes for a shrunk
-	// queue so the latency of admitted work stays bounded.
-	if s.State() == StateDegraded {
-		if s.costClass(j.Req, j.Canon) == costHigh {
-			mShed.With(costHigh).Inc()
-			mRejected.Inc()
-			return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
-				"degraded: shedding high-cost queries")
-		}
-		// len(s.jobs) counts the jobs no worker has picked up yet.
-		if len(s.jobs) >= s.cfg.DegradedQueueDepth {
-			mShed.With(costLow).Inc()
-			mRejected.Inc()
-			return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
-				"degraded: admission queue shrunk to %d", s.cfg.DegradedQueueDepth)
-		}
-	}
-
 	// Admission: the jobs channel is the queue; a full channel answers an
 	// immediate structured 429 rather than stalling the client.
 	select {
@@ -545,16 +409,13 @@ func (s *Server) admit(j Job[*QueryRequest, *QueryResponse]) *httpapi.Error {
 		mInFlight.Add(1)
 		return nil
 	default:
-		s.noteReject()
+		mRejected.Inc()
 		return httpapi.Errf(http.StatusTooManyRequests, httpapi.CodeOverloaded,
 			"admission queue full (%d executing, %d queued)", s.cfg.Workers, s.cfg.QueueDepth)
 	}
 }
 
-// compileOpts builds the compile options for one request. costClass and
-// execute both go through here: the cost probe peeks the plan cache under
-// the same canonical key execute compiles under, so any drift between the
-// two would silently misclassify every cached plan.
+// compileOpts builds the compile options for one request.
 func (s *Server) compileOpts(req *QueryRequest) natix.Options {
 	mode, _ := parseMode(req.Mode) // the front answered an unknown mode
 	return natix.Options{
@@ -563,24 +424,6 @@ func (s *Server) compileOpts(req *QueryRequest) natix.Options {
 		Limits:          s.cfg.Limits,
 		EnablePathIndex: s.cfg.PathIndex,
 	}
-}
-
-// costClass classifies a query for degraded-mode shedding: by its cached
-// plan's CostBytes when there is one, else by expression length. An unknown
-// query is only high-cost when its source alone says so: degraded mode must
-// not starve cheap first-time queries.
-func (s *Server) costClass(req *QueryRequest, canonQuery string) string {
-	high := len(req.Query) >= 192
-	if s.cfg.Cache != nil {
-		k := plancache.Key{Query: canonQuery, Opts: plancache.OptionsKey(s.compileOpts(req))}
-		if plan, ok := s.cfg.Cache.Peek(k); ok {
-			high = plan.CostBytes() >= s.cfg.HighCostBytes
-		}
-	}
-	if high {
-		return costHigh
-	}
-	return costLow
 }
 
 // execute runs one admitted job on a worker goroutine and publishes its
@@ -612,7 +455,7 @@ func (s *Server) run(j *job) (*QueryResponse, *httpapi.Error) {
 		e := catalogErr(err)
 		if e.Code == httpapi.CodeStoreFault {
 			// The document exists but its store would not open: counted
-			// toward degradation and quarantine.
+			// toward quarantine.
 			s.noteStoreFault(j.Req.Document)
 		}
 		return nil, e

@@ -483,6 +483,142 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// holdWorker posts a query that runs for seconds on heavyDoc(3000) and
+// returns once a worker executes it. The returned release makes its client
+// leave, which cancels the execution and frees the worker; the test's
+// cleanup calls it too.
+func holdWorker(t *testing.T, s *Server, ts *httptest.Server) (release func()) {
+	t.Helper()
+	body, err := json.Marshal(QueryRequest{Query: "count(//x[count(following::x[count(preceding-sibling::x) > @n]) >= 0])", Document: "d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Counters().Executed
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := ts.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Counters().Executed == before {
+		if time.Now().After(deadline) {
+			cancel()
+			t.Fatal("holding query never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release = func() {
+		cancel()
+		<-done
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// TestOverloadKeepsShardReady: overload has one answer, the queue-full 429.
+// A burst past the queue leaves the shard ready and the queue as deep as
+// configured.
+func TestOverloadKeepsShardReady(t *testing.T) {
+	cat := catalog.New()
+	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(3000))); err != nil {
+		t.Fatal(err)
+	}
+	const queueDepth = 2
+	s, ts := newTestService(t, Config{
+		Catalog:        cat,
+		Workers:        1,
+		QueueDepth:     queueDepth,
+		DefaultTimeout: 30 * time.Second,
+	})
+	// Distinct cheap queries: identical ones would coalesce and never
+	// reach the queue.
+	cheap := func(i int) QueryRequest {
+		return QueryRequest{Query: fmt.Sprintf("count(//x[@n >= %d])", i), Document: "d"}
+	}
+	type answer struct {
+		status int
+		data   []byte
+	}
+	send := func(out chan<- answer, req QueryRequest) {
+		st, data := postQuery(t, ts, req)
+		out <- answer{st, data}
+	}
+
+	// Burst: queueDepth requests queue behind the held worker, and every
+	// other one gets the queue-full 429 at once.
+	release := holdWorker(t, s, ts)
+	const burst = 3*queueDepth + 1
+	answers := make(chan answer, burst)
+	for i := 0; i < burst; i++ {
+		go send(answers, cheap(i))
+	}
+	for i := 0; i < burst-queueDepth; i++ {
+		select {
+		case a := <-answers:
+			if a.status != http.StatusTooManyRequests || errCode(t, a.data) != httpapi.CodeOverloaded {
+				t.Fatalf("burst answer %d: %d %s, want 429 %s", i, a.status, a.data, httpapi.CodeOverloaded)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d burst requests answered", i, burst-queueDepth)
+		}
+	}
+	if n := len(s.jobs); n != queueDepth {
+		t.Fatalf("%d jobs queued after the burst, want %d", n, queueDepth)
+	}
+
+	// The burst changed neither readiness nor the state gauge.
+	resp, err := ts.Client().Get(ts.URL + "/healthz/ready")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ready after the burst = %d, want 200", resp.StatusCode)
+	}
+	if got := scrapeCounter(t, ts, "natix_serve_state"); got != int64(StateHealthy) {
+		t.Fatalf("natix_serve_state after the burst = %d, want %d", got, StateHealthy)
+	}
+
+	// The worker frees and the queued requests run.
+	release()
+	for i := 0; i < queueDepth; i++ {
+		if a := <-answers; a.status != http.StatusOK {
+			t.Fatalf("queued request: %d %s", a.status, a.data)
+		}
+	}
+
+	// The queue did not shrink: queueDepth requests queue again.
+	release = holdWorker(t, s, ts)
+	for i := 0; i < queueDepth; i++ {
+		go send(answers, cheap(burst+i))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.jobs) < queueDepth {
+		select {
+		case a := <-answers:
+			t.Fatalf("request answered while the worker was held: %d %s", a.status, a.data)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued", len(s.jobs), queueDepth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	for i := 0; i < queueDepth; i++ {
+		if a := <-answers; a.status != http.StatusOK {
+			t.Fatalf("requeued request: %d %s", a.status, a.data)
+		}
+	}
+}
+
 func TestShutdownDrains(t *testing.T) {
 	cat := catalog.New()
 	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(1500))); err != nil {

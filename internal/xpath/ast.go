@@ -67,9 +67,6 @@ func (op BinOp) CompareOp() (xval.CompareOp, error) {
 	return 0, fmt.Errorf("xpath: %v is not a comparison", op)
 }
 
-// IsComparison reports whether the operator is one of = != < <= > >=.
-func (op BinOp) IsComparison() bool { return op >= OpEq && op <= OpGe }
-
 // Binary is a binary expression (or, and, comparisons, arithmetic).
 type Binary struct {
 	Op          BinOp

@@ -133,9 +133,9 @@ grep -q 'drained' "$SMOKE_DIR/serve.err"
 # cases (three rounds, for the interleavings), a coordinator leader whose
 # client hangs up stopping its fan-out, and joiners outliving a leader's
 # shorter deadline on both tiers. Both tiers now run one front, so the wire,
-# endpoint, admission, drain, degraded and quarantine tests are the ones
+# endpoint, admission, overload, drain and quarantine tests are the ones
 # that would see it diverge.
-go test -race -run 'TestCoordinatorConformanceParity|TestCoordinatorConcurrentOrdering|TestReloadGenerationRetirementRace|TestCoordLeaderClientLeaves|OutlivesShortLeader|TestGroup|TestWireIdentity|TestFrontEndpointsMatch|TestCoordinatorRejectsBadRequests|TestCoordinatorAdmissionAndDrain|TestDegraded|TestQuarantine|TestDrainRetryContract' -timeout 5m -count=1 ./internal/cluster/ ./internal/server/ ./internal/flight/
+go test -race -run 'TestCoordinatorConformanceParity|TestCoordinatorConcurrentOrdering|TestReloadGenerationRetirementRace|TestCoordLeaderClientLeaves|OutlivesShortLeader|TestGroup|TestWireIdentity|TestFrontEndpointsMatch|TestCoordinatorRejectsBadRequests|TestCoordinatorAdmissionAndDrain|TestOverloadKeepsShardReady|TestQuarantine|TestDrainRetryContract' -timeout 5m -count=1 ./internal/cluster/ ./internal/server/ ./internal/flight/
 go test -race -count=3 ./internal/flight/
 
 # Cluster gate, part 2 (process-level): spawn 4 shard processes and a
