@@ -1,15 +1,17 @@
-// Command natix-bench regenerates the paper's evaluation exhibits: the
-// query listing of Fig. 5, the document-size sweeps of Figs. 6-9, the DBLP
-// query table of Fig. 10, and the ablation studies of DESIGN.md.
+// Command natix-bench regenerates the paper's evaluation exhibits as
+// timings: the query listing of Fig. 5, the document-size sweeps of Figs.
+// 6-9, the DBLP query table of Fig. 10, the ablation studies of DESIGN.md
+// and the buffer sweep. The exact work of the same plans (axis steps,
+// tuples, page misses, answers) is pinned by internal/difftest's plan
+// digest, not here.
 //
 // Usage:
 //
 //	natix-bench -exp fig6
 //	natix-bench -exp fig10 -pubs 200000
 //	natix-bench -exp all -sizes 2000,4000,8000 -repeats 5
-//	natix-bench -exp ablations
+//	natix-bench -exp ablations -json
 //	natix-bench -exp buffer
-//	natix-bench -exp index -json > BENCH_PR8.json
 //
 // Engine names: natix (algebraic engine over the page-backed store),
 // natix-mem (same plans, in-memory document), interp (main-memory
@@ -35,7 +37,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5, fig6..fig9, fig10, index, ablations, buffer, or all")
+	exp := flag.String("exp", "all", "experiment: fig5, fig6..fig9, fig10, ablations, buffer, or all")
 	jsonOut := flag.Bool("json", false, "emit measurements as a JSON array on stdout instead of tables")
 	metricsDump := flag.Bool("metrics", false, "print the process metrics registry (Prometheus text format) after the run")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address during the run")
@@ -88,8 +90,6 @@ func main() {
 			figure(id, cfg)
 		case "fig10":
 			fig10(*pubs, cfg)
-		case "index":
-			indexExp(cfg)
 		case "ablations":
 			ablations(cfg)
 		case "buffer":
@@ -99,7 +99,7 @@ func main() {
 		}
 	}
 	if *exp == "all" {
-		for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "index", "ablations", "buffer"} {
+		for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablations", "buffer"} {
 			run(id)
 		}
 	} else {
@@ -163,61 +163,6 @@ func figure(id string, cfg bench.Config) {
 	emit(ms, func() {
 		fmt.Printf("== %s: %s — time vs document size ==\n", strings.ToUpper(id[:1])+id[1:], spec.XPath)
 		printSeries(ms)
-		fmt.Println()
-	})
-}
-
-// indexExp runs the path-index access-path comparison over the skewed
-// //name probes and prints a speedup table (navigation time / path-index
-// time per backend).
-func indexExp(cfg bench.Config) {
-	ms, err := bench.RunIndexComparison(cfg)
-	if err != nil {
-		fail("index: %v", err)
-	}
-	emit(ms, func() {
-		fmt.Println("== Index: path-index scan vs navigation, skewed //name probes ==")
-		type key struct {
-			query  string
-			scale  int
-			engine string
-		}
-		byKey := map[key]bench.Measurement{}
-		type rowKey struct {
-			query string
-			scale int
-		}
-		var rows []rowKey
-		seen := map[rowKey]bool{}
-		for _, m := range ms {
-			byKey[key{m.Query, m.Scale, m.Engine}] = m
-			rk := rowKey{m.Query, m.Scale}
-			if !seen[rk] {
-				seen[rk] = true
-				rows = append(rows, rk)
-			}
-		}
-		speedup := func(rk rowKey, nav, pix string) string {
-			n, p := byKey[key{rk.query, rk.scale, nav}], byKey[key{rk.query, rk.scale, pix}]
-			if n.Skipped || p.Skipped || p.Duration == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2fx", float64(n.Duration)/float64(p.Duration))
-		}
-		fmt.Printf("  %-6s %-8s %8s %14s %14s %8s %14s %14s %8s\n",
-			"query", "elements", "matches", "store-nav", "store-pix", "speedup", "mem-nav", "mem-pix", "speedup")
-		for _, rk := range rows {
-			sn := byKey[key{rk.query, rk.scale, bench.EngineNatix}]
-			sp := byKey[key{rk.query, rk.scale, bench.EngineNatixPix}]
-			mn := byKey[key{rk.query, rk.scale, bench.EngineNatixMem}]
-			mp := byKey[key{rk.query, rk.scale, bench.EngineNatixMemPix}]
-			fmt.Printf("  %-6s %-8d %8d %14s %14s %8s %14s %14s %8s\n",
-				rk.query, rk.scale, sn.Result,
-				sn.Duration.Round(10*time.Microsecond), sp.Duration.Round(10*time.Microsecond),
-				speedup(rk, bench.EngineNatix, bench.EngineNatixPix),
-				mn.Duration.Round(10*time.Microsecond), mp.Duration.Round(10*time.Microsecond),
-				speedup(rk, bench.EngineNatixMem, bench.EngineNatixMemPix))
-		}
 		fmt.Println()
 	})
 }

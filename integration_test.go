@@ -3,7 +3,6 @@ package natix
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"natix/internal/conformance"
 	"natix/internal/gen"
@@ -52,35 +51,21 @@ func TestStoreBackedEvaluation(t *testing.T) {
 }
 
 // TestScalingSmoke checks the headline behaviour: the improved translation
-// evaluates the paper's query 1 on a mid-sized document quickly, every
-// pushed Π^D runs fused into its step as a visited-set walk (linear axis
-// work, nothing left to drop), and the result matches across all engine
-// configurations.
+// evaluates the paper's query 1 on a mid-sized document, and the result
+// matches across all engine configurations. Its work at 2000 elements is
+// the fig5/q1 row of the plan digest (internal/difftest).
 func TestScalingSmoke(t *testing.T) {
 	d := gen.Generate(gen.Params{Elements: 4000, Fanout: 6})
 	const q1 = "/child::xdoc/descendant::*/ancestor::*/descendant::*/@id"
 
-	q := MustCompile(q1)
-	start := time.Now()
-	res, err := q.Run(RootNode(d), nil)
+	res, err := MustCompile(q1).Run(RootNode(d), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	improvedTime := time.Since(start)
 	if len(res.Value.Nodes) != 3999 {
 		// Every element except the root is a descendant of an ancestor of
 		// a descendant of xdoc; each contributes its id attribute.
 		t.Errorf("query 1 result size %d, want 3999", len(res.Value.Nodes))
-	}
-	if improvedTime > 5*time.Second {
-		t.Errorf("improved translation too slow: %v", improvedTime)
-	}
-	// Each of the three fused steps reaches an element at most once, plus
-	// at most one pruned probe per context; the attribute step walks each
-	// id once: at most five steps per element (17 330 here; Π^D over plain
-	// walks took 48 268).
-	if bound := int64(5 * 4000); res.Stats.AxisSteps > bound || res.Stats.DupDropped != 0 {
-		t.Errorf("query 1 stats %+v: want at most %d axis steps and nothing dropped", res.Stats, bound)
 	}
 
 	// The same query under canonical translation, and with the Π^D only at

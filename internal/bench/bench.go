@@ -179,19 +179,18 @@ func NewRunner(engine, query string, mem *dom.MemDoc, stored *store.Doc) (*Runne
 		return 1
 	}
 	switch engine {
-	case EngineNatix, EngineNatixMem, EngineNatixPix, EngineNatixMemPix:
+	case EngineNatix, EngineNatixMem:
 		var doc dom.Document = mem
-		if engine == EngineNatix || engine == EngineNatixPix {
+		if engine == EngineNatix {
 			if stored == nil {
 				return nil, fmt.Errorf("bench: %s needs a store image", engine)
 			}
 			doc = stored
 		}
-		opt := natix.Options{EnablePathIndex: engine == EngineNatixPix || engine == EngineNatixMemPix}
 		var last natix.Stats
 		return &Runner{
 			Execute: func() (int, error) {
-				q, err := natix.CompileWith(query, opt)
+				q, err := natix.Compile(query)
 				if err != nil {
 					return 0, err
 				}
@@ -222,8 +221,8 @@ func NewRunner(engine, query string, mem *dom.MemDoc, stored *store.Doc) (*Runne
 }
 
 // Measurement is one harness data point. The JSON form is the format of
-// committed baselines (BENCH_PR8.json) and `natix-bench -json`: Duration
-// marshals as integer nanoseconds per operation.
+// `natix-bench -json`: Duration marshals as integer nanoseconds per
+// operation.
 type Measurement struct {
 	Exp      string        `json:"exp"`
 	Query    string        `json:"query"`

@@ -20,8 +20,15 @@ import (
 	"natix/internal/server"
 )
 
+// testShard is an in-process shard: its HTTP server and the service behind
+// it, whose counters a test can read.
+type testShard struct {
+	*httptest.Server
+	svc *server.Server
+}
+
 // startShard spins up an in-process shard serving docs (name → XML source).
-func startShard(t *testing.T, docs map[string]string) *httptest.Server {
+func startShard(t *testing.T, docs map[string]string) *testShard {
 	t.Helper()
 	cat := catalog.New()
 	for name, src := range docs {
@@ -38,16 +45,16 @@ func startShard(t *testing.T, docs map[string]string) *httptest.Server {
 		s.Shutdown(ctx)
 		cat.CloseAll()
 	})
-	return ts
+	return &testShard{Server: ts, svc: s}
 }
 
 // startCluster builds one shard per placement entry (IDs s0, s1, ...), a
 // topology over them, and a probed coordinator. The probe loop is parked on
 // a long interval; tests drive probes with ProbeNow for determinism.
-func startCluster(t *testing.T, placement []map[string]string, cfg Config) (*Coordinator, []*httptest.Server) {
+func startCluster(t *testing.T, placement []map[string]string, cfg Config) (*Coordinator, []*testShard) {
 	t.Helper()
 	spec := TopologySpec{Generation: 1}
-	shards := make([]*httptest.Server, 0, len(placement))
+	shards := make([]*testShard, 0, len(placement))
 	for i, docs := range placement {
 		ts := startShard(t, docs)
 		shards = append(shards, ts)
@@ -273,7 +280,7 @@ func TestCoordinatorScalarKindsStayPerDocument(t *testing.T) {
 
 // killShard closes a shard's listener and probes until the coordinator's
 // hysteresis demotes it.
-func killShard(t *testing.T, coord *Coordinator, ts *httptest.Server, id string) {
+func killShard(t *testing.T, coord *Coordinator, ts *testShard, id string) {
 	t.Helper()
 	ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -656,9 +663,11 @@ func TestCoordinatorRejectsBadRequests(t *testing.T) {
 // TestCoordinatorWildcardMatchesSingleNode is the ordering contract stated
 // end to end: the wildcard merge over a sharded corpus is byte-identical to
 // concatenating each document's single-node answer in sorted name order.
+// It also counts that the four shards split the work: each runs the query
+// once per document placed on it, and no document runs twice.
 func TestCoordinatorWildcardMatchesSingleNode(t *testing.T) {
 	corpus := map[string]string{}
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 16; i++ {
 		corpus[fmt.Sprintf("doc%02d", i)] = xdoc(
 			fmt.Sprintf("v%02d-1", i), fmt.Sprintf("v%02d-2", i))
 	}
@@ -681,7 +690,7 @@ func TestCoordinatorWildcardMatchesSingleNode(t *testing.T) {
 			placement[i][n] = corpus[n]
 		}
 	}
-	coord, _ := startCluster(t, placement, Config{})
+	coord, shards := startCluster(t, placement, Config{})
 	single := startShard(t, corpus)
 
 	status, data := postCoord(t, coord.Handler(), QueryRequest{
@@ -691,6 +700,17 @@ func TestCoordinatorWildcardMatchesSingleNode(t *testing.T) {
 		t.Fatalf("status %d: %s", status, data)
 	}
 	merged := decodeCoord(t, data)
+	var executed int64
+	for i, id := range topo.ShardIDs() {
+		n := shards[i].svc.Counters().Executed
+		if want := int64(len(byShard[id])); n != want {
+			t.Errorf("shard %s executed %d runs, holds %d documents", id, n, want)
+		}
+		executed += n
+	}
+	if executed != int64(len(corpus)) {
+		t.Errorf("shards executed %d runs for %d documents", executed, len(corpus))
+	}
 
 	sort.Strings(names)
 	var want []server.QueryNode

@@ -200,35 +200,30 @@ func TestProfileIsolation(t *testing.T) {
 	}
 }
 
-// TestFig5VisitedSteps pins the engine counters of Fig. 5 q1-q4 at 2000
-// elements, where every Π^D sits directly over a Υ and runs fused into it
-// as a visited-set step: the counts must be exact, also under a WrapIter
-// hook (fusion is decided at compile time, not by the iterator a run
-// instantiates), ExplainAnalyze must count what Run counts,
-// and the profiled scan tuples must equal Stats.Tuples. (Π^D over plain
-// walks took 22 268, 1 669 874, 13 550 and 4 011 axis steps.)
+// TestFig5VisitedSteps checks Fig. 5 q1-q4 at 2000 elements, where every
+// Π^D sits directly over a Υ and runs fused into it as a visited-set step:
+// the counters must be the same under a WrapIter hook (fusion is decided at
+// compile time, not by the iterator a run instantiates), ExplainAnalyze must
+// count what Run counts, and the profiled scan tuples must equal
+// Stats.Tuples. The counters themselves are the fig5 rows of the plan
+// digest (internal/difftest). (Π^D over plain walks took 22 268,
+// 1 669 874, 13 550 and 4 011 axis steps.)
 func TestFig5VisitedSteps(t *testing.T) {
 	d := gen.Generate(gen.Params{Elements: 2000, Fanout: 6})
 	root := dom.Node{Doc: d, ID: d.Root()}
-	for _, c := range []struct {
-		expr  string
-		stats physical.Stats
-	}{
-		{"/child::xdoc/descendant::*/ancestor::*/descendant::*/@id", physical.Stats{AxisSteps: 8664, Tuples: 6332}},
-		{"/child::xdoc/descendant::*/preceding-sibling::*/following::*/@id", physical.Stats{AxisSteps: 10649, Tuples: 7653}},
-		{"/child::xdoc/descendant::*/ancestor::*/ancestor::*/@id", physical.Stats{AxisSteps: 4779, Tuples: 2446}},
-		{"/child::xdoc/child::*/parent::*/descendant::*/@id", physical.Stats{AxisSteps: 4011, Tuples: 4006}},
+	for _, expr := range []string{
+		"/child::xdoc/descendant::*/ancestor::*/descendant::*/@id",
+		"/child::xdoc/descendant::*/preceding-sibling::*/following::*/@id",
+		"/child::xdoc/descendant::*/ancestor::*/ancestor::*/@id",
+		"/child::xdoc/child::*/parent::*/descendant::*/@id",
 	} {
-		plan := compileQuery(t, c.expr, translate.Improved())
+		plan := compileQuery(t, expr, translate.Improved())
 		if n := strings.Count(plan.ExplainPhysical(), "<fused: visited-set step below>"); n == 0 {
-			t.Errorf("%s: no fused step in\n%s", c.expr, plan.ExplainPhysical())
+			t.Errorf("%s: no fused step in\n%s", expr, plan.ExplainPhysical())
 		}
 		res, err := plan.Run(root, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.Stats != c.stats {
-			t.Errorf("%s: stats %+v, want %+v", c.expr, res.Stats, c.stats)
 		}
 		// ExplainAnalyze, kept apart from its rendering to reach the profile.
 		prof := plan.NewProfile()
@@ -237,13 +232,13 @@ func TestFig5VisitedSteps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ares.Stats != res.Stats {
-			t.Errorf("%s: ExplainAnalyze stats %+v, Run %+v", c.expr, ares.Stats, res.Stats)
+			t.Errorf("%s: ExplainAnalyze stats %+v, Run %+v", expr, ares.Stats, res.Stats)
 		}
 		if tree := plan.RenderProfile(prof, ares); !strings.Contains(tree, "<fused: visited-set step below>") {
-			t.Errorf("%s: analyze tree shows no fused step:\n%s", c.expr, tree)
+			t.Errorf("%s: analyze tree shows no fused step:\n%s", expr, tree)
 		}
 		if got := plan.ScanTuples(prof); got != res.Stats.Tuples {
-			t.Errorf("%s: profiled scan tuples %d != Stats.Tuples %d", c.expr, got, res.Stats.Tuples)
+			t.Errorf("%s: profiled scan tuples %d != Stats.Tuples %d", expr, got, res.Stats.Tuples)
 		}
 		plan.WrapIter = func(it physical.Iter) physical.Iter { return it }
 		wres, err := plan.Run(root, nil)
@@ -251,7 +246,7 @@ func TestFig5VisitedSteps(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wres.Stats != res.Stats || len(wres.Value.Nodes) != len(res.Value.Nodes) {
-			t.Errorf("%s: run under WrapIter: %+v, plain %+v", c.expr, wres.Stats, res.Stats)
+			t.Errorf("%s: run under WrapIter: %+v, plain %+v", expr, wres.Stats, res.Stats)
 		}
 	}
 }

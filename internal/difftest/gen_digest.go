@@ -1,8 +1,9 @@
 //go:build ignore
 
-// gen_digest rewrites testdata/plandigest.golden from the current compiler.
-// Run it (go generate ./internal/difftest) only in a PR that means to change
-// plans, and list the changed entries in that PR.
+// gen_digest rewrites testdata/plandigest.golden from the current compiler
+// and engine. Run it (go generate ./internal/difftest) only in a PR that
+// means to change plans or their work, and list the changed entries in that
+// PR.
 package main
 
 import (

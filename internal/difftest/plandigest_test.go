@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestPlanDigest holds every Fig. 5, Fig. 10 and corpus plan to the
-// committed golden digest. On a mismatch it names each plan whose hash
-// moved; a PR that changes plans on purpose regenerates the file with
-// go generate and lists those plans.
+// TestPlanDigest holds every Fig. 5, Fig. 10 and corpus plan, and the work
+// and answer of one run of it, to the committed golden digest. On a
+// mismatch it names each entry whose plan hash moved and each whose work or
+// answer moved under an unchanged hash; a PR that changes plans or work on
+// purpose regenerates the file with go generate and lists those entries.
 func TestPlanDigest(t *testing.T) {
 	golden, err := os.ReadFile("testdata/plandigest.golden")
 	if err != nil {
@@ -26,12 +27,14 @@ func TestPlanDigest(t *testing.T) {
 	if got == string(golden) {
 		return
 	}
-	// Key each plan line by everything but its hash.
-	index := func(s string) map[string]string {
-		m := map[string]string{}
+	// Key each line by config, id and expression; keep its hash and its
+	// work and answer apart.
+	type entry struct{ hash, work string }
+	index := func(s string) map[string]entry {
+		m := map[string]entry{}
 		for _, l := range strings.Split(s, "\n") {
-			if f := strings.SplitN(l, "\t", 4); len(f) == 4 {
-				m[f[0]+"\t"+f[1]+"\t"+f[3]] = f[2]
+			if f := strings.Split(l, "\t"); len(f) == 6 {
+				m[f[0]+"\t"+f[1]+"\t"+f[5]] = entry{hash: f[2], work: f[3] + "\t" + f[4]}
 			}
 		}
 		return m
@@ -44,10 +47,14 @@ func TestPlanDigest(t *testing.T) {
 		}
 	}
 	for k, h := range have {
-		if w, ok := want[k]; !ok {
+		w, ok := want[k]
+		switch {
+		case !ok:
 			report("new plan %s", k)
-		} else if w != h {
-			report("plan changed %s: %s -> %s", k, w, h)
+		case w.hash != h.hash:
+			report("plan changed %s: %s -> %s", k, w.hash, h.hash)
+		case w.work != h.work:
+			report("work changed, same plan %s: %s -> %s", k, w.work, h.work)
 		}
 	}
 	for k := range want {

@@ -66,7 +66,7 @@ go test -short -count=1 -run 'TestDifferentialRelativeContexts|TestConformance|T
 # index, which each document holds itself, must build it exactly once per
 # document, and an in-memory document's index must be collected with it. The
 # visited-set steps ride along: every axis's walk against the dedup of plain
-# walks, and the Fig. 5 counters pinned, under a WrapIter hook and under
+# walks, and the Fig. 5 counters equal under a WrapIter hook and under
 # analyze.
 # The process-wide run-scratch pool rides along too: each run takes and
 # returns exactly one scratch, a pooled scratch pins no dropped document, a
@@ -83,13 +83,6 @@ go test -short -count=1 -run 'TestDifferentialRelativeContexts|TestConformance|T
 # across two documents with coinciding NodeIDs. Three rounds, for the
 # interleavings.
 go test -race -run 'TestConcurrentSharedPreparedBatched|TestPoolBalanceBatched|TestConcurrentQuerySharing|TestConcurrentDistinctDocuments|TestVisitedWalkAgainstDedup|TestFig5VisitedSteps|TestScratchPinsNoDocument|TestScratchAliasesNoResult|TestRunGrowthGarbage|TestPathIndexMemo|TestPathIndexWarmRunAllocs|TestMatchMemo|TestCloneSharesPersistedIndex|TestIDMapSharedPlanConcurrent|TestVisitedStepMatchesDupElim|TestVisitedStepByteBudget|TestVisitedStepReopenAllocs|TestTwoDocumentVisitedStep|TestIndexDiesWithDocument' -count=3 . ./internal/dom/ ./internal/codegen/ ./internal/pathindex/ ./internal/store/ ./internal/physical/
-
-# Index guard: the path-index access path must hit at least 5x over
-# navigation on the selective //name probes of the skewed corpus at 8000
-# elements over the page-backed store (O(subtree) vs O(matches); the
-# committed baseline is BENCH_PR8.json). Self-skips on constrained machines,
-# where the index-enabled difftest twins above still prove correctness.
-NATIX_PERF_GUARD=1 go test -run TestIndexSpeedupGuard -timeout 20m .
 
 # Plan-cache guard: a cache hit must return the identical compiled artifact
 # (pointer identity — no parse/translate/codegen on the hit path), and the
