@@ -211,10 +211,12 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	buf := getBody()
+	defer putBody(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return err
 	}
+	data := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp, data)
 	}
@@ -224,6 +226,28 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		}
 	}
 	return nil
+}
+
+// bodyPool recycles response-body buffers across calls. A buffer may go
+// back once decoding is done because nothing decoded aliases it:
+// encoding/json copies every string it stores, and so does
+// server.QueryResult's own decoder.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer put back: one huge answer must not
+// pin its buffer for the life of the process.
+const maxPooledBody = 1 << 20
+
+func getBody() *bytes.Buffer {
+	b := bodyPool.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBody {
+		bodyPool.Put(b)
+	}
 }
 
 // decodeError turns a non-200 response into a typed *Error.

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -305,6 +306,65 @@ func TestDeterministicJitter(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.jitter(time.Second) != b.jitter(time.Second) {
 			t.Fatal("same seed produced different jitter sequences")
+		}
+	}
+}
+
+// TestQueryReusesBodyBuffer: after the first Query, a Query reads its body
+// into a pooled buffer instead of allocating one, and an answer already
+// decoded survives the buffer's reuse.
+func TestQueryReusesBodyBuffer(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		v := fmt.Sprintf("answer-%06d", calls.Add(1))
+		json.NewEncoder(w).Encode(server.QueryResponse{Document: "d", Result: server.QueryResult{
+			Kind: "node-set", Count: 1, Nodes: []server.QueryNode{{Kind: "element", Name: "e", Value: v}},
+		}})
+	}))
+	defer ts.Close()
+	var made atomic.Int64
+	newBuffer := bodyPool.New
+	bodyPool.New = func() any {
+		made.Add(1)
+		return newBuffer()
+	}
+	defer func() { bodyPool.New = newBuffer }()
+
+	c := New(ts.URL, 1)
+	query := func() *server.QueryResponse {
+		resp, err := c.Query(context.Background(), &server.QueryRequest{Query: "//e", Document: "d"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	first := query()
+	// The least of several one-query samples: the race detector drops
+	// pooled objects at random, which only ever adds buffers.
+	least := int64(-1)
+	for i := 0; i < 21 && least != 0; i++ {
+		before := made.Load()
+		query()
+		if n := made.Load() - before; least < 0 || n < least {
+			least = n
+		}
+	}
+	if least != 0 {
+		t.Errorf("every later Query allocated a body buffer (least %d)", least)
+	}
+	if got := first.Result.Nodes[0].Value; got != "answer-000001" {
+		t.Errorf("first answer changed under buffer reuse: %q", got)
+	}
+}
+
+// TestBodyPoolDropsLargeBuffers: a buffer grown past maxPooledBody is left
+// to the collector, not pooled.
+func TestBodyPoolDropsLargeBuffers(t *testing.T) {
+	big := bytes.NewBuffer(make([]byte, 0, maxPooledBody+1))
+	putBody(big)
+	for i := 0; i < 8; i++ {
+		if getBody() == big {
+			t.Fatal("a buffer over maxPooledBody came back from the pool")
 		}
 	}
 }

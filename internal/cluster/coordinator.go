@@ -419,7 +419,10 @@ type ShardTiming struct {
 // QueryResponse is the coordinator's /query answer. Single-document
 // queries fill Document/Generation/Cached exactly like a shard would;
 // scatter-gathered queries fill PerDocument (global document order) and,
-// when every per-document result is a node-set, the merged Result.
+// when every per-document result is a node-set, the merged Result, which
+// then holds each node once: those PerDocument entries carry their count
+// and truncation but no nodes. A caller that needs one document's own
+// nodes queries that document alone.
 type QueryResponse struct {
 	Document   string `json:"document,omitempty"`
 	Generation uint64 `json:"generation,omitempty"`
@@ -430,7 +433,8 @@ type QueryResponse struct {
 	Partial bool         `json:"partial,omitempty"`
 	Failed  []DocFailure `json:"failed,omitempty"`
 	// PerDocument carries each document's own result, in global document
-	// order (sorted by name).
+	// order (sorted by name); a node-set entry's nodes are in Result when
+	// Result is set.
 	PerDocument []DocResult `json:"per_document,omitempty"`
 
 	Result    *server.QueryResult `json:"result,omitempty"`

@@ -213,6 +213,13 @@ func TestCoordinatorScatterListOrdered(t *testing.T) {
 	if qr.Result.Count != 5 {
 		t.Fatalf("merged count = %d", qr.Result.Count)
 	}
+	// Each node travels once: the per-document entries keep their count
+	// but carry no nodes.
+	for i, d := range qr.PerDocument {
+		if d.Result.Kind != "node-set" || d.Result.Count != []int{2, 2, 1}[i] || d.Result.Nodes != nil {
+			t.Fatalf("per-document %s result = %+v", d.Document, d.Result)
+		}
+	}
 	// Per-shard breakdown: s0 answered 2 documents, s1 answered 1.
 	calls := map[string]int{}
 	for _, sh := range qr.Shards {
@@ -737,5 +744,40 @@ func TestCoordinatorWildcardMatchesSingleNode(t *testing.T) {
 	}
 	if !bytes.Equal(got, wantJSON) {
 		t.Fatalf("merged nodes diverge from single-node concatenation:\n got %s\nwant %s", got, wantJSON)
+	}
+}
+
+// TestMergeCarriesNodesOnce: a merged node-set takes the per-document
+// nodes over, in order, into a list sized once; an answer that does not
+// merge leaves every per-document result as it came.
+func TestMergeCarriesNodesOnce(t *testing.T) {
+	sh := &shardState{id: "s0"}
+	nodeSet := func(doc string, count int, truncated bool, values ...string) docOutcome {
+		r := server.QueryResult{Kind: "node-set", Count: count, Truncated: truncated}
+		for _, v := range values {
+			r.Nodes = append(r.Nodes, server.QueryNode{Kind: "text", Value: v})
+		}
+		return docOutcome{doc: doc, shard: sh, resp: &server.QueryResponse{Document: doc, Result: r}}
+	}
+	m := mergeOutcomes([]docOutcome{nodeSet("a", 2, false, "a1", "a2"), nodeSet("b", 0, false), nodeSet("c", 3, true, "c1")})
+	if got := nodeValues(m.result); !equalStrings(got, []string{"a1", "a2", "c1"}) || cap(m.result.Nodes) != 3 {
+		t.Fatalf("merged nodes = %v (capacity %d)", got, cap(m.result.Nodes))
+	}
+	if m.result.Count != 5 || !m.result.Truncated {
+		t.Fatalf("merged result = %+v", m.result)
+	}
+	for i, d := range m.perDoc {
+		if d.Result.Nodes != nil || d.Result.Count != []int{2, 0, 3}[i] || d.Result.Truncated != (i == 2) {
+			t.Fatalf("per-document %s result = %+v", d.Document, d.Result)
+		}
+	}
+
+	two := 2.0
+	mixed := mergeOutcomes([]docOutcome{
+		nodeSet("a", 1, false, "a1"),
+		{doc: "b", shard: sh, resp: &server.QueryResponse{Document: "b", Result: server.QueryResult{Kind: "number", Number: &two}}},
+	})
+	if mixed.result != nil || len(mixed.perDoc[0].Result.Nodes) != 1 || *mixed.perDoc[1].Result.Number != 2 {
+		t.Fatalf("mixed kinds merged: result %+v, per-document %+v", mixed.result, mixed.perDoc)
 	}
 }

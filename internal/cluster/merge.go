@@ -38,7 +38,8 @@ type mergedScatter struct {
 	firstErr *httpapi.Error
 	// result is the globally ordered merged node-set, present only when
 	// every per-document result is a node-set (scalar kinds do not
-	// concatenate; PerDocument stays authoritative for those).
+	// concatenate; PerDocument stays authoritative for those). It holds
+	// the only copy of the nodes.
 	result *server.QueryResult
 	stats  server.QueryStats
 }
@@ -47,12 +48,13 @@ type mergedScatter struct {
 // outcomes slice in index order IS the ordered merge: outcome i is the
 // document at position i of global document order, so per-document
 // results, failures, and the concatenated node-set all come out in that
-// order no matter which shard answered first.
+// order no matter which shard answered first. When the merged node-set is
+// emitted, it carries each node once: the per-document entries keep their
+// count and truncation but give their nodes up to it.
 func mergeOutcomes(outcomes []docOutcome) mergedScatter {
 	var m mergedScatter
 	allNodeSets := true
-	var nodes []server.QueryNode
-	count := 0
+	total, count := 0, 0
 	truncated := false
 	for i := range outcomes {
 		o := &outcomes[i]
@@ -80,13 +82,23 @@ func mergeOutcomes(outcomes []docOutcome) mergedScatter {
 			allNodeSets = false
 			continue
 		}
-		nodes = append(nodes, r.Result.Nodes...)
+		total += len(r.Result.Nodes)
 		count += r.Result.Count
 		truncated = truncated || r.Result.Truncated
 	}
-	if allNodeSets && len(m.perDoc) > 0 {
-		m.result = &server.QueryResult{Kind: "node-set", Count: count, Nodes: nodes, Truncated: truncated}
+	if !allNodeSets || len(m.perDoc) == 0 {
+		return m
 	}
+	var nodes []server.QueryNode
+	if total > 0 {
+		nodes = make([]server.QueryNode, 0, total)
+	}
+	for i := range m.perDoc {
+		res := &m.perDoc[i].Result
+		nodes = append(nodes, res.Nodes...)
+		res.Nodes = nil
+	}
+	m.result = &server.QueryResult{Kind: "node-set", Count: count, Nodes: nodes, Truncated: truncated}
 	return m
 }
 

@@ -130,12 +130,14 @@ func (p *xmlParser) readName() (string, error) {
 	return string(p.data[start:p.pos]), nil
 }
 
-// splitQName splits a qualified name into prefix and local part.
-func splitQName(q string) (prefix, local string) {
+// splitQName splits a qualified name into prefix and local part. ok is
+// false when a colon leaves either part empty, which Namespaces in XML
+// forbids.
+func splitQName(q string) (prefix, local string, ok bool) {
 	if i := strings.IndexByte(q, ':'); i >= 0 {
-		return q[:i], q[i+1:]
+		return q[:i], q[i+1:], i > 0 && i < len(q)-1
 	}
-	return "", q
+	return "", q, true
 }
 
 func (p *xmlParser) parseDocument() error {
@@ -287,7 +289,10 @@ func (p *xmlParser) parseElement(isRoot bool) error {
 	if err != nil {
 		return err
 	}
-	ePrefix, eLocal := splitQName(qname)
+	ePrefix, eLocal, ok := splitQName(qname)
+	if !ok {
+		return p.errf("malformed qualified name %q", qname)
+	}
 	p.depth++
 
 	var attrs []rawAttr
@@ -315,7 +320,10 @@ func (p *xmlParser) parseElement(isRoot bool) error {
 		if err != nil {
 			return err
 		}
-		aPrefix, aLocal := splitQName(aname)
+		aPrefix, aLocal, ok := splitQName(aname)
+		if !ok {
+			return p.errf("malformed qualified name %q", aname)
+		}
 		switch {
 		case aname == "xmlns":
 			nsDecls = append(nsDecls, nsBinding{prefix: "", uri: val, depth: p.depth})

@@ -139,7 +139,9 @@ func TestSingleflightCoalesces(t *testing.T) {
 // killing it; the remaining waiter still gets the full result.
 func TestWaiterCancelVsLeader(t *testing.T) {
 	cat := catalog.New()
-	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(2000))); err != nil {
+	// 4000 elements keep the occupier busy about four times the joiner's
+	// 60 ms deadline; at 2000 it finished inside it on a fast machine.
+	if err := cat.OpenMem("d", strings.NewReader(heavyDoc(4000))); err != nil {
 		t.Fatal(err)
 	}
 	s, ts := newTestService(t, Config{
@@ -181,7 +183,7 @@ func TestWaiterCancelVsLeader(t *testing.T) {
 	if st := <-leaderStatus; st != http.StatusOK {
 		t.Fatalf("leader finished %d after joiner cancel", st)
 	}
-	if qr := <-leaderDone; qr == nil || qr.Result.Number == nil || *qr.Result.Number != 2000 {
+	if qr := <-leaderDone; qr == nil || qr.Result.Number == nil || *qr.Result.Number != 4000 {
 		t.Fatalf("leader result corrupted: %+v", qr)
 	}
 }

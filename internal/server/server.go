@@ -549,13 +549,17 @@ func (s *Server) serialize(res *natix.Result) QueryResult {
 			out.Truncated = true
 			break
 		}
-		qn := QueryNode{Value: n.StringValue()}
+		// Each value is read once: the string-value of a document or an
+		// element, the node's own content otherwise.
+		var qn QueryNode
 		switch n.Kind() {
 		case dom.KindDocument:
 			qn.Kind = "document"
+			qn.Value = n.StringValue()
 		case dom.KindElement:
 			qn.Kind = "element"
 			qn.Name = n.Name()
+			qn.Value = n.StringValue()
 		case dom.KindAttribute:
 			qn.Kind = "attribute"
 			qn.Name = n.Name()
@@ -576,6 +580,7 @@ func (s *Server) serialize(res *natix.Result) QueryResult {
 			qn.Value = n.Value()
 		default:
 			qn.Kind = "node"
+			qn.Value = n.StringValue()
 		}
 		out.Nodes = append(out.Nodes, qn)
 	}

@@ -157,7 +157,26 @@ func (*FuncCall) exprNode()     {}
 
 // String renders the expression in (unabbreviated) XPath syntax.
 func (e *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.Left, e.Op, e.Right)
+	return fmt.Sprintf("(%s %s %s)", enclosed(e.Left), e.Op, e.Right)
+}
+
+// enclosed renders an expression that something follows: a bare root path
+// goes in parentheses, or what follows would read as its step ("/ * 0" is
+// "/child::*" then 0, "/" then "/a" is "//a").
+func enclosed(e Expr) string {
+	if lp, ok := e.(*LocationPath); ok && lp.Absolute && len(lp.Steps) == 0 {
+		return "(/)"
+	}
+	return e.String()
+}
+
+// term renders an operand of "/" or "|". Both bind tighter than unary
+// minus, so a negation goes in parentheses too: "-(0)/a" is "-(0/a)".
+func term(e Expr) string {
+	if _, ok := e.(*Neg); ok {
+		return "(" + e.String() + ")"
+	}
+	return enclosed(e)
 }
 
 func (e *Neg) String() string { return fmt.Sprintf("-(%s)", e.X) }
@@ -165,7 +184,7 @@ func (e *Neg) String() string { return fmt.Sprintf("-(%s)", e.X) }
 func (e *Union) String() string {
 	parts := make([]string, len(e.Terms))
 	for i, t := range e.Terms {
-		parts[i] = t.String()
+		parts[i] = term(t)
 	}
 	return "(" + strings.Join(parts, " | ") + ")"
 }
@@ -180,7 +199,7 @@ func (t NodeTest) String() string {
 		return "comment()"
 	case dom.TestPI:
 		if t.Target != "" {
-			return fmt.Sprintf("processing-instruction('%s')", t.Target)
+			return "processing-instruction(" + quote(t.Target) + ")"
 		}
 		return "processing-instruction()"
 	case dom.TestAnyName:
@@ -224,7 +243,16 @@ func (e *LocationPath) String() string {
 
 func (e *Filter) String() string {
 	var sb strings.Builder
-	sb.WriteString(e.Primary.String())
+	switch e.Primary.(type) {
+	case *LocationPath, *Path, *Neg:
+		// Unparenthesized, the predicates would bind to the last step or
+		// to the negated operand.
+		sb.WriteByte('(')
+		sb.WriteString(e.Primary.String())
+		sb.WriteByte(')')
+	default:
+		sb.WriteString(e.Primary.String())
+	}
 	for _, p := range e.Preds {
 		sb.WriteByte('[')
 		sb.WriteString(p.String())
@@ -234,12 +262,21 @@ func (e *Filter) String() string {
 }
 
 func (e *Path) String() string {
-	return fmt.Sprintf("%s/%s", e.Base, e.Rel)
+	return term(e.Base) + "/" + e.Rel.String()
 }
 
 func (e *VarRef) String() string { return "$" + e.Name }
 
-func (e *Literal) String() string { return "'" + e.Value + "'" }
+func (e *Literal) String() string { return quote(e.Value) }
+
+// quote renders a literal: in apostrophes unless the value holds one, in
+// double quotes then. A parsed literal never holds both.
+func quote(v string) string {
+	if strings.Contains(v, "'") {
+		return `"` + v + `"`
+	}
+	return "'" + v + "'"
+}
 
 func (e *Number) String() string { return xval.FormatNumber(e.Value) }
 

@@ -68,7 +68,7 @@ func TestParseRoundTrip(t *testing.T) {
 		{"3.14", "3.14"},
 		{".5", "0.5"},
 		{"(a)", "child::a"},
-		{"(//a)[1]", "/descendant-or-self::node()/child::a[1]"},
+		{"(//a)[1]", "(/descendant-or-self::node()/child::a)[1]"},
 		{"$x/y", "$x/child::y"},
 		{"$x//y", "$x/descendant-or-self::node()/child::y"},
 		{"id('i1')/..", "id('i1')/parent::node()"},

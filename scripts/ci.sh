@@ -60,6 +60,15 @@ go test -race -run 'TestCrashRecovery|TestChaosSoak|TestStringValueEqualsInPlace
 go test -short -run TestMatrix ./internal/difftest/
 go test -short -count=1 -run 'TestDifferentialRelativeContexts|TestConformance|TestPositionalWindowsAgainstInterp|TestWindowedWalksAgainstBruteForce' . ./internal/dom/
 
+# Native fuzzing past the committed seeds, 10 s per target: the XML parser
+# and the XPath parser must round-trip what they accept through their
+# renderers, and the result decoder must agree with encoding/json on every
+# input. A failing input lands in the package's testdata/fuzz and fails the
+# gate; committed there, it runs as a seed in every later go test.
+go test -run '^$' -fuzz '^FuzzParseXML$' -fuzztime 10s ./internal/dom/
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/xpath/
+go test -run '^$' -fuzz '^FuzzQueryResultJSON$' -fuzztime 10s ./internal/server/
+
 # Shared-plan gate: goroutines sharing Prepared plans must stay race-free on
 # the batched protocol, every run must return each free-list buffer,
 # stepper and column it took, however it ends, and cold lookups of the path
